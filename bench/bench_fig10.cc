@@ -1,8 +1,9 @@
 // Reproduces Figure 10: training time versus the number of machines
 // (4/10/20/40, half servers and half workers) for DeepWalk (minutes) and
 // GBDT (seconds) on the paper-scale workloads, via the calibrated
-// discrete-event cluster simulation (this host has one core; see
-// DESIGN.md §2 for the substitution).
+// discrete-event cluster simulation (the figure models clusters of up to
+// 40 ten-thread machines, which one host cannot provide; see DESIGN.md §2
+// for the substitution).
 
 #include <cstdio>
 

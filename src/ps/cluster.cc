@@ -45,7 +45,6 @@ std::vector<float> PsClient::Pull(const std::vector<Key>& keys, int dim) {
   }
 
   Latch latch(servers_.size());
-  std::mutex out_mu;
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     if (positions[s].empty()) {
       latch.CountDown();
@@ -54,10 +53,11 @@ std::vector<float> PsClient::Pull(const std::vector<Key>& keys, int dim) {
     std::vector<Key> shard_keys;
     shard_keys.reserve(positions[s].size());
     for (std::size_t pos : positions[s]) shard_keys.push_back(keys[pos]);
-    // Copy of positions for the callback.
+    // Copy of positions for the callback. Shards write disjoint slots of
+    // `out`, so they need no lock; the callback must not touch this frame
+    // after CountDown, which can let Pull return.
     servers_[s]->Pull(std::move(shard_keys), dim,
-                      [&, s, pos = positions[s]](std::vector<float> values) {
-                        std::lock_guard<std::mutex> lock(out_mu);
+                      [&, pos = positions[s]](std::vector<float> values) {
                         for (std::size_t i = 0; i < pos.size(); ++i) {
                           std::copy(values.begin() + static_cast<std::ptrdiff_t>(i * d),
                                     values.begin() + static_cast<std::ptrdiff_t>((i + 1) * d),

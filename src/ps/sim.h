@@ -9,9 +9,10 @@ namespace titant::ps {
 
 /// Hardware model of one production machine, calibrated to the commodity
 /// cluster class the paper reports (20 machines x 10 threads train DW on
-/// ~8M records in ~1.5h, §5.1). This host has one core, so Fig. 10 cannot
-/// be measured physically; the discrete-event simulation below executes
-/// the same PS schedules against this cost model (see DESIGN.md §2).
+/// ~8M records in ~1.5h, §5.1). Fig. 10 scales a cluster of 4 to 40 such
+/// machines, which one multi-core host cannot stand in for, so the
+/// discrete-event simulation below executes the same PS schedules against
+/// this cost model (see DESIGN.md §2).
 struct MachineSpec {
   int threads = 10;                    // §5.1: "20 machines with 10 threads".
   double flops_per_thread = 2.0e9;     // Effective sustained flop rate.

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <vector>
 
+#include "common/alias_table.h"
 #include "common/random.h"
 #include "graph/random_walk.h"
 #include "nrl/deepwalk.h"
@@ -134,6 +138,160 @@ TEST(Word2VecTest, DeterministicSingleThread) {
   for (std::size_t r = 0; r < a->rows(); ++r) {
     for (int c = 0; c < a->dim(); ++c) EXPECT_EQ(a->Row(r)[c], b->Row(r)[c]);
   }
+}
+
+// The one-target-at-a-time SGNS loop, kept verbatim as the reference that
+// TrainSkipGram's batched pair kernel must match bit for bit. Everything
+// around the pair loop (initialization, negative table, learning-rate
+// schedule, RNG order) is TrainSkipGram's, single-threaded.
+class ReferenceSigmoid {
+ public:
+  ReferenceSigmoid() {
+    for (int i = 0; i < kSize; ++i) {
+      const double x = (static_cast<double>(i) / kSize * 2.0 - 1.0) * kMaxExp;
+      table_[i] = static_cast<float>(1.0 / (1.0 + std::exp(-x)));
+    }
+  }
+
+  float operator()(float x) const {
+    if (x >= kMaxExp) return 1.0f;
+    if (x <= -kMaxExp) return 0.0f;
+    const int idx = static_cast<int>((x + kMaxExp) * (kSize / (2.0f * kMaxExp)));
+    return table_[std::clamp(idx, 0, kSize - 1)];
+  }
+
+ private:
+  static constexpr int kSize = 1024;
+  static constexpr float kMaxExp = 6.0f;
+  float table_[kSize];
+};
+
+EmbeddingMatrix ReferenceSkipGram(const graph::WalkCorpus& corpus, std::size_t num_nodes,
+                                  const Word2VecOptions& options) {
+  const int dim = options.dim;
+  EmbeddingMatrix syn0(num_nodes, dim);
+  EmbeddingMatrix syn1(num_nodes, dim);
+  Rng init_rng(options.seed);
+  for (std::size_t v = 0; v < num_nodes; ++v) {
+    float* row = syn0.Row(v);
+    for (int j = 0; j < dim; ++j) {
+      row[j] = static_cast<float>((init_rng.NextDouble() - 0.5) / dim);
+    }
+  }
+  std::vector<double> freq(num_nodes, 0.0);
+  for (const auto& walk : corpus.walks) {
+    for (auto node : walk) freq[node] += 1.0;
+  }
+  std::vector<double> neg_weight(num_nodes, 0.0);
+  for (std::size_t v = 0; v < num_nodes; ++v) {
+    if (freq[v] > 0.0) neg_weight[v] = std::pow(freq[v], options.neg_power);
+  }
+  const AliasTable neg_table(neg_weight);
+  const ReferenceSigmoid sigmoid;
+
+  const double total_tokens =
+      static_cast<double>(corpus.TotalTokens()) * options.epochs + 1.0;
+  uint64_t tokens_done = 0;
+  Rng rng(options.seed ^ 0x9E3779B9ULL);
+  std::vector<float> grad_center(static_cast<std::size_t>(dim));
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    for (const auto& walk : corpus.walks) {
+      const uint64_t done = tokens_done;
+      tokens_done += walk.size();
+      const float progress = static_cast<float>(done / total_tokens);
+      const float alpha = std::max(options.min_alpha, options.alpha * (1.0f - progress));
+      for (std::size_t i = 0; i < walk.size(); ++i) {
+        const auto center = walk[i];
+        const int reduced =
+            1 + static_cast<int>(rng.Uniform(static_cast<uint64_t>(options.window)));
+        const std::size_t lo = i >= static_cast<std::size_t>(reduced) ? i - reduced : 0;
+        const std::size_t hi = std::min(walk.size() - 1, i + reduced);
+        for (std::size_t j = lo; j <= hi; ++j) {
+          if (j == i) continue;
+          const auto context = walk[j];
+          float* v_center = syn0.Row(center);
+          std::fill(grad_center.begin(), grad_center.end(), 0.0f);
+          for (int s = 0; s < options.negatives + 1; ++s) {
+            std::size_t target;
+            float label;
+            if (s == 0) {
+              target = context;
+              label = 1.0f;
+            } else {
+              target = neg_table.Sample(rng);
+              if (target == context) continue;
+              label = 0.0f;
+            }
+            float* v_target = syn1.Row(target);
+            float dot = 0.0f;
+            for (int d = 0; d < dim; ++d) dot += v_center[d] * v_target[d];
+            const float g = (label - sigmoid(dot)) * alpha;
+            for (int d = 0; d < dim; ++d) {
+              grad_center[d] += g * v_target[d];
+              v_target[d] += g * v_center[d];
+            }
+          }
+          for (int d = 0; d < dim; ++d) v_center[d] += grad_center[d];
+        }
+      }
+    }
+  }
+  return syn0;
+}
+
+// Dims below, at and across the 4-lane width; negatives none, one, one
+// 8-lane group of targets and two groups; both window and epoch settings.
+void ExpectMatchesReferenceOverSweep(const graph::WalkCorpus& corpus, std::size_t num_nodes) {
+  for (int dim : {1, 3, 4, 7, 32, 33}) {
+    for (int negatives : {0, 1, 5, 9}) {
+      for (int window : {1, 5}) {
+        for (int epochs : {1, 2}) {
+          Word2VecOptions options;
+          options.dim = dim;
+          options.negatives = negatives;
+          options.window = window;
+          options.epochs = epochs;
+          const auto batched = TrainSkipGram(corpus, num_nodes, options);
+          ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+          const EmbeddingMatrix reference = ReferenceSkipGram(corpus, num_nodes, options);
+          std::size_t differing_rows = 0;
+          for (std::size_t r = 0; r < num_nodes; ++r) {
+            if (std::memcmp(batched->Row(r), reference.Row(r), sizeof(float) * dim) != 0) {
+              ++differing_rows;
+            }
+          }
+          EXPECT_EQ(differing_rows, 0u) << "dim " << dim << " negatives " << negatives
+                                        << " window " << window << " epochs " << epochs;
+        }
+      }
+    }
+  }
+}
+
+// A dot product's rounding reaches the embeddings only when it moves the
+// sigmoid to another table bucket, so the corpus is large enough (20 walks
+// of 20 per node) for a reordered sum to show.
+TEST(Word2VecTest, BatchedKernelMatchesScalarReferenceBitForBit) {
+  const auto g = TwoCommunities(10, 4);
+  graph::RandomWalkOptions walk_options;
+  walk_options.walk_length = 20;
+  walk_options.walks_per_node = 20;
+  const auto corpus = graph::GenerateWalks(g, walk_options);
+  ASSERT_TRUE(corpus.ok());
+  ExpectMatchesReferenceOverSweep(*corpus, g.num_nodes());
+}
+
+// On three nodes most pairs draw a negative equal to the context (skipped)
+// or draw one negative twice (its second dot product sees the first update).
+TEST(Word2VecTest, BatchedKernelMatchesScalarReferenceOnThreeNodes) {
+  Rng rng(11);
+  graph::WalkCorpus corpus;
+  for (int w = 0; w < 40; ++w) {
+    std::vector<graph::NodeId> walk(1 + rng.Uniform(12));
+    for (auto& node : walk) node = static_cast<graph::NodeId>(rng.Uniform(3));
+    corpus.walks.push_back(std::move(walk));
+  }
+  ExpectMatchesReferenceOverSweep(corpus, 3);
 }
 
 TEST(Word2VecTest, MultiThreadStillSeparates) {

@@ -99,6 +99,30 @@ graph::TransactionNetwork TwoCommunities(int half, uint64_t seed) {
       .value();
 }
 
+// Mean cosine over every same-community pair minus the mean over every
+// cross-community pair. Asynchronous PS training fixes no update order, so
+// where any one node ends up (say the bridge node 0) changes from run to
+// run; the separation of the two communities as a whole is what the SGNS
+// objective drives under every interleaving.
+double CommunityGap(const nrl::EmbeddingMatrix& embeddings, int half) {
+  double intra = 0.0, inter = 0.0;
+  int intra_n = 0, inter_n = 0;
+  for (int a = 0; a < 2 * half; ++a) {
+    for (int b = a + 1; b < 2 * half; ++b) {
+      const double cos =
+          embeddings.Cosine(static_cast<std::size_t>(a), static_cast<std::size_t>(b));
+      if ((a < half) == (b < half)) {
+        intra += cos;
+        ++intra_n;
+      } else {
+        inter += cos;
+        ++inter_n;
+      }
+    }
+  }
+  return intra / intra_n - inter / inter_n;
+}
+
 class DistributedDwTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(DistributedDwTest, LearnsCommunityStructure) {
@@ -118,15 +142,7 @@ TEST_P(DistributedDwTest, LearnsCommunityStructure) {
   options.model_average = GetParam();
   const auto embeddings = DistributedDeepWalkTrain(cluster, *corpus, g.num_nodes(), options);
   ASSERT_TRUE(embeddings.ok()) << embeddings.status().ToString();
-
-  double intra = 0.0, inter = 0.0;
-  int n = 0;
-  for (int i = 1; i < half; ++i) {
-    intra += embeddings->Cosine(0, static_cast<std::size_t>(i));
-    inter += embeddings->Cosine(0, static_cast<std::size_t>(half + i));
-    ++n;
-  }
-  EXPECT_GT(intra / n, inter / n + 0.1) << "intra=" << intra / n << " inter=" << inter / n;
+  EXPECT_GT(CommunityGap(*embeddings, half), 0.1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Aggregation, DistributedDwTest, ::testing::Bool());
@@ -160,15 +176,7 @@ TEST(ClusterTest, TrainingSurvivesServerFailureViaCheckpoint) {
   options.resume = true;
   const auto embeddings = DistributedDeepWalkTrain(cluster, second, g.num_nodes(), options);
   ASSERT_TRUE(embeddings.ok());
-
-  double intra = 0.0, inter = 0.0;
-  int n = 0;
-  for (int i = 1; i < half; ++i) {
-    intra += embeddings->Cosine(0, static_cast<std::size_t>(i));
-    inter += embeddings->Cosine(0, static_cast<std::size_t>(half + i));
-    ++n;
-  }
-  EXPECT_GT(intra / n, inter / n + 0.1);
+  EXPECT_GT(CommunityGap(*embeddings, half), 0.1);
 }
 
 TEST(DistributedDwTest, ValidatesInputs) {

@@ -253,16 +253,27 @@ TEST_F(ModelServerTest, RouterSurvivesConcurrentTrafficAndHealthFlaps) {
       }
     });
   }
-  // Flap instance health while traffic flows (never all down).
-  for (int round = 0; round < 50; ++round) {
-    ASSERT_TRUE(router.SetInstanceHealthy(round % 4, false).ok());
+  // Flap instance health while traffic flows (never all down). Each round
+  // first waits for the clients to serve a few more requests, so every flap
+  // lands mid-traffic however the threads are scheduled.
+  constexpr int kRounds = 50;
+  constexpr int kServedPerRound = 3;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool flaps_ok = true;
+  for (int round = 0; round < kRounds && flaps_ok; ++round) {
+    while (served.load() < (round + 1) * kServedPerRound &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    flaps_ok = router.SetInstanceHealthy(round % 4, false).ok();
     std::this_thread::yield();
-    ASSERT_TRUE(router.SetInstanceHealthy(round % 4, true).ok());
+    flaps_ok = router.SetInstanceHealthy(round % 4, true).ok() && flaps_ok;
   }
   stop.store(true);
   for (auto& t : clients) t.join();
+  EXPECT_TRUE(flaps_ok);
   EXPECT_EQ(errors.load(), 0);
-  EXPECT_GT(served.load(), 100);
+  EXPECT_GE(served.load(), kRounds * kServedPerRound);
   EXPECT_EQ(router.AggregateLatency().count(), static_cast<uint64_t>(served.load()));
 }
 
