@@ -1,6 +1,7 @@
 #include "ml/discretizer.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 namespace titant::ml {
@@ -89,23 +90,35 @@ StatusOr<Discretizer> Discretizer::Deserialize(const std::string& blob) {
   const char* p = blob.data();
   const char* end = blob.data() + blob.size();
   auto read = [&](void* dst, std::size_t n) -> bool {
-    if (p + n > end) return false;
+    if (n > static_cast<std::size_t>(end - p)) return false;
     std::memcpy(dst, p, n);
     p += n;
     return true;
   };
   uint32_t num = 0;
   if (!read(&num, sizeof(num))) return Status::Corruption("discretizer: truncated header");
-  if (num > (1u << 24)) return Status::Corruption("discretizer: implausible feature count");
+  // Every feature takes 4 bytes of count and 4 per cut, so a count the
+  // blob cannot hold is rejected before anything is sized by it.
+  const auto fits = [&](uint32_t items) {
+    return items <= static_cast<std::size_t>(end - p) / sizeof(float);
+  };
+  if (num > (1u << 24) || !fits(num)) {
+    return Status::Corruption("discretizer: implausible feature count");
+  }
   Discretizer disc;
   disc.boundaries_.resize(num);
   for (uint32_t f = 0; f < num; ++f) {
     uint32_t k = 0;
     if (!read(&k, sizeof(k))) return Status::Corruption("discretizer: truncated bin count");
     if (k > (1u << 20)) return Status::Corruption("discretizer: implausible bin count");
-    disc.boundaries_[f].resize(k);
-    if (!read(disc.boundaries_[f].data(), k * sizeof(float))) {
-      return Status::Corruption("discretizer: truncated boundaries");
+    if (!fits(k)) return Status::Corruption("discretizer: truncated boundaries");
+    std::vector<float>& cuts = disc.boundaries_[f];
+    cuts.resize(k);
+    if (k > 0) read(cuts.data(), k * sizeof(float));  // Fits: checked above.
+    for (uint32_t i = 0; i < k; ++i) {
+      if (std::isnan(cuts[i]) || (i > 0 && !(cuts[i - 1] < cuts[i]))) {
+        return Status::Corruption("discretizer: cuts do not strictly increase");
+      }
     }
   }
   if (p != end) return Status::Corruption("discretizer: trailing bytes");

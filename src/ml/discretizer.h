@@ -33,6 +33,11 @@ class Discretizer {
   /// Bin index of `value` for feature `f`: the number of boundaries <= value.
   int BinOf(int feature, float value) const;
 
+  /// Feature `f`'s cut points, strictly increasing (NumBins(f) - 1 of them).
+  const std::vector<float>& Cuts(int feature) const {
+    return boundaries_[static_cast<std::size_t>(feature)];
+  }
+
   /// Transforms a raw row (num_features values) into bin indices.
   void TransformRow(const float* row, uint16_t* bins_out) const;
 
@@ -47,7 +52,8 @@ class Discretizer {
     return onehot_offsets_[static_cast<std::size_t>(feature)];
   }
 
-  /// Serialization for model files.
+  /// Serialization for model files. Deserialize rejects a cut list that
+  /// does not strictly increase (a NaN cut included): Fit never writes one.
   std::string Serialize() const;
   static StatusOr<Discretizer> Deserialize(const std::string& blob);
 

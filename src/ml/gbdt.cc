@@ -24,6 +24,9 @@ Status GbdtModel::Train(const DataMatrix& train) {
   }
 
   trees_.clear();
+  flat_nodes_.clear();
+  roots_.clear();
+  steps_ = 0;
   num_features_ = train.num_cols();
   const std::size_t n = train.num_rows();
   const auto& labels = train.labels();
@@ -197,11 +200,9 @@ Status GbdtModel::Train(const DataMatrix& train) {
     }
 
     // Update scores of *all* rows so the next residuals are consistent.
-    for (std::size_t i = 0; i < n; ++i) {
-      score[i] +=
-          PredictTreeBinned(tree, bins.data() + i * static_cast<std::size_t>(num_features_));
-    }
-    trees_.push_back(std::move(tree));
+    // The raw rows reach the same leaves as their bins (DESIGN.md §16).
+    AddTree(std::move(tree));
+    for (std::size_t i = 0; i < n; ++i) score[i] += TreeValue(trees_.size() - 1, train.Row(i));
   }
 
   double se = 0.0;
@@ -213,64 +214,66 @@ Status GbdtModel::Train(const DataMatrix& train) {
   return Status::OK();
 }
 
-double GbdtModel::PredictTreeBinned(const Tree& tree, const uint16_t* bins) const {
-  const Node* node = &tree.nodes[0];
-  while (node->feature >= 0) {
-    node = bins[node->feature] <= static_cast<uint16_t>(node->bin_threshold)
-               ? &tree.nodes[static_cast<std::size_t>(node->left)]
-               : &tree.nodes[static_cast<std::size_t>(node->right)];
+void GbdtModel::AddTree(Tree tree) {
+  const int32_t base = static_cast<int32_t>(flat_nodes_.size());
+  // Children follow their parent, so one pass in index order finds every
+  // node's depth (the longest path from the root).
+  std::vector<int> depth(tree.nodes.size(), 0);
+  for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
+    const Node& node = tree.nodes[i];
+    const int32_t self = base + static_cast<int32_t>(i);
+    FlatNode flat{0, node.value, {self, self}};
+    if (node.feature >= 0) {
+      flat.feature = node.feature;
+      flat.split = discretizer_.Cuts(node.feature)[static_cast<std::size_t>(node.bin_threshold)];
+      flat.child[0] = base + node.left;
+      flat.child[1] = base + node.right;
+      for (const int32_t c : {node.left, node.right}) {
+        int& d = depth[static_cast<std::size_t>(c)];
+        d = std::max(d, depth[i] + 1);
+      }
+    }
+    flat_nodes_.push_back(flat);
+    steps_ = std::max(steps_, depth[i]);
   }
-  return node->value;
+  roots_.push_back(base);
+  trees_.push_back(std::move(tree));
 }
 
-namespace {
-/// Bin-block entries that stay on the stack in Score/ScoreBatch (8 KiB).
-/// Scoring runs per transaction on the serving hot path, where a heap
-/// round trip per call is measurable; larger blocks spill to the heap.
-constexpr std::size_t kStackBinEntries = 4096;
-}  // namespace
+float GbdtModel::TreeValue(std::size_t t, const float* row) const {
+  int32_t at = roots_[t];
+  for (int s = 0; s < steps_; ++s) at = flat_nodes_[static_cast<std::size_t>(at)].Next(row);
+  return flat_nodes_[static_cast<std::size_t>(at)].split;
+}
+
+double GbdtModel::SumTrees(const float* row) const {
+  const FlatNode* nodes = flat_nodes_.data();
+  const std::size_t num_trees = roots_.size();
+  double score = base_score_;
+  std::size_t t = 0;
+  for (; t + kLanes <= num_trees; t += kLanes) {
+    int32_t at[kLanes];
+    for (int k = 0; k < kLanes; ++k) at[k] = roots_[t + static_cast<std::size_t>(k)];
+    for (int s = 0; s < steps_; ++s) {
+      // Unrolled (8 = kLanes), so the positions stay in registers.
+#pragma GCC unroll 8
+      for (int k = 0; k < kLanes; ++k) at[k] = nodes[at[k]].Next(row);
+    }
+    for (int k = 0; k < kLanes; ++k) score += nodes[at[k]].split;
+  }
+  for (; t < num_trees; ++t) score += TreeValue(t, row);
+  return score;
+}
 
 double GbdtModel::Score(const float* row) const {
-  uint16_t stack_bins[kStackBinEntries];
-  std::vector<uint16_t> heap_bins;
-  uint16_t* bins = stack_bins;
-  if (static_cast<std::size_t>(num_features_) > kStackBinEntries) {
-    heap_bins.resize(static_cast<std::size_t>(num_features_));
-    bins = heap_bins.data();
-  }
-  discretizer_.TransformRow(row, bins);
-  double score = base_score_;
-  for (const auto& tree : trees_) score += PredictTreeBinned(tree, bins);
-  return std::clamp(score, 0.0, 1.0);
+  return std::clamp(SumTrees(row), 0.0, 1.0);
 }
 
 void GbdtModel::ScoreBatch(const float* rows, int n, double* out) const {
-  if (n <= 0) return;
   const std::size_t width = static_cast<std::size_t>(num_features_);
-  const std::size_t total = static_cast<std::size_t>(n) * width;
-  uint16_t stack_bins[kStackBinEntries];
-  // Spill block reused across calls (thread_local, capacity only grows):
-  // batches above the stack limit hit the heap once per thread, not once
-  // per call — ScoreBatch is inside the zero-allocation serving loop.
-  thread_local std::vector<uint16_t> spill_bins;
-  uint16_t* bins = stack_bins;
-  if (total > kStackBinEntries) {
-    if (spill_bins.size() < total) spill_bins.resize(total);
-    bins = spill_bins.data();
+  for (int i = 0; i < n; ++i) {
+    out[i] = std::clamp(SumTrees(rows + static_cast<std::size_t>(i) * width), 0.0, 1.0);
   }
-  for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
-    discretizer_.TransformRow(rows + i * width, bins + i * width);
-  }
-  // Tree-major: one tree's (small) node array stays hot while every row
-  // walks it, and the whole bin block is revisited per tree.
-  for (int i = 0; i < n; ++i) out[i] = base_score_;
-  for (const auto& tree : trees_) {
-    const uint16_t* row_bins = bins;
-    for (int i = 0; i < n; ++i, row_bins += width) {
-      out[i] += PredictTreeBinned(tree, row_bins);
-    }
-  }
-  for (int i = 0; i < n; ++i) out[i] = std::clamp(out[i], 0.0, 1.0);
 }
 
 std::vector<std::pair<int, double>> GbdtModel::FeatureImportance() const {
@@ -326,7 +329,7 @@ StatusOr<std::unique_ptr<GbdtModel>> GbdtModel::FromPayload(const std::string& p
   const char* p = payload.data();
   const char* end = payload.data() + payload.size();
   auto read = [&](void* dst, std::size_t n) -> bool {
-    if (p + n > end) return false;
+    if (n > static_cast<std::size_t>(end - p)) return false;
     std::memcpy(dst, p, n);
     p += n;
     return true;
@@ -350,35 +353,53 @@ StatusOr<std::unique_ptr<GbdtModel>> GbdtModel::FromPayload(const std::string& p
   model->final_train_rmse_ = doubles[4];
 
   uint64_t disc_len = 0;
-  if (!read(&disc_len, sizeof(disc_len)) || p + disc_len > end) {
+  if (!read(&disc_len, sizeof(disc_len)) || disc_len > static_cast<uint64_t>(end - p)) {
     return Status::Corruption("gbdt: truncated discretizer");
   }
   TITANT_ASSIGN_OR_RETURN(model->discretizer_,
                           Discretizer::Deserialize(std::string(p, disc_len)));
   p += disc_len;
+  if (model->discretizer_.num_features() != model->num_features_) {
+    return Status::Corruption("gbdt: discretizer width differs from the header's");
+  }
 
+  // A model file may come off the wire: every node the scorer can reach
+  // must index a real feature, cut and node, and every walk must end
+  // within max_depth steps.
   uint32_t num_trees = 0;
   if (!read(&num_trees, sizeof(num_trees)) || num_trees > (1u << 22)) {
     return Status::Corruption("gbdt: bad tree count");
   }
-  model->trees_.resize(num_trees);
-  for (auto& tree : model->trees_) {
+  // The rest of the blob is trees, 20 bytes a node: sizes the layout once.
+  model->flat_nodes_.reserve(static_cast<std::size_t>(end - p) / sizeof(Node));
+  for (uint32_t t = 0; t < num_trees; ++t) {
     uint64_t num_nodes = 0;
-    if (!read(&num_nodes, sizeof(num_nodes)) || num_nodes == 0 || num_nodes > (1ull << 32)) {
+    if (!read(&num_nodes, sizeof(num_nodes)) || num_nodes == 0 ||
+        num_nodes > static_cast<uint64_t>(end - p) / sizeof(Node) ||
+        num_nodes > uint64_t{INT32_MAX} - model->flat_nodes_.size()) {
       return Status::Corruption("gbdt: bad node count");
     }
+    Tree tree;
     tree.nodes.resize(static_cast<std::size_t>(num_nodes));
-    if (!read(tree.nodes.data(), tree.nodes.size() * sizeof(Node))) {
-      return Status::Corruption("gbdt: truncated nodes");
-    }
-    for (const Node& node : tree.nodes) {
-      if (node.feature >= 0 &&
-          (node.left < 0 || node.right < 0 || static_cast<uint64_t>(node.left) >= num_nodes ||
-           static_cast<uint64_t>(node.right) >= num_nodes)) {
+    read(tree.nodes.data(), tree.nodes.size() * sizeof(Node));  // Fits: checked above.
+    const int64_t size = static_cast<int64_t>(num_nodes);
+    for (int64_t i = 0; i < size; ++i) {
+      const Node& node = tree.nodes[static_cast<std::size_t>(i)];
+      if (node.feature == -1) continue;  // Leaf.
+      if (node.feature < 0 || node.feature >= model->num_features_) {
+        return Status::Corruption("gbdt: split feature out of range");
+      }
+      if (node.bin_threshold < 0 ||
+          node.bin_threshold > model->discretizer_.NumBins(node.feature) - 2) {
+        return Status::Corruption("gbdt: bin threshold out of range");
+      }
+      if (node.left <= i || node.right <= i || node.left >= size || node.right >= size) {
         return Status::Corruption("gbdt: child out of range");
       }
     }
+    model->AddTree(std::move(tree));
   }
+  if (model->steps_ > o.max_depth) return Status::Corruption("gbdt: tree deeper than max_depth");
   if (p != end) return Status::Corruption("gbdt: trailing bytes");
   return model;
 }

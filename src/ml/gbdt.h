@@ -43,11 +43,12 @@ class GbdtModel : public Model {
   std::string_view type_name() const override { return "gbdt"; }
   Status Train(const DataMatrix& train) override;
   int num_features() const override { return num_features_; }
+  /// Scores on raw feature values through the flat layout (FlatNode): no
+  /// discretization, no scratch memory, and a fixed number of branch-free
+  /// steps per tree with kLanes trees in flight at once. Bit-identical to
+  /// discretizing the row and walking the bins.
   double Score(const float* row) const override;
-  /// Tree-major batch scoring: the whole batch is discretized into one
-  /// contiguous bin block once, then each tree walks every row before the
-  /// next tree is touched — the tree's nodes stay hot in cache across the
-  /// batch instead of the batch's rows evicting them per transaction.
+  /// Row by row, each row as Score scores it.
   void ScoreBatch(const float* rows, int n, double* out) const override;
   std::string SerializePayload() const override;
 
@@ -81,11 +82,43 @@ class GbdtModel : public Model {
     std::vector<Node> nodes;
   };
 
-  double PredictTreeBinned(const Tree& tree, const uint16_t* bins) const;
+  /// One node of the scoring layout. A split stores the raw cut value
+  /// cuts[feature][bin_threshold]: for strictly increasing cuts,
+  /// bin <= bin_threshold iff row[feature] < split, and NaN fails both
+  /// tests. A leaf is a node whose children are itself, so every tree can
+  /// walk the same number of steps (DESIGN.md §16); its test never
+  /// matters, so its `split` holds the leaf value.
+  struct FlatNode {
+    int32_t feature = 0;
+    float split = 0.0f;
+    int32_t child[2] = {0, 0};  // Absolute indices into flat_nodes_.
+
+    /// One step of a walk, with no branch on the data.
+    int32_t Next(const float* row) const { return child[!(row[feature] < split)]; }
+  };
+
+  /// Trees scored side by side per row: independent walks overlap their
+  /// load latencies.
+  static constexpr int kLanes = 8;
+
+  /// Appends `tree` to trees_ and to the scoring layout. The tree must be
+  /// valid for discretizer_: split features in range, bin thresholds below
+  /// the last bin, children after their parent.
+  void AddTree(Tree tree);
+  /// Leaf value tree `t` gives raw row `row`.
+  float TreeValue(std::size_t t, const float* row) const;
+  /// base_score_ plus every tree's leaf value, in tree order; unclamped.
+  double SumTrees(const float* row) const;
 
   GbdtOptions options_;
   Discretizer discretizer_;
   std::vector<Tree> trees_;
+  // Scoring layout, derived from trees_ and the cuts by AddTree: every
+  // tree's nodes in one array, each tree's root, and the deepest tree's
+  // depth, which is the step count of every walk.
+  std::vector<FlatNode> flat_nodes_;
+  std::vector<int32_t> roots_;
+  int steps_ = 0;
   double base_score_ = 0.0;
   double final_train_rmse_ = 0.0;
   int num_features_ = -1;

@@ -222,8 +222,8 @@ StatusOr<std::unique_ptr<LogisticRegressionModel>> LogisticRegressionModel::From
   const char* p = payload.data();
   const char* end = payload.data() + payload.size();
   auto read = [&](void* dst, std::size_t n) -> bool {
-    if (p + n > end) return false;
-    std::memcpy(dst, p, n);
+    if (n > static_cast<std::size_t>(end - p)) return false;
+    if (n > 0) std::memcpy(dst, p, n);
     p += n;
     return true;
   };
@@ -242,7 +242,7 @@ StatusOr<std::unique_ptr<LogisticRegressionModel>> LogisticRegressionModel::From
   model->bias_ = bias;
 
   uint64_t disc_len = 0;
-  if (!read(&disc_len, sizeof(disc_len)) || p + disc_len > end) {
+  if (!read(&disc_len, sizeof(disc_len)) || disc_len > static_cast<uint64_t>(end - p)) {
     return Status::Corruption("lr: truncated discretizer");
   }
   if (o.discretize) {
@@ -253,7 +253,9 @@ StatusOr<std::unique_ptr<LogisticRegressionModel>> LogisticRegressionModel::From
 
   auto read_vec = [&](std::vector<double>& v) -> bool {
     uint64_t len = 0;
-    if (!read(&len, sizeof(len)) || len > (1ull << 32)) return false;
+    if (!read(&len, sizeof(len)) || len > static_cast<uint64_t>(end - p) / sizeof(double)) {
+      return false;
+    }
     v.resize(static_cast<std::size_t>(len));
     return read(v.data(), v.size() * sizeof(double));
   };

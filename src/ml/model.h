@@ -35,8 +35,8 @@ class Model {
 
   /// Scores `n` contiguous row-major feature rows (num_features() floats
   /// each) into `out`. The serving batch path lands here; models with a
-  /// vectorizable form (GBDT tree-major traversal, LR feature-major
-  /// accumulation) override it, everything else gets the per-row loop.
+  /// batch form (LR feature-major accumulation) or a cheaper loop (GBDT's
+  /// flat walk) override it, everything else gets the per-row loop.
   /// Must be equivalent to calling Score on each row.
   virtual void ScoreBatch(const float* rows, int n, double* out) const;
 

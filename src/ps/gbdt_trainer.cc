@@ -268,17 +268,16 @@ StatusOr<std::unique_ptr<ml::GbdtModel>> DistributedGbdtTrainer::Train(
       level = std::move(next_level);
     }
 
-    // Workers update every row's score with the completed tree.
+    // Workers update every row's score with the completed tree, walked
+    // over the raw rows in the model's scoring layout.
+    model->AddTree(std::move(tree));
     cluster_.RunWorkers([&](int w, PsClient&) {
       const std::size_t begin = static_cast<std::size_t>(w) * per_worker;
       const std::size_t end = std::min(n, begin + per_worker);
       for (std::size_t r = begin; r < end; ++r) {
-        score[r] += model->PredictTreeBinned(
-            tree, bins.data() + r * static_cast<std::size_t>(num_features));
+        score[r] += model->TreeValue(static_cast<std::size_t>(t), data.Row(r));
       }
     });
-
-    model->trees_.push_back(std::move(tree));
   }
 
   double se = 0.0;

@@ -201,9 +201,13 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
     f[24] = request.trans_city;
     f[25] = request.trans_city != static_cast<uint16_t>(f[3]) ? 1.0f : 0.0f;
     f[26] = request.is_new_device ? 1.0f : 0.0f;
-    // Payee-relationship and same-day aggregates are not materialized in the
-    // T+1 store; the MS uses the conservative cold defaults (documented in
-    // DESIGN.md — production TitAnt reads them from streaming counters).
+    // The payee relationship (34/35) is not materialized anywhere online:
+    // serving always uses these cold defaults, unlike offline Extract. The
+    // same-day count and amount (43/44) and the recency in 45 start from
+    // defaults here; the live-counter step below overwrites them, so the
+    // defaults stay only when no counter is published for the user (no
+    // ingestor, a user the aggregator has not seen, live counters off, or
+    // a degraded row).
     f[34] = 0.0f;
     f[35] = 1.0f;
     f[43] = 0.0f;

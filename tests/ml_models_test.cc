@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "ml/decision_tree.h"
@@ -13,6 +20,8 @@
 #include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 #include "ml/model.h"
+#include "ps/cluster.h"
+#include "ps/gbdt_trainer.h"
 
 namespace titant::ml {
 namespace {
@@ -427,6 +436,407 @@ TEST(GbdtTest, FeatureImportanceFindsTheSignal) {
   auto* gbdt = dynamic_cast<GbdtModel*>(restored->get());
   ASSERT_NE(gbdt, nullptr);
   EXPECT_EQ(gbdt->FeatureImportance(), importance);
+}
+
+// ---------------------------------------------------------------------------
+// GBDT scoring layout: bit-exact against the bin-walking reference, and
+// hostile model files
+// ---------------------------------------------------------------------------
+
+/// The scorer the flat layout replaced, kept as an independent reference:
+/// it parses the payload itself, discretizes the whole row with
+/// std::upper_bound, and walks the bins from each root.
+struct ReferenceGbdt {
+  struct Node {
+    int32_t feature;  // -1 = leaf.
+    int32_t bin_threshold;
+    int32_t left;
+    int32_t right;
+    float value;
+  };
+  static_assert(sizeof(Node) == 20);
+
+  int32_t max_depth = 0;
+  int32_t num_features = 0;
+  double base_score = 0.0;
+  std::vector<std::vector<float>> cuts;
+  std::vector<std::vector<Node>> trees;
+
+  static ReferenceGbdt Parse(const std::string& payload) {
+    ReferenceGbdt ref;
+    std::size_t at = 0;
+    auto take = [&](void* dst, std::size_t n) {
+      if (n == 0) return;
+      if (n > payload.size() - at) {
+        ADD_FAILURE() << "payload too short";
+        std::memset(dst, 0, n);
+        return;
+      }
+      std::memcpy(dst, payload.data() + at, n);
+      at += n;
+    };
+    int32_t header[5];
+    double doubles[5];
+    take(header, sizeof(header));
+    take(doubles, sizeof(doubles));
+    ref.max_depth = header[1];
+    ref.num_features = header[4];
+    ref.base_score = doubles[3];
+    uint64_t disc_len = 0;
+    take(&disc_len, sizeof(disc_len));
+    uint32_t width = 0;
+    take(&width, sizeof(width));
+    ref.cuts.resize(width);
+    for (auto& cuts : ref.cuts) {
+      uint32_t k = 0;
+      take(&k, sizeof(k));
+      cuts.resize(k);
+      take(cuts.data(), k * sizeof(float));
+    }
+    uint32_t num_trees = 0;
+    take(&num_trees, sizeof(num_trees));
+    ref.trees.resize(num_trees);
+    for (auto& tree : ref.trees) {
+      uint64_t num_nodes = 0;
+      take(&num_nodes, sizeof(num_nodes));
+      tree.resize(num_nodes);
+      take(tree.data(), num_nodes * sizeof(Node));
+    }
+    EXPECT_EQ(at, payload.size());
+    return ref;
+  }
+
+  /// Inverse of Parse: a payload with these fields (other options at
+  /// their defaults), for hand-made model files.
+  std::string Serialize() const {
+    std::string blob;
+    auto put = [&](const void* p, std::size_t n) {
+      blob.append(static_cast<const char*>(p), n);
+    };
+    const int32_t header[] = {static_cast<int32_t>(trees.size()), max_depth, 64, 8,
+                              num_features};
+    const double doubles[] = {0.1, 0.4, 0.4, base_score, 0.0};
+    put(header, sizeof(header));
+    put(doubles, sizeof(doubles));
+    uint64_t disc_len = sizeof(uint32_t);
+    for (const auto& c : cuts) disc_len += sizeof(uint32_t) + c.size() * sizeof(float);
+    put(&disc_len, sizeof(disc_len));
+    const uint32_t width = static_cast<uint32_t>(cuts.size());
+    put(&width, sizeof(width));
+    for (const auto& c : cuts) {
+      const uint32_t k = static_cast<uint32_t>(c.size());
+      put(&k, sizeof(k));
+      put(c.data(), c.size() * sizeof(float));
+    }
+    const uint32_t num_trees = static_cast<uint32_t>(trees.size());
+    put(&num_trees, sizeof(num_trees));
+    for (const auto& tree : trees) {
+      const uint64_t num_nodes = tree.size();
+      put(&num_nodes, sizeof(num_nodes));
+      put(tree.data(), tree.size() * sizeof(Node));
+    }
+    return blob;
+  }
+
+  /// base_score plus every tree's leaf value, in tree order; unclamped.
+  double Sum(const float* row) const {
+    std::vector<uint16_t> bins(cuts.size());
+    for (std::size_t f = 0; f < cuts.size(); ++f) {
+      bins[f] = static_cast<uint16_t>(std::upper_bound(cuts[f].begin(), cuts[f].end(), row[f]) -
+                                      cuts[f].begin());
+    }
+    double score = base_score;
+    for (const auto& tree : trees) {
+      const Node* node = &tree[0];
+      while (node->feature >= 0) {
+        node = &tree[static_cast<std::size_t>(
+            bins[static_cast<std::size_t>(node->feature)] <=
+                    static_cast<uint16_t>(node->bin_threshold)
+                ? node->left
+                : node->right)];
+      }
+      score += node->value;
+    }
+    return score;
+  }
+
+  double Score(const float* row) const { return std::clamp(Sum(row), 0.0, 1.0); }
+};
+
+/// Row-major probe rows that give every feature each value a raw-value
+/// comparison could get wrong: NaN, ±inf, ±0, every cut and both of its
+/// float neighbours, values beyond the outer cuts, and huge magnitudes.
+std::vector<float> ProbeRows(const std::vector<std::vector<float>>& cuts) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::vector<float>> values(cuts.size());
+  std::size_t longest = 0;
+  for (std::size_t f = 0; f < cuts.size(); ++f) {
+    std::vector<float>& v = values[f];
+    v = {std::numeric_limits<float>::quiet_NaN(), inf, -inf, 0.0f, -0.0f, FLT_MAX, -FLT_MAX,
+         FLT_TRUE_MIN, -FLT_TRUE_MIN, 1e30f, -1e30f};
+    for (const float c : cuts[f]) {
+      v.push_back(c);
+      v.push_back(std::nextafter(c, inf));
+      v.push_back(std::nextafter(c, -inf));
+    }
+    if (!cuts[f].empty()) {
+      v.push_back(cuts[f].front() - 1.0f);
+      v.push_back(cuts[f].back() + 1.0f);
+    }
+    longest = std::max(longest, v.size());
+  }
+  // Every value of every feature appears in the first `longest` rows; the
+  // second half pairs them differently.
+  std::vector<float> rows;
+  for (std::size_t r = 0; r < 2 * longest; ++r) {
+    for (std::size_t f = 0; f < cuts.size(); ++f) {
+      const std::size_t pick = r < longest ? r + 7 * f : 3 * r + f;
+      rows.push_back(values[f][pick % values[f].size()]);
+    }
+  }
+  return rows;
+}
+
+/// Compares Score and ScoreBatch (every batch size in `batches`) with the
+/// reference by the bits of each double.
+void ExpectBitExact(const GbdtModel& model, const std::string& what,
+                    const std::vector<int>& batches = {1, 3, 16, 17}) {
+  const ReferenceGbdt ref = ReferenceGbdt::Parse(model.SerializePayload());
+  ASSERT_EQ(ref.cuts.size(), static_cast<std::size_t>(model.num_features()));
+  const std::size_t width = ref.cuts.size();
+  const std::vector<float> rows = ProbeRows(ref.cuts);
+  const std::size_t n = rows.size() / width;
+  std::vector<double> want(n);
+  for (std::size_t r = 0; r < n; ++r) want[r] = ref.Score(rows.data() + r * width);
+
+  std::size_t mismatches = 0;
+  std::string first;
+  auto check = [&](std::size_t r, double got, const char* path) {
+    if (std::memcmp(&got, &want[r], sizeof(double)) == 0) return;
+    if (mismatches++ == 0) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf), "%s row %zu: %.17g vs reference %.17g", path, r, got,
+                    want[r]);
+      first = buf;
+    }
+  };
+  for (std::size_t r = 0; r < n; ++r) check(r, model.Score(rows.data() + r * width), "Score");
+  std::vector<double> out(n);
+  for (const int batch : batches) {
+    for (std::size_t r = 0; r < n; r += static_cast<std::size_t>(batch)) {
+      const int count = static_cast<int>(std::min<std::size_t>(batch, n - r));
+      model.ScoreBatch(rows.data() + r * width, count, out.data() + r);
+    }
+    for (std::size_t r = 0; r < n; ++r) check(r, out[r], "ScoreBatch");
+  }
+  EXPECT_EQ(mismatches, 0u) << what << ": " << first;
+}
+
+/// Six features of different shapes: uniform, signed with many exact
+/// zeros, small integers, binary, heavy-tailed, and constant.
+DataMatrix MakeMixedTask(std::size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  DataMatrix data(rows, 6);
+  auto& labels = data.mutable_labels();
+  labels.resize(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double g = rng.Gaussian(0, 10);
+    data.Set(r, 0, static_cast<float>(rng.NextDouble()));
+    data.Set(r, 1, rng.Bernoulli(0.3) ? 0.0f : static_cast<float>(g));
+    data.Set(r, 2, static_cast<float>(rng.Uniform(5)));
+    data.Set(r, 3, static_cast<float>(rng.Uniform(2)));
+    data.Set(r, 4, static_cast<float>(std::exp(rng.Gaussian(0, 3))));
+    data.Set(r, 5, 2.5f);
+    bool y = (data.At(r, 0) > 0.6f && data.At(r, 1) < 0.0f) || data.At(r, 2) > 3.0f ||
+             data.At(r, 4) > 50.0f;
+    if (rng.Bernoulli(0.1)) y = !y;
+    labels[r] = y ? 1 : 0;
+  }
+  return data;
+}
+
+TEST(GbdtScoringTest, BitExactWithBinWalkingReference) {
+  const DataMatrix train = MakeMixedTask(800, 81);
+  for (const int depth : {1, 2, 3, 6}) {
+    for (const int max_bins : {2, 16, 64, 255}) {
+      for (const int trees : {1, 7, 8, 9, 400}) {
+        GbdtOptions o;
+        o.num_trees = trees;
+        o.max_depth = depth;
+        o.max_bins = max_bins;
+        o.min_child_samples = 2;
+        GbdtModel model(o);
+        ASSERT_TRUE(model.Train(train).ok());
+        const std::string what = "depth " + std::to_string(depth) + ", bins " +
+                                 std::to_string(max_bins) + ", trees " + std::to_string(trees);
+        ExpectBitExact(model, "Train, " + what);
+        const auto loaded = GbdtModel::FromPayload(model.SerializePayload());
+        ASSERT_TRUE(loaded.ok()) << what << ": " << loaded.status().ToString();
+        ExpectBitExact(**loaded, "FromPayload, " + what, {1, 17});
+      }
+    }
+  }
+}
+
+TEST(GbdtScoringTest, DistributedTrainerModelIsBitExact) {
+  const DataMatrix train = MakeMixedTask(1200, 82);
+  GbdtOptions o;
+  o.num_trees = 41;
+  o.max_bins = 255;
+  ps::KunPengCluster cluster(2, 2);
+  ps::DistributedGbdtTrainer trainer(cluster, o);
+  const auto model = trainer.Train(train);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  ExpectBitExact(**model, "DistributedGbdtTrainer");
+}
+
+TEST(GbdtScoringTest, TrainingRmseMatchesTheReferenceWalk) {
+  // Train updates its scores through the flat layout on raw rows; the
+  // reference walks the same rows' bins. Both must give the same RMSE.
+  const DataMatrix train = MakeMixedTask(600, 83);
+  GbdtOptions o;
+  o.num_trees = 30;
+  GbdtModel model(o);
+  ASSERT_TRUE(model.Train(train).ok());
+  const ReferenceGbdt ref = ReferenceGbdt::Parse(model.SerializePayload());
+  double se = 0.0;
+  for (std::size_t r = 0; r < train.num_rows(); ++r) {
+    const double d = train.labels()[r] - ref.Sum(train.Row(r));  // Unclamped, as in Train.
+    se += d * d;
+  }
+  EXPECT_EQ(model.final_train_rmse(), std::sqrt(se / static_cast<double>(train.num_rows())));
+}
+
+/// A valid hand-made model: one feature with cuts {0.5, 1.5}, one depth-2
+/// tree.
+ReferenceGbdt SmallSpec() {
+  ReferenceGbdt spec;
+  spec.max_depth = 3;
+  spec.num_features = 1;
+  spec.base_score = 0.25;
+  spec.cuts = {{0.5f, 1.5f}};
+  spec.trees = {{{0, 0, 1, 2, 0.0f},
+                 {-1, 0, -1, -1, 0.125f},
+                 {0, 1, 3, 4, 0.0f},
+                 {-1, 0, -1, -1, 0.25f},
+                 {-1, 0, -1, -1, 0.5f}}};
+  return spec;
+}
+
+TEST(GbdtHostileBlobTest, HandMadeSpecLoadsAndMatchesReference) {
+  const ReferenceGbdt spec = SmallSpec();
+  const auto model = GbdtModel::FromPayload(spec.Serialize());
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  for (const float x : {0.0f, 0.5f, 1.0f, 1.5f, 9.0f}) {
+    EXPECT_EQ((*model)->Score(&x), spec.Score(&x)) << x;
+  }
+  EXPECT_EQ((*model)->Score(std::vector<float>{1.0f}.data()), 0.5);
+  ExpectBitExact(**model, "hand-made");
+}
+
+TEST(GbdtHostileBlobTest, RejectsSplitFeatureOutOfRange) {
+  for (const int32_t feature : {1'000'000, 1, -2}) {
+    ReferenceGbdt spec = SmallSpec();
+    spec.trees[0][0].feature = feature;
+    EXPECT_TRUE(GbdtModel::FromPayload(spec.Serialize()).status().IsCorruption()) << feature;
+  }
+}
+
+TEST(GbdtHostileBlobTest, RejectsChildNotAfterItsParent) {
+  ReferenceGbdt own = SmallSpec();
+  own.trees[0][0].left = 0;  // The root is its own child: a walk never ends.
+  EXPECT_TRUE(GbdtModel::FromPayload(own.Serialize()).status().IsCorruption());
+  ReferenceGbdt back = SmallSpec();
+  back.trees[0][2].right = 1;  // Points to an earlier node.
+  EXPECT_TRUE(GbdtModel::FromPayload(back.Serialize()).status().IsCorruption());
+  ReferenceGbdt past = SmallSpec();
+  past.trees[0][2].right = 5;  // Past the last node.
+  EXPECT_TRUE(GbdtModel::FromPayload(past.Serialize()).status().IsCorruption());
+}
+
+TEST(GbdtHostileBlobTest, RejectsTreeDeeperThanMaxDepth) {
+  ReferenceGbdt spec = SmallSpec();
+  spec.max_depth = 1;  // The tree is depth 2.
+  EXPECT_TRUE(GbdtModel::FromPayload(spec.Serialize()).status().IsCorruption());
+  spec.max_depth = 2;
+  EXPECT_TRUE(GbdtModel::FromPayload(spec.Serialize()).ok());
+}
+
+TEST(GbdtHostileBlobTest, RejectsBinThresholdOutsideTheCuts) {
+  for (const int32_t threshold : {2, -1, 1 << 20}) {  // NumBins(0) = 3: valid are 0 and 1.
+    ReferenceGbdt spec = SmallSpec();
+    spec.trees[0][2].bin_threshold = threshold;
+    EXPECT_TRUE(GbdtModel::FromPayload(spec.Serialize()).status().IsCorruption()) << threshold;
+  }
+}
+
+TEST(GbdtHostileBlobTest, RejectsDiscretizerWiderThanTheHeader) {
+  // A 5,000-feature discretizer behind a header of 1, and of 84.
+  for (const int32_t header_width : {1, 84}) {
+    ReferenceGbdt spec = SmallSpec();
+    spec.cuts.resize(5000, {0.5f, 1.5f});
+    spec.num_features = header_width;
+    EXPECT_TRUE(GbdtModel::FromPayload(spec.Serialize()).status().IsCorruption())
+        << header_width;
+  }
+  ReferenceGbdt narrow = SmallSpec();
+  narrow.num_features = 2;
+  EXPECT_TRUE(GbdtModel::FromPayload(narrow.Serialize()).status().IsCorruption());
+}
+
+TEST(GbdtHostileBlobTest, RejectsCutsThatDoNotStrictlyIncrease) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const std::vector<float>& cuts : std::vector<std::vector<float>>{
+           {0.5f, 0.5f}, {1.5f, 0.5f}, {nan, 1.5f}, {0.5f, nan}}) {
+    ReferenceGbdt spec = SmallSpec();
+    spec.cuts[0] = cuts;
+    EXPECT_TRUE(GbdtModel::FromPayload(spec.Serialize()).status().IsCorruption());
+  }
+  ReferenceGbdt single = SmallSpec();
+  single.cuts[0] = {nan};
+  single.trees = {{{-1, 0, -1, -1, 0.5f}}};
+  EXPECT_TRUE(GbdtModel::FromPayload(single.Serialize()).status().IsCorruption());
+}
+
+TEST(GbdtHostileBlobTest, EveryPrefixOfATrainedBlobFails) {
+  GbdtOptions o;
+  o.num_trees = 12;
+  GbdtModel model(o);
+  ASSERT_TRUE(model.Train(MakeTask(400, 84)).ok());
+  const std::string blob = model.SerializePayload();
+  ASSERT_TRUE(GbdtModel::FromPayload(blob).ok());
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_FALSE(GbdtModel::FromPayload(blob.substr(0, len)).ok()) << len;
+  }
+}
+
+TEST(GbdtHostileBlobTest, BitFlippedBlobsFailToLoadOrScoreLikeTheReference) {
+  GbdtOptions o;
+  o.num_trees = 12;
+  GbdtModel model(o);
+  ASSERT_TRUE(model.Train(MakeTask(400, 85)).ok());
+  const std::string blob = model.SerializePayload();
+  Rng rng(86);
+  int loaded = 0;
+  int rejected = 0;
+  for (int mutant = 0; mutant < 3000; ++mutant) {
+    std::string bad = blob;
+    const int flips = 1 + static_cast<int>(rng.Uniform(3));
+    for (int i = 0; i < flips; ++i) {
+      const uint64_t bit = rng.Uniform(bad.size() * 8);
+      bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    }
+    const auto parsed = GbdtModel::FromPayload(bad);
+    if (!parsed.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    // A model that loads is a valid one, so the reference applies to it.
+    ExpectBitExact(**parsed, "mutant " + std::to_string(mutant), {1, 16});
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(DecisionTreeTest, DumpRulesDescribesHighRiskLeaves) {

@@ -13,12 +13,14 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_hook.h"
 #include "kvstore/store.h"
 #include "common/random.h"
 #include "core/feature_extractor.h"
+#include "ml/gbdt.h"
 #include "ml/logistic_regression.h"
 #include "ml/model.h"
 #include "serving/feature_store.h"
@@ -290,6 +292,35 @@ TEST(ZeroAllocTest, SingleRequestSteadyStateAllocatesNothing) {
   const uint64_t leaked = allochook::ThreadAllocs() - before;
   EXPECT_EQ(leaked, 0u) << leaked
                         << " heap allocations leaked into 100 steady-state batch-1 calls";
+}
+
+TEST(ZeroAllocTest, GbdtScoreBatchOnAFreshThreadAllocatesNothing) {
+  // GBDT scores on raw values with no scratch memory at all: even a
+  // thread's first call, with a batch far larger than any stack block,
+  // must not touch the heap.
+  constexpr int kWidth = kBasic + 32;  // The serving layout with embeddings.
+  constexpr int kRows = 64;            // 5,376 feature values.
+  ml::DataMatrix train(256, kWidth);
+  Rng rng(17);
+  train.mutable_labels().resize(train.num_rows());
+  for (std::size_t r = 0; r < train.num_rows(); ++r) {
+    for (int c = 0; c < kWidth; ++c) train.Set(r, c, static_cast<float>(rng.NextDouble()));
+    train.mutable_labels()[r] = train.At(r, 3) > 0.5f ? 1 : 0;
+  }
+  ml::GbdtOptions gbdt;
+  gbdt.num_trees = 20;
+  ml::GbdtModel model(gbdt);
+  ASSERT_TRUE(model.Train(train).ok());
+
+  std::vector<double> out(kRows);
+  uint64_t allocs = 0;
+  std::thread([&] {
+    const uint64_t before = allochook::ThreadAllocs();
+    model.ScoreBatch(train.Row(0), kRows, out.data());
+    allocs = allochook::ThreadAllocs() - before;
+  }).join();
+  EXPECT_EQ(allocs, 0u) << allocs << " heap allocations in a fresh thread's first ScoreBatch";
+  for (std::size_t r = 0; r < kRows; ++r) EXPECT_EQ(out[r], model.Score(train.Row(r)));
 }
 
 }  // namespace
