@@ -191,18 +191,7 @@ Fixture BuildFixture(int instances, int shards, bool replica, bool disk,
   CheckOk(f.router->LoadModel(titant::ml::SerializeModel(*model), 20170410));
 
   for (std::size_t idx : windows[0].test_records) {
-    const auto& rec = f.world.log.records[idx];
-    titant::serving::TransferRequest req;
-    req.txn_id = rec.txn_id;
-    req.from_user = rec.from_user;
-    req.to_user = rec.to_user;
-    req.amount = rec.amount;
-    req.day = rec.day;
-    req.second_of_day = rec.second_of_day;
-    req.channel = rec.channel;
-    req.trans_city = rec.trans_city;
-    req.is_new_device = rec.is_new_device;
-    f.requests.push_back(req);
+    f.requests.push_back(titant::serving::RequestOf(f.world.log.records[idx]));
   }
   return f;
 }

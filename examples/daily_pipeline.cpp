@@ -179,16 +179,7 @@ int main() {
     int interrupts = 0, frauds = 0;
     for (std::size_t idx : windows[0].test_records) {
       const auto& rec = world.log.records[idx];
-      serving::TransferRequest req;
-      req.from_user = rec.from_user;
-      req.to_user = rec.to_user;
-      req.amount = rec.amount;
-      req.day = rec.day;
-      req.second_of_day = rec.second_of_day;
-      req.channel = rec.channel;
-      req.trans_city = rec.trans_city;
-      req.is_new_device = rec.is_new_device;
-      const auto verdict = OrDie(server.Score(req));
+      const auto verdict = OrDie(server.Score(serving::RequestOf(rec)));
       interrupts += verdict.interrupt;
       frauds += rec.is_fraud;
     }

@@ -86,18 +86,7 @@ int main(int argc, char** argv) {
   int missed_fraud = 0;
   for (std::size_t idx : window.test_records) {
     const auto& rec = world.log.records[idx];
-    serving::TransferRequest req;
-    req.txn_id = rec.txn_id;
-    req.from_user = rec.from_user;
-    req.to_user = rec.to_user;
-    req.amount = rec.amount;
-    req.day = rec.day;
-    req.second_of_day = rec.second_of_day;
-    req.channel = rec.channel;
-    req.trans_city = rec.trans_city;
-    req.is_new_device = rec.is_new_device;
-
-    const auto verdict = OrDie(server.Score(req));
+    const auto verdict = OrDie(server.Score(serving::RequestOf(rec)));
     ++requests;
     if (verdict.interrupt) {
       ++interrupts;
@@ -136,17 +125,7 @@ int main(int argc, char** argv) {
   serving::GatewayClient client("127.0.0.1", gateway.port());
   Histogram rtt_us;
   for (std::size_t idx : window.test_records) {
-    const auto& rec = world.log.records[idx];
-    serving::TransferRequest req;
-    req.txn_id = rec.txn_id;
-    req.from_user = rec.from_user;
-    req.to_user = rec.to_user;
-    req.amount = rec.amount;
-    req.day = rec.day;
-    req.second_of_day = rec.second_of_day;
-    req.channel = rec.channel;
-    req.trans_city = rec.trans_city;
-    req.is_new_device = rec.is_new_device;
+    const serving::TransferRequest req = serving::RequestOf(world.log.records[idx]);
     Stopwatch rtt;
     OrDie(client.Score(req, /*timeout_ms=*/5000));
     rtt_us.Add(static_cast<double>(rtt.ElapsedMicros()));

@@ -8,7 +8,7 @@
 // transfer #1. With the streaming ingestor attached, every scored
 // transfer is folded back into sliding-window velocity counters within
 // the same window, and the model sees the burst *while it is happening*:
-// the live 24h txn-count feature (f[43]) climbs with each transfer until
+// the live 24h txn-count feature (cnt_today) climbs with each transfer until
 // the velocity rule trips and the ring is interrupted mid-run.
 //
 // The demo scores the same burst twice — once against a read-only
@@ -46,7 +46,7 @@ void OrDie(const titant::Status& status) {
 }
 
 // A velocity rule as a one-split decision tree: fraud iff the live 24h
-// transaction count (feature 43) is high. Real deployments learn this
+// transaction count (the cnt_today slot) is high. Real deployments learn this
 // split from labeled bursts; the demo trains it on a synthetic matrix so
 // the threshold lands between "quiet account" (0 txns) and "ring" (30).
 std::string VelocityModelBlob(int width) {
@@ -54,7 +54,7 @@ std::string VelocityModelBlob(int width) {
   train.mutable_labels().assign(40, 0);
   for (std::size_t row = 0; row < 20; ++row) {
     train.mutable_labels()[row] = 1;
-    train.Set(row, 43, 30.0f);
+    train.Set(row, titant::core::SlotOf("cnt_today"), 30.0f);
   }
   auto model = titant::ml::MakeId3();
   OrDie(model->Train(train));

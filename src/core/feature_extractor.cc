@@ -4,13 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "common/logging.h"
-
 namespace titant::core {
-
-namespace {
-constexpr double kTwoPi = 6.283185307179586;
-}  // namespace
 
 FeatureExtractor::FeatureExtractor(const txn::TransactionLog& log) : log_(log) {
   history_.resize(log.num_users());
@@ -48,151 +42,127 @@ void FeatureExtractor::FitCityStats(const std::vector<std::size_t>& record_indic
   }
 }
 
-void FeatureExtractor::Extract(std::size_t record_idx, float* out) const {
-  const auto& rec = log_.records[record_idx];
-  const auto& profile = log_.profiles[rec.from_user];
-  const txn::Day day = rec.day;
-  const double hour = rec.second_of_day / 3600.0;
+namespace {
 
-  int k = 0;
-  // --- Transferor profile -------------------------------------------------
-  out[k++] = profile.age;
-  out[k++] = profile.gender == txn::Gender::kMale ? 1.0f : 0.0f;
-  out[k++] = profile.gender == txn::Gender::kFemale ? 1.0f : 0.0f;
-  out[k++] = profile.home_city;
-  out[k++] = profile.account_age_days;
-  out[k++] = std::log1p(static_cast<float>(profile.account_age_days));
-  out[k++] = profile.verification_level;
-  out[k++] = profile.is_merchant ? 1.0f : 0.0f;
-
-  // --- Transfer environment ------------------------------------------------
-  out[k++] = static_cast<float>(rec.amount);
-  out[k++] = std::log1p(static_cast<float>(rec.amount));
-  out[k++] = (rec.amount >= 100.0 && std::fmod(rec.amount, 100.0) == 0.0) ? 1.0f : 0.0f;
-  out[k++] = rec.amount >= 500.0 ? 1.0f : 0.0f;
-  out[k++] = rec.amount >= 2000.0 ? 1.0f : 0.0f;
-  out[k++] = static_cast<float>(hour);
-  out[k++] = static_cast<float>(std::sin(kTwoPi * hour / 24.0));
-  out[k++] = static_cast<float>(std::cos(kTwoPi * hour / 24.0));
-  out[k++] = hour < 6.0 ? 1.0f : 0.0f;
-  out[k++] = (hour >= 19.0 && hour < 23.0) ? 1.0f : 0.0f;
-  const int dow = ((day % 7) + 7) % 7;
-  out[k++] = static_cast<float>(dow);
-  out[k++] = dow >= 5 ? 1.0f : 0.0f;
-  out[k++] = rec.channel == txn::Channel::kApp ? 1.0f : 0.0f;
-  out[k++] = rec.channel == txn::Channel::kWeb ? 1.0f : 0.0f;
-  out[k++] = rec.channel == txn::Channel::kQrCode ? 1.0f : 0.0f;
-  out[k++] = rec.channel == txn::Channel::kApi ? 1.0f : 0.0f;
-  out[k++] = rec.trans_city;
-  out[k++] = rec.is_cross_city ? 1.0f : 0.0f;
-  out[k++] = rec.is_new_device ? 1.0f : 0.0f;
-
-  // --- Transferor behavioural history (strictly before this record) -------
-  const auto& hist = history_[rec.from_user];
-  const auto pos = std::lower_bound(hist.outgoing.begin(), hist.outgoing.end(),
-                                    static_cast<uint32_t>(record_idx));
-  double cnt7 = 0, cnt30 = 0, amt7 = 0, amt30 = 0, amt_max30 = 0;
-  double night30 = 0, cross30 = 0, newdev30 = 0, hour_sum = 0;
-  double cnt_today = 0, amt_today = 0;
-  double payee_cnt30 = 0;
-  double victim_hist = 0;
-  std::unordered_set<txn::UserId> payees;
-  std::unordered_set<uint32_t> devices;
-  txn::Day last_day = day - 10000;
-  uint32_t last_second = 0;
-  bool have_prev = false;
-  for (auto it = hist.outgoing.begin(); it != pos; ++it) {
-    const auto& h = log_.records[*it];
-    if (h.day < day - kHistoryDays) continue;
-    ++cnt30;
-    amt30 += h.amount;
-    amt_max30 = std::max(amt_max30, h.amount);
-    payees.insert(h.to_user);
-    devices.insert(h.device_id);
-    if (h.to_user == rec.to_user) ++payee_cnt30;
-    if (h.second_of_day < 6 * 3600) ++night30;
-    if (h.is_cross_city) ++cross30;
-    if (h.is_new_device) ++newdev30;
-    hour_sum += h.second_of_day / 3600.0;
-    if (h.day >= day - 7) {
-      ++cnt7;
-      amt7 += h.amount;
-    }
-    if (h.day == day) {
-      ++cnt_today;
-      amt_today += h.amount;
-    }
-    if (h.is_fraud && h.label_available_day <= day) ++victim_hist;
-    if (!have_prev || h.day > last_day || (h.day == last_day && h.second_of_day > last_second)) {
-      last_day = h.day;
-      last_second = h.second_of_day;
-      have_prev = true;
-    }
-  }
-  const double avg30 = cnt30 > 0 ? amt30 / cnt30 : 0.0;
-  out[k++] = static_cast<float>(cnt7);
-  out[k++] = static_cast<float>(cnt30);
-  out[k++] = std::log1p(static_cast<float>(amt7));
-  out[k++] = std::log1p(static_cast<float>(amt30));
-  out[k++] = std::log1p(static_cast<float>(amt_max30));
-  out[k++] = std::log1p(static_cast<float>(avg30));
-  out[k++] = static_cast<float>(payees.size());
-  out[k++] = static_cast<float>(payee_cnt30);
-  out[k++] = payee_cnt30 == 0 ? 1.0f : 0.0f;  // First transfer to this payee.
-
-  // Incoming (money received) aggregates.
-  double in_cnt30 = 0, in_amt30 = 0;
-  const auto& in_hist = history_[rec.from_user].incoming;
-  const auto in_pos =
-      std::lower_bound(in_hist.begin(), in_hist.end(), static_cast<uint32_t>(record_idx));
-  for (auto it = in_hist.begin(); it != in_pos; ++it) {
-    const auto& h = log_.records[*it];
-    if (h.day < day - kHistoryDays) continue;
-    ++in_cnt30;
-    in_amt30 += h.amount;
-  }
-  out[k++] = static_cast<float>(in_cnt30);
-  out[k++] = std::log1p(static_cast<float>(in_amt30));
-
-  out[k++] = static_cast<float>(devices.size());
-  out[k++] = static_cast<float>(cnt30 > 0 ? newdev30 / cnt30 : 0.0);
-  out[k++] = static_cast<float>(cnt30 > 0 ? night30 / cnt30 : 0.0);
-  out[k++] = static_cast<float>(cnt30 > 0 ? cross30 / cnt30 : 0.0);
-  out[k++] = have_prev ? static_cast<float>(day - last_day) : 60.0f;
-  out[k++] = static_cast<float>(cnt_today);
-  out[k++] = std::log1p(static_cast<float>(amt_today));
-  const double secs_since_prev =
-      have_prev ? (static_cast<double>(day - last_day) * 86400.0 + rec.second_of_day) -
-                      last_second
-                : 86400.0 * 60.0;
-  out[k++] = std::log1p(static_cast<float>(std::max(0.0, secs_since_prev)));
-  out[k++] = static_cast<float>(rec.amount / (1.0 + avg30));
-  const double mean_hour = cnt30 > 0 ? hour_sum / cnt30 : 14.0;
-  out[k++] = static_cast<float>(std::fabs(hour - mean_hour));
-
-  // --- Environment history (city fraud statistics) ------------------------
-  const std::size_t city =
-      std::min<std::size_t>(rec.trans_city, city_fraud_rate_.size() - 1);
-  out[k++] = city_fraud_rate_[city];
-  out[k++] = std::log1p(city_fraud_count_[city]);
-  out[k++] = std::log1p(city_txn_count_[city]);
-
-  // --- Past victimization of this transferor ------------------------------
-  out[k++] = static_cast<float>(victim_hist);
-
-  TITANT_CHECK(k == kNumBasicFeatures) << "feature count drifted: " << k;
+void WriteProfileSlots(const txn::UserProfile& profile, float* out) {
+  out[SlotOf("age")] = profile.age;
+  out[SlotOf("is_male")] = profile.gender == txn::Gender::kMale ? 1.0f : 0.0f;
+  out[SlotOf("is_female")] = profile.gender == txn::Gender::kFemale ? 1.0f : 0.0f;
+  out[SlotOf("home_city")] = profile.home_city;
+  out[SlotOf("account_age_days")] = profile.account_age_days;
+  out[SlotOf("log_account_age")] = std::log1p(static_cast<float>(profile.account_age_days));
+  out[SlotOf("verification_level")] = profile.verification_level;
+  out[SlotOf("is_merchant")] = profile.is_merchant ? 1.0f : 0.0f;
 }
 
-const std::vector<int>& FeatureExtractor::ContextFeatureIndices() {
-  static const std::vector<int>* indices = [] {
-    auto* v = new std::vector<int>;
-    for (int i = 8; i <= 26; ++i) v->push_back(i);  // amount..is_new_device
-    v->push_back(34);                               // payee_txn_cnt_30d
-    v->push_back(35);                               // is_new_payee
-    for (int i = 43; i <= 50; ++i) v->push_back(i);  // today/velocity/city
-    return v;
-  }();
-  return *indices;
+/// A user's transfers in the kHistoryDays before `day`, over the log
+/// records before index `end`: the record itself for Extract, the first
+/// record of the as-of day for the snapshot. Only Extract reads the payee,
+/// same-day and last-second fields.
+struct History {
+  double cnt7 = 0, cnt30 = 0, amt7 = 0, amt30 = 0, amt_max30 = 0;
+  double night30 = 0, cross30 = 0, newdev30 = 0, hour_sum = 0;
+  double cnt_today = 0, amt_today = 0, payee_cnt30 = 0, victim_hist = 0;
+  double in_cnt30 = 0, in_amt30 = 0;
+  std::size_t num_payees = 0, num_devices = 0;
+  txn::Day last_day = 0;
+  uint32_t last_second = 0;
+  bool have_prev = false;
+
+  double avg30() const { return cnt30 > 0 ? amt30 / cnt30 : 0.0; }
+  double mean_hour() const { return cnt30 > 0 ? hour_sum / cnt30 : 14.0; }
+
+  /// The kHistory slots as of `day`.
+  void Write(txn::Day day, float* out) const {
+    out[SlotOf("out_cnt_7d")] = static_cast<float>(cnt7);
+    out[SlotOf("out_cnt_30d")] = static_cast<float>(cnt30);
+    out[SlotOf("log_out_amt_7d")] = std::log1p(static_cast<float>(amt7));
+    out[SlotOf("log_out_amt_30d")] = std::log1p(static_cast<float>(amt30));
+    out[SlotOf("log_out_amt_max_30d")] = std::log1p(static_cast<float>(amt_max30));
+    out[SlotOf("log_out_amt_avg_30d")] = std::log1p(static_cast<float>(avg30()));
+    out[SlotOf("distinct_payees_30d")] = static_cast<float>(num_payees);
+    out[SlotOf("in_cnt_30d")] = static_cast<float>(in_cnt30);
+    out[SlotOf("log_in_amt_30d")] = std::log1p(static_cast<float>(in_amt30));
+    out[SlotOf("device_cnt_30d")] = static_cast<float>(num_devices);
+    out[SlotOf("new_device_rate_30d")] = static_cast<float>(cnt30 > 0 ? newdev30 / cnt30 : 0.0);
+    out[SlotOf("night_rate_30d")] = static_cast<float>(cnt30 > 0 ? night30 / cnt30 : 0.0);
+    out[SlotOf("cross_city_rate_30d")] = static_cast<float>(cnt30 > 0 ? cross30 / cnt30 : 0.0);
+    out[SlotOf("days_since_last_out")] = have_prev ? static_cast<float>(day - last_day) : 60.0f;
+    out[SlotOf("victim_reports_hist")] = static_cast<float>(victim_hist);
+  }
+};
+
+History Accumulate(const txn::TransactionLog& log, const std::vector<uint32_t>& outgoing,
+                   const std::vector<uint32_t>& incoming, txn::Day day, std::size_t end,
+                   txn::UserId payee) {
+  const auto before_end = [end](const std::vector<uint32_t>& list) {
+    return std::lower_bound(list.begin(), list.end(), static_cast<uint32_t>(end));
+  };
+  History h;
+  std::unordered_set<txn::UserId> payees;
+  std::unordered_set<uint32_t> devices;
+  for (auto it = outgoing.begin(), stop = before_end(outgoing); it != stop; ++it) {
+    const auto& r = log.records[*it];
+    if (r.day < day - FeatureExtractor::kHistoryDays) continue;
+    ++h.cnt30;
+    h.amt30 += r.amount;
+    h.amt_max30 = std::max(h.amt_max30, r.amount);
+    payees.insert(r.to_user);
+    devices.insert(r.device_id);
+    if (r.to_user == payee) ++h.payee_cnt30;
+    if (r.second_of_day < 6 * 3600) ++h.night30;
+    if (r.is_cross_city) ++h.cross30;
+    if (r.is_new_device) ++h.newdev30;
+    h.hour_sum += r.second_of_day / 3600.0;
+    if (r.day >= day - 7) {
+      ++h.cnt7;
+      h.amt7 += r.amount;
+    }
+    if (r.day == day) {
+      ++h.cnt_today;
+      h.amt_today += r.amount;
+    }
+    if (r.is_fraud && r.label_available_day <= day) ++h.victim_hist;
+    if (!h.have_prev || r.day > h.last_day ||
+        (r.day == h.last_day && r.second_of_day > h.last_second)) {
+      h.last_day = r.day;
+      h.last_second = r.second_of_day;
+      h.have_prev = true;
+    }
+  }
+  h.num_payees = payees.size();
+  h.num_devices = devices.size();
+  for (auto it = incoming.begin(), stop = before_end(incoming); it != stop; ++it) {
+    const auto& r = log.records[*it];
+    if (r.day < day - FeatureExtractor::kHistoryDays) continue;
+    ++h.in_cnt30;
+    h.in_amt30 += r.amount;
+  }
+  return h;
+}
+
+}  // namespace
+
+void FeatureExtractor::Extract(std::size_t record_idx, float* out) const {
+  const auto& rec = log_.records[record_idx];
+  WriteProfileSlots(log_.profiles[rec.from_user], out);
+  WriteRequestSlots(rec, out);
+  const auto& refs = history_[rec.from_user];
+  const History h =
+      Accumulate(log_, refs.outgoing, refs.incoming, rec.day, record_idx, rec.to_user);
+  h.Write(rec.day, out);
+  out[SlotOf("payee_txn_cnt_30d")] = static_cast<float>(h.payee_cnt30);
+  out[SlotOf("is_new_payee")] = h.payee_cnt30 == 0 ? 1.0f : 0.0f;
+  out[SlotOf("cnt_today")] = static_cast<float>(h.cnt_today);
+  out[SlotOf("log_amt_today")] = std::log1p(static_cast<float>(h.amt_today));
+  const double secs_since_prev =
+      h.have_prev ? (static_cast<double>(rec.day - h.last_day) * 86400.0 + rec.second_of_day) -
+                        h.last_second
+                  : 86400.0 * 60.0;
+  out[SlotOf("log_secs_since_prev")] =
+      std::log1p(static_cast<float>(std::max(0.0, secs_since_prev)));
+  WriteRatioSlots(rec, h.mean_hour(), h.avg30(), out);
+  CityStats(rec.trans_city, out + SlotOf("city_fraud_rate_hist"));
 }
 
 void FeatureExtractor::CityStats(uint16_t city, float out[3]) const {
@@ -205,133 +175,24 @@ void FeatureExtractor::CityStats(uint16_t city, float out[3]) const {
 void FeatureExtractor::ExtractUserSnapshot(txn::UserId user, txn::Day as_of, float* out,
                                            float aux[2]) const {
   std::fill(out, out + kNumBasicFeatures, 0.0f);
-  const auto& profile = log_.profiles[user];
-
-  out[0] = profile.age;
-  out[1] = profile.gender == txn::Gender::kMale ? 1.0f : 0.0f;
-  out[2] = profile.gender == txn::Gender::kFemale ? 1.0f : 0.0f;
-  out[3] = profile.home_city;
-  out[4] = profile.account_age_days;
-  out[5] = std::log1p(static_cast<float>(profile.account_age_days));
-  out[6] = profile.verification_level;
-  out[7] = profile.is_merchant ? 1.0f : 0.0f;
-
-  // History block over [as_of - kHistoryDays, as_of).
-  double cnt7 = 0, cnt30 = 0, amt7 = 0, amt30 = 0, amt_max30 = 0;
-  double night30 = 0, cross30 = 0, newdev30 = 0, hour_sum = 0;
-  double victim_hist = 0;
-  std::unordered_set<txn::UserId> payees;
-  std::unordered_set<uint32_t> devices;
-  txn::Day last_day = as_of - 10000;
-  bool have_prev = false;
-  for (uint32_t idx : history_[user].outgoing) {
-    const auto& h = log_.records[idx];
-    if (h.day >= as_of) break;  // Lists are time-ordered.
-    if (h.day < as_of - kHistoryDays) continue;
-    ++cnt30;
-    amt30 += h.amount;
-    amt_max30 = std::max(amt_max30, h.amount);
-    payees.insert(h.to_user);
-    devices.insert(h.device_id);
-    if (h.second_of_day < 6 * 3600) ++night30;
-    if (h.is_cross_city) ++cross30;
-    if (h.is_new_device) ++newdev30;
-    hour_sum += h.second_of_day / 3600.0;
-    if (h.day >= as_of - 7) {
-      ++cnt7;
-      amt7 += h.amount;
-    }
-    if (h.is_fraud && h.label_available_day <= as_of) ++victim_hist;
-    if (!have_prev || h.day > last_day) {
-      last_day = h.day;
-      have_prev = true;
-    }
-  }
-  const double avg30 = cnt30 > 0 ? amt30 / cnt30 : 0.0;
-  out[27] = static_cast<float>(cnt7);
-  out[28] = static_cast<float>(cnt30);
-  out[29] = std::log1p(static_cast<float>(amt7));
-  out[30] = std::log1p(static_cast<float>(amt30));
-  out[31] = std::log1p(static_cast<float>(amt_max30));
-  out[32] = std::log1p(static_cast<float>(avg30));
-  out[33] = static_cast<float>(payees.size());
-  // 34/35 (payee relationship) are request-derived.
-  double in_cnt30 = 0, in_amt30 = 0;
-  for (uint32_t idx : history_[user].incoming) {
-    const auto& h = log_.records[idx];
-    if (h.day >= as_of) break;
-    if (h.day < as_of - kHistoryDays) continue;
-    ++in_cnt30;
-    in_amt30 += h.amount;
-  }
-  out[36] = static_cast<float>(in_cnt30);
-  out[37] = std::log1p(static_cast<float>(in_amt30));
-  out[38] = static_cast<float>(devices.size());
-  out[39] = static_cast<float>(cnt30 > 0 ? newdev30 / cnt30 : 0.0);
-  out[40] = static_cast<float>(cnt30 > 0 ? night30 / cnt30 : 0.0);
-  out[41] = static_cast<float>(cnt30 > 0 ? cross30 / cnt30 : 0.0);
-  out[42] = have_prev ? static_cast<float>(as_of - last_day) : 60.0f;
-  out[51] = static_cast<float>(victim_hist);
-
-  aux[0] = static_cast<float>(cnt30 > 0 ? hour_sum / cnt30 : 14.0);
-  aux[1] = static_cast<float>(avg30);
+  WriteProfileSlots(log_.profiles[user], out);
+  // The log is time-sorted, so "before day as_of" is "before one index".
+  const std::size_t end =
+      std::partition_point(log_.records.begin(), log_.records.end(),
+                           [as_of](const txn::TransactionRecord& r) { return r.day < as_of; }) -
+      log_.records.begin();
+  const History h =
+      Accumulate(log_, history_[user].outgoing, history_[user].incoming, as_of, end,
+                 txn::kInvalidUser);
+  h.Write(as_of, out);
+  aux[0] = static_cast<float>(h.mean_hour());
+  aux[1] = static_cast<float>(h.avg30());
 }
 
 std::vector<std::string> FeatureExtractor::FeatureNames() {
-  return {
-      "age",
-      "is_male",
-      "is_female",
-      "home_city",
-      "account_age_days",
-      "log_account_age",
-      "verification_level",
-      "is_merchant",
-      "amount",
-      "log_amount",
-      "is_round_amount",
-      "amount_ge_500",
-      "amount_ge_2000",
-      "hour",
-      "hour_sin",
-      "hour_cos",
-      "is_night",
-      "is_evening",
-      "day_of_week",
-      "is_weekend",
-      "channel_app",
-      "channel_web",
-      "channel_qr",
-      "channel_api",
-      "trans_city",
-      "is_cross_city",
-      "is_new_device",
-      "out_cnt_7d",
-      "out_cnt_30d",
-      "log_out_amt_7d",
-      "log_out_amt_30d",
-      "log_out_amt_max_30d",
-      "log_out_amt_avg_30d",
-      "distinct_payees_30d",
-      "payee_txn_cnt_30d",
-      "is_new_payee",
-      "in_cnt_30d",
-      "log_in_amt_30d",
-      "device_cnt_30d",
-      "new_device_rate_30d",
-      "night_rate_30d",
-      "cross_city_rate_30d",
-      "days_since_last_out",
-      "cnt_today",
-      "log_amt_today",
-      "log_secs_since_prev",
-      "amount_over_avg",
-      "hour_deviation",
-      "city_fraud_rate_hist",
-      "log_city_fraud_cnt_hist",
-      "log_city_txn_cnt_hist",
-      "victim_reports_hist",
-  };
+  std::vector<std::string> names;
+  for (const FeatureSlot& slot : kFeatureSlots) names.emplace_back(slot.name);
+  return names;
 }
 
 }  // namespace titant::core

@@ -13,7 +13,7 @@ namespace titant::serving {
 
 namespace {
 
-constexpr double kTwoPi = 6.283185307179586;
+using core::SlotOf;
 
 /// Same steady-clock domain as net::MonotonicMicros (serving must not
 /// depend on src/net, so the two-liner is duplicated rather than linked).
@@ -179,47 +179,25 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
       }
     }
 
-    // 2. Request-derived (context) slots — same layout as offline Extract.
-    const double hour = request.second_of_day / 3600.0;
-    f[8] = static_cast<float>(request.amount);
-    f[9] = std::log1p(static_cast<float>(request.amount));
-    f[10] = (request.amount >= 100.0 && std::fmod(request.amount, 100.0) == 0.0) ? 1.0f : 0.0f;
-    f[11] = request.amount >= 500.0 ? 1.0f : 0.0f;
-    f[12] = request.amount >= 2000.0 ? 1.0f : 0.0f;
-    f[13] = static_cast<float>(hour);
-    f[14] = static_cast<float>(std::sin(kTwoPi * hour / 24.0));
-    f[15] = static_cast<float>(std::cos(kTwoPi * hour / 24.0));
-    f[16] = hour < 6.0 ? 1.0f : 0.0f;
-    f[17] = (hour >= 19.0 && hour < 23.0) ? 1.0f : 0.0f;
-    const int dow = ((request.day % 7) + 7) % 7;
-    f[18] = static_cast<float>(dow);
-    f[19] = dow >= 5 ? 1.0f : 0.0f;
-    f[20] = request.channel == txn::Channel::kApp ? 1.0f : 0.0f;
-    f[21] = request.channel == txn::Channel::kWeb ? 1.0f : 0.0f;
-    f[22] = request.channel == txn::Channel::kQrCode ? 1.0f : 0.0f;
-    f[23] = request.channel == txn::Channel::kApi ? 1.0f : 0.0f;
-    f[24] = request.trans_city;
-    f[25] = request.trans_city != static_cast<uint16_t>(f[3]) ? 1.0f : 0.0f;
-    f[26] = request.is_new_device ? 1.0f : 0.0f;
-    // The payee relationship (34/35) is not materialized anywhere online:
-    // serving always uses these cold defaults, unlike offline Extract. The
-    // same-day count and amount (43/44) and the recency in 45 start from
-    // defaults here; the live-counter step below overwrites them, so the
-    // defaults stay only when no counter is published for the user (no
-    // ingestor, a user the aggregator has not seen, live counters off, or
-    // a degraded row).
-    f[34] = 0.0f;
-    f[35] = 1.0f;
-    f[43] = 0.0f;
-    f[44] = 0.0f;
-    f[45] = std::log1p(f[42] * 86400.0f + static_cast<float>(request.second_of_day));
-    f[46] = static_cast<float>(request.amount / (1.0 + aux[1]));
-    f[47] = static_cast<float>(std::fabs(hour - aux[0]));
+    // 2. The request and ratio slots, by the writers offline Extract uses
+    // (the ratio against the snapshot's float32 aux means). The rest are
+    // serving's own values (DESIGN.md §17): the payee relationship is not
+    // materialized online, so it keeps the cold defaults; the same-day
+    // count, amount and recency start from defaults that the live-counter
+    // step below overwrites whenever a counter is published for the user.
+    core::WriteRequestSlots(request, f);
+    core::WriteRatioSlots(request, aux[0], aux[1], f);
+    f[SlotOf("payee_txn_cnt_30d")] = 0.0f;
+    f[SlotOf("is_new_payee")] = 1.0f;
+    f[SlotOf("cnt_today")] = 0.0f;
+    f[SlotOf("log_amt_today")] = 0.0f;
+    f[SlotOf("log_secs_since_prev")] = std::log1p(f[SlotOf("days_since_last_out")] * 86400.0f +
+                                                  static_cast<float>(request.second_of_day));
     // City statistics from the store.
     if (!out_of_budget && !degraded[i]) {
       if (const StatusOr<std::string_view>& city_blob = fetched[i * per_row + 2];
           city_blob.ok()) {
-        const Status decoded = DecodeFloats(*city_blob, 3, &f[48]);
+        const Status decoded = DecodeFloats(*city_blob, 3, f + SlotOf("city_fraud_rate_hist"));
         if (!decoded.ok()) {
           item_error[i] = decoded;
           continue;
@@ -258,14 +236,12 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
       float counters[streaming::kCounterFloats];
       if (rt_blob.ok() &&
           DecodeFloats(*rt_blob, streaming::kCounterFloats, counters).ok()) {
-        f[43] = counters[6];                // 24h sliding txn count.
-        f[44] = std::log1p(counters[7]);    // 24h sliding amount sum.
-        if (counters[9] >= 0.0f) {          // Last event day/second stamps.
-          const int64_t last_s = static_cast<int64_t>(counters[9]) * 86400 +
-                                 static_cast<int64_t>(counters[10]);
-          const int64_t now_s =
-              static_cast<int64_t>(request.day) * 86400 + request.second_of_day;
-          f[45] = std::log1p(static_cast<float>(std::max<int64_t>(0, now_s - last_s)));
+        f[SlotOf("cnt_today")] = counters[streaming::kCounter24hCount];
+        f[SlotOf("log_amt_today")] = std::log1p(counters[streaming::kCounter24hAmount]);
+        if (const int64_t last_s = streaming::LastEventSeconds(counters); last_s >= 0) {
+          const int64_t since = streaming::EventSeconds(request) - last_s;
+          f[SlotOf("log_secs_since_prev")] =
+              std::log1p(static_cast<float>(std::max<int64_t>(0, since)));
         }
       }
     }

@@ -32,6 +32,9 @@ class ScoreScratch {
   ScoreScratch(const ScoreScratch&) = delete;
   ScoreScratch& operator=(const ScoreScratch&) = delete;
 
+  /// The feature rows the last ScoreSpan assembled, row-major.
+  const std::vector<float>& feature_rows() const { return features; }
+
  private:
   friend class ModelServer;
   std::vector<char> keys;  // Row-key bytes the probe views point into.
@@ -56,12 +59,11 @@ struct ModelServerOptions {
   bool use_embeddings = true;
   /// Probe the streaming live-counter cell ("rt"/"win", written by the
   /// ingestion worker) and overwrite the same-day velocity slots
-  /// (f[43] txn count, f[44] log amount sum, f[45] log seconds since the
-  /// previous transfer) with sliding-window values fresh to seconds
-  /// instead of the T+1 cold defaults. Strictly best-effort: a missing
-  /// cell, a store that never declared the family, or a fetch fault all
-  /// silently keep the defaults — live counters can improve a verdict
-  /// but never degrade or fail one.
+  /// (cnt_today, log_amt_today and log_secs_since_prev) with
+  /// sliding-window values fresh to seconds instead of the T+1 cold
+  /// defaults. Strictly best-effort: a missing cell, a store that never
+  /// declared the family, or a fetch fault all silently keep the defaults
+  /// — live counters can improve a verdict but never degrade or fail one.
   bool use_live_counters = true;
 };
 

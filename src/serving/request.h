@@ -23,6 +23,21 @@ struct TransferRequest {
   bool is_new_device = false;
 };
 
+/// The request for a logged transfer, as the Alipay server would send it.
+inline TransferRequest RequestOf(const txn::TransactionRecord& rec) {
+  TransferRequest request;
+  request.txn_id = rec.txn_id;
+  request.from_user = rec.from_user;
+  request.to_user = rec.to_user;
+  request.amount = rec.amount;
+  request.day = rec.day;
+  request.second_of_day = rec.second_of_day;
+  request.channel = rec.channel;
+  request.trans_city = rec.trans_city;
+  request.is_new_device = rec.is_new_device;
+  return request;
+}
+
 /// The MS verdict returned to the Alipay server.
 struct Verdict {
   double fraud_probability = 0.0;

@@ -130,16 +130,17 @@ bool Aggregator::Query(txn::UserId user_id, int64_t now_s, LiveCounters* out) {
 
 void Aggregator::EncodeCounters(const LiveCounters& counters, float out[kCounterFloats]) {
   for (int w = 0; w < kNumWindows; ++w) {
-    out[3 * w + 0] = static_cast<float>(counters.window[w].count);
-    out[3 * w + 1] = static_cast<float>(counters.window[w].amount_sum);
-    out[3 * w + 2] = static_cast<float>(counters.window[w].distinct_merchants);
+    float* window = out + kCounterFloatsPerWindow * w;
+    window[0] = static_cast<float>(counters.window[w].count);
+    window[1] = static_cast<float>(counters.window[w].amount_sum);
+    window[2] = static_cast<float>(counters.window[w].distinct_merchants);
   }
   if (counters.last_event_s >= 0) {
-    out[9] = static_cast<float>(counters.last_event_s / 86400);
-    out[10] = static_cast<float>(counters.last_event_s % 86400);
+    out[kCounterLastDay] = static_cast<float>(counters.last_event_s / 86400);
+    out[kCounterLastSecond] = static_cast<float>(counters.last_event_s % 86400);
   } else {
-    out[9] = -1.0f;
-    out[10] = 0.0f;
+    out[kCounterLastDay] = -1.0f;
+    out[kCounterLastSecond] = 0.0f;
   }
 }
 

@@ -35,15 +35,32 @@ inline constexpr int kMerchantSlots = 8;
 inline constexpr char kFamilyRealtime[] = "rt";
 inline constexpr char kQualWindow[] = "win";
 
-/// The published cell value is this many float32s (EncodeCounters):
-/// {count, amount_sum, distinct_merchants} x {1h, 6h, 24h}, then the last
-/// event's day index and second-of-day (two floats so both stay exact —
-/// one epoch-seconds float would round to ~2 minutes by 2085).
-inline constexpr int kCounterFloats = 11;
+/// Layout of the published cell value, kCounterFloats float32s
+/// (EncodeCounters): {count, amount_sum, distinct_merchants} per window in
+/// kWindowSeconds order, then the last event's day index and second-of-day
+/// (two floats so both stay exact — one epoch-seconds float would round to
+/// ~2 minutes by 2085). A day of -1 means no event yet.
+inline constexpr int kCounterFloatsPerWindow = 3;
+inline constexpr int kCounter24hCount = kCounterFloatsPerWindow * 2;
+inline constexpr int kCounter24hAmount = kCounter24hCount + 1;
+inline constexpr int kCounterLastDay = kCounterFloatsPerWindow * kNumWindows;
+inline constexpr int kCounterLastSecond = kCounterLastDay + 1;
+inline constexpr int kCounterFloats = kCounterLastSecond + 1;
+static_assert(kWindowSeconds[2] == 86400, "kCounter24h* name window 2");
 
 /// Event time on the simulated clock: seconds since the 2017-01-01 epoch.
 inline int64_t EventSeconds(const serving::TransferRequest& request) {
   return static_cast<int64_t>(request.day) * 86400 + request.second_of_day;
+}
+
+/// The last event stamp of a published cell in EventSeconds, or -1 when it
+/// has none. Any gateway client can put the cell, so a stamp that is not a
+/// day in [0, 2^24] with a second in [0, 86400) also reads as none.
+inline int64_t LastEventSeconds(const float counters[kCounterFloats]) {
+  const float day = counters[kCounterLastDay];
+  const float second = counters[kCounterLastSecond];
+  if (!(day >= 0.0f && day <= 16777216.0f && second >= 0.0f && second < 86400.0f)) return -1;
+  return static_cast<int64_t>(day) * 86400 + static_cast<int64_t>(second);
 }
 
 /// One window's aggregate as seen at query time.

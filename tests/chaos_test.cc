@@ -87,7 +87,7 @@ class ChaosTest : public ::testing::Test {
     train.mutable_labels().assign(20, 0);
     for (std::size_t row = 0; row < 10; ++row) {
       train.mutable_labels()[row] = 1;
-      train.Set(row, 8, 1000.0f);
+      train.Set(row, core::SlotOf("amount"), 1000.0f);
     }
     auto model = ml::MakeId3();
     EXPECT_TRUE(model->Train(train).ok());
@@ -347,7 +347,7 @@ TEST_F(ChaosTest, BatchFaultDegradesOnlyTheRowItHit) {
 // taken before the ring woke up, so a batch-fed model can never flag
 // them. The ring is caught only because the ingestor folds every scored
 // transfer back into the live velocity counters mid-run, and the model is
-// keyed off the 24h live txn count (f[43]). A lossy ingest path (an
+// keyed off the 24h live txn count (cnt_today). A lossy ingest path (an
 // injected fault dropping a fraction of events) must not break the
 // detection: the surviving counters still cross the trained threshold.
 TEST_F(ChaosTest, FraudRingCaughtOnlyByLiveCounterShift) {
@@ -363,7 +363,7 @@ TEST_F(ChaosTest, FraudRingCaughtOnlyByLiveCounterShift) {
     train.mutable_labels().assign(40, 0);
     for (std::size_t row = 0; row < 20; ++row) {
       train.mutable_labels()[row] = 1;
-      train.Set(row, 43, 30.0f);
+      train.Set(row, core::SlotOf("cnt_today"), 30.0f);
     }
     auto model = ml::MakeId3();
     ASSERT_TRUE(model->Train(train).ok());

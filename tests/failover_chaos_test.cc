@@ -334,13 +334,13 @@ class FailoverChaosTest : public ::testing::Test {
   }
 
   /// Any trained model will do: the contract under test is availability,
-  /// not the verdict. Split on f[43] so the tree is non-trivial.
+  /// not the verdict. Split on cnt_today so the tree is non-trivial.
   static std::string ModelBlob() {
     ml::DataMatrix train(40, kWidth);
     train.mutable_labels().assign(40, 0);
     for (std::size_t row = 0; row < 20; ++row) {
       train.mutable_labels()[row] = 1;
-      train.Set(row, 43, 30.0f);
+      train.Set(row, core::SlotOf("cnt_today"), 30.0f);
     }
     auto model = ml::MakeId3();
     EXPECT_TRUE(model->Train(train).ok());

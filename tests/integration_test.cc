@@ -130,17 +130,7 @@ TEST(IntegrationTest, FullTitAntLoop) {
   int interrupted_fraud = 0, interrupted_benign = 0;
   for (std::size_t idx : window.test_records) {
     const auto& rec = world->log.records[idx];
-    serving::TransferRequest req;
-    req.txn_id = rec.txn_id;
-    req.from_user = rec.from_user;
-    req.to_user = rec.to_user;
-    req.amount = rec.amount;
-    req.day = rec.day;
-    req.second_of_day = rec.second_of_day;
-    req.channel = rec.channel;
-    req.trans_city = rec.trans_city;
-    req.is_new_device = rec.is_new_device;
-    const auto verdict = server.Score(req);
+    const auto verdict = server.Score(serving::RequestOf(rec));
     ASSERT_TRUE(verdict.ok());
     ++served;
     if (verdict->interrupt) {

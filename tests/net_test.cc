@@ -720,7 +720,7 @@ class GatewayTest : public ::testing::Test {
     train.mutable_labels().assign(20, 0);
     for (std::size_t row = 0; row < 10; ++row) {
       train.mutable_labels()[row] = 1;
-      train.Set(row, 8, 1000.0f);  // Give the tree a split to find.
+      train.Set(row, core::SlotOf("amount"), 1000.0f);  // Give the tree a split to find.
     }
     auto model = ml::MakeId3();
     EXPECT_TRUE(model->Train(train).ok());

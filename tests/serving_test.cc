@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -16,6 +21,7 @@
 #include "serving/feature_store.h"
 #include "serving/model_server.h"
 #include "serving/router.h"
+#include "streaming/aggregator.h"
 #include "txn/window.h"
 
 namespace titant::serving {
@@ -35,6 +41,147 @@ TEST(FeatureStoreTest, FloatCodecRoundTrip) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(out[i], values[i]);
   EXPECT_FALSE(DecodeFloats(blob, 3, out).ok());
   EXPECT_FALSE(DecodeFloats("xy", 4, out).ok());
+}
+
+// ModelServer::ScoreSpan's per-row slot assembly as it stood before the
+// slot table, kept verbatim as the bit-exact reference for served rows.
+// `fetched` holds one row's probe results in ScoreSpan's order (snapshot,
+// aux, city, embedding, live counters); the locals above the loop stand in
+// for ScoreSpan's batch state under the default options.
+void ReferenceRow(const TransferRequest& request, const StatusOr<std::string_view>* fetched,
+                  bool out_of_budget, float* f) {
+  constexpr double kTwoPi = 6.283185307179586;
+  constexpr int kBasic = 52;
+  const ModelServerOptions options_;
+  const auto InfraFailure = [](const Status& status) {
+    return status.IsRetryable() || status.code() == StatusCode::kIOError;
+  };
+  const std::size_t per_row = 5;
+  std::vector<uint8_t> degraded(1, out_of_budget ? 1 : 0);
+  std::vector<Status> item_error(1, Status::OK());
+  std::fill(f, f + kBasic + options_.embedding_dim, 0.0f);
+  for (std::size_t i = 0; i < 1; ++i) {
+    float aux[2] = {14.0f, 0.0f};
+
+    // 1. Transferor snapshot + aux from the feature store.
+    if (!out_of_budget) {
+      const StatusOr<std::string_view>& snapshot_blob = fetched[i * per_row];
+      if (snapshot_blob.ok()) {
+        const Status decoded =
+            DecodeFloats(*snapshot_blob, static_cast<std::size_t>(kBasic), f);
+        if (!decoded.ok()) {
+          item_error[i] = decoded;
+          continue;
+        }
+      } else if (InfraFailure(snapshot_blob.status())) {
+        degraded[i] = 1;  // History slots stay at cold zero defaults.
+      } else {
+        item_error[i] = snapshot_blob.status();
+        continue;
+      }
+      if (!degraded[i]) {
+        if (const StatusOr<std::string_view>& aux_blob = fetched[i * per_row + 1];
+            aux_blob.ok()) {
+          const Status decoded = DecodeFloats(*aux_blob, 2, aux);
+          if (!decoded.ok()) {
+            item_error[i] = decoded;
+            continue;
+          }
+        }
+      }
+    }
+
+    // 2. Request-derived (context) slots — same layout as offline Extract.
+    const double hour = request.second_of_day / 3600.0;
+    f[8] = static_cast<float>(request.amount);
+    f[9] = std::log1p(static_cast<float>(request.amount));
+    f[10] = (request.amount >= 100.0 && std::fmod(request.amount, 100.0) == 0.0) ? 1.0f : 0.0f;
+    f[11] = request.amount >= 500.0 ? 1.0f : 0.0f;
+    f[12] = request.amount >= 2000.0 ? 1.0f : 0.0f;
+    f[13] = static_cast<float>(hour);
+    f[14] = static_cast<float>(std::sin(kTwoPi * hour / 24.0));
+    f[15] = static_cast<float>(std::cos(kTwoPi * hour / 24.0));
+    f[16] = hour < 6.0 ? 1.0f : 0.0f;
+    f[17] = (hour >= 19.0 && hour < 23.0) ? 1.0f : 0.0f;
+    const int dow = ((request.day % 7) + 7) % 7;
+    f[18] = static_cast<float>(dow);
+    f[19] = dow >= 5 ? 1.0f : 0.0f;
+    f[20] = request.channel == txn::Channel::kApp ? 1.0f : 0.0f;
+    f[21] = request.channel == txn::Channel::kWeb ? 1.0f : 0.0f;
+    f[22] = request.channel == txn::Channel::kQrCode ? 1.0f : 0.0f;
+    f[23] = request.channel == txn::Channel::kApi ? 1.0f : 0.0f;
+    f[24] = request.trans_city;
+    f[25] = request.trans_city != static_cast<uint16_t>(f[3]) ? 1.0f : 0.0f;
+    f[26] = request.is_new_device ? 1.0f : 0.0f;
+    // The payee relationship (34/35) is not materialized anywhere online:
+    // serving always uses these cold defaults, unlike offline Extract. The
+    // same-day count and amount (43/44) and the recency in 45 start from
+    // defaults here; the live-counter step below overwrites them, so the
+    // defaults stay only when no counter is published for the user (no
+    // ingestor, a user the aggregator has not seen, live counters off, or
+    // a degraded row).
+    f[34] = 0.0f;
+    f[35] = 1.0f;
+    f[43] = 0.0f;
+    f[44] = 0.0f;
+    f[45] = std::log1p(f[42] * 86400.0f + static_cast<float>(request.second_of_day));
+    f[46] = static_cast<float>(request.amount / (1.0 + aux[1]));
+    f[47] = static_cast<float>(std::fabs(hour - aux[0]));
+    // City statistics from the store.
+    if (!out_of_budget && !degraded[i]) {
+      if (const StatusOr<std::string_view>& city_blob = fetched[i * per_row + 2];
+          city_blob.ok()) {
+        const Status decoded = DecodeFloats(*city_blob, 3, &f[48]);
+        if (!decoded.ok()) {
+          item_error[i] = decoded;
+          continue;
+        }
+      }
+    }
+
+    // 3. Transferee's user node embedding (zero vector when degraded).
+    if (options_.use_embeddings && !out_of_budget && !degraded[i]) {
+      const StatusOr<std::string_view>& emb_blob = fetched[i * per_row + 3];
+      if (emb_blob.ok()) {
+        const Status decoded = DecodeFloats(
+            *emb_blob, static_cast<std::size_t>(options_.embedding_dim), f + kBasic);
+        if (!decoded.ok()) {
+          item_error[i] = decoded;
+          continue;
+        }
+      } else if (InfraFailure(emb_blob.status())) {
+        degraded[i] = 1;
+      } else {
+        item_error[i] = emb_blob.status();
+      }
+    }
+
+    // 4. Streaming live counters ("rt"/"win", published by the ingest
+    // worker within seconds of each scored transfer) overwrite the
+    // same-day velocity slots that the T+1 store can't materialize.
+    // Deliberately fault-blind in every direction — a miss (user not yet
+    // seen by the aggregator, or no ingestor running), an undeclared
+    // family, an outage, or a short blob all just keep the cold
+    // defaults. Live counters sharpen a verdict; they never degrade or
+    // fail one, and stores predating the "rt" family keep serving.
+    if (options_.use_live_counters && !out_of_budget && !degraded[i] && item_error[i].ok()) {
+      const std::size_t rt_off = options_.use_embeddings ? 4 : 3;
+      const StatusOr<std::string_view>& rt_blob = fetched[i * per_row + rt_off];
+      float counters[streaming::kCounterFloats];
+      if (rt_blob.ok() &&
+          DecodeFloats(*rt_blob, streaming::kCounterFloats, counters).ok()) {
+        f[43] = counters[6];                // 24h sliding txn count.
+        f[44] = std::log1p(counters[7]);    // 24h sliding amount sum.
+        if (counters[9] >= 0.0f) {          // Last event day/second stamps.
+          const int64_t last_s = static_cast<int64_t>(counters[9]) * 86400 +
+                                 static_cast<int64_t>(counters[10]);
+          const int64_t now_s =
+              static_cast<int64_t>(request.day) * 86400 + request.second_of_day;
+          f[45] = std::log1p(static_cast<float>(std::max<int64_t>(0, now_s - last_s)));
+        }
+      }
+    }
+  }
 }
 
 // Shared end-to-end fixture: a tiny world, a trained Basic+DW GBDT, a
@@ -93,18 +240,29 @@ class ModelServerTest : public ::testing::Test {
     return store->release();
   }
 
-  static TransferRequest RequestFor(const txn::TransactionRecord& rec) {
-    TransferRequest req;
-    req.txn_id = rec.txn_id;
-    req.from_user = rec.from_user;
-    req.to_user = rec.to_user;
-    req.amount = rec.amount;
-    req.day = rec.day;
-    req.second_of_day = rec.second_of_day;
-    req.channel = rec.channel;
-    req.trans_city = rec.trans_city;
-    req.is_new_device = rec.is_new_device;
-    return req;
+  /// A fresh in-memory store holding only the test day's upload (a test
+  /// below adds the next day's upload to the shared store_).
+  static std::unique_ptr<kvstore::AliHBase> TestDayStore() {
+    auto options = FeatureTableOptions();
+    options.durable = false;
+    std::unique_ptr<kvstore::AliHBase> store(AliHBaseOrDie(std::move(options)));
+    EXPECT_TRUE(UploadDailyArtifacts(store.get(), world_->log, trainer_->extractor(),
+                                     *trainer_->dw_embeddings(), window_->spec.test_day,
+                                     20170410, 50)
+                    .ok());
+    return store;
+  }
+
+  /// Whether the transferor of record `idx` has no earlier transfer that
+  /// day, in or out. Only then does the T+1 snapshot hold the same history
+  /// as Extract.
+  static bool IsClean(std::size_t idx) {
+    const auto& records = world_->log.records;
+    const txn::UserId user = records[idx].from_user;
+    for (std::size_t j = idx; j-- > 0 && records[j].day == records[idx].day;) {
+      if (records[j].from_user == user || records[j].to_user == user) return false;
+    }
+    return true;
   }
 
   static datagen::World* world_;
@@ -124,7 +282,7 @@ ModelServer* ModelServerTest::server_ = nullptr;
 
 TEST_F(ModelServerTest, ScoresEveryTestTransaction) {
   for (std::size_t idx : window_->test_records) {
-    const auto verdict = server_->Score(RequestFor(world_->log.records[idx]));
+    const auto verdict = server_->Score(RequestOf(world_->log.records[idx]));
     ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
     EXPECT_GE(verdict->fraud_probability, 0.0);
     EXPECT_LE(verdict->fraud_probability, 1.0);
@@ -145,7 +303,7 @@ TEST_F(ModelServerTest, ServedScoresDiscriminate) {
   std::vector<uint8_t> labels;
   for (std::size_t idx : window_->test_records) {
     const auto& rec = world_->log.records[idx];
-    const auto verdict = server_->Score(RequestFor(rec));
+    const auto verdict = server_->Score(RequestOf(rec));
     ASSERT_TRUE(verdict.ok());
     scores.push_back(verdict->fraud_probability);
     labels.push_back(rec.is_fraud ? 1 : 0);
@@ -207,7 +365,7 @@ TEST_F(ModelServerTest, RouterBalancesAndFailsOver) {
   // Round-robin spreads load evenly.
   const auto& sample = world_->log.records[window_->test_records.front()];
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(router.Score(RequestFor(sample)).ok());
+    ASSERT_TRUE(router.Score(RequestOf(sample)).ok());
   }
   for (int i = 0; i < 3; ++i) EXPECT_EQ(router.requests_served(i), 10u);
 
@@ -215,16 +373,16 @@ TEST_F(ModelServerTest, RouterBalancesAndFailsOver) {
   ASSERT_TRUE(router.SetInstanceHealthy(1, false).ok());
   EXPECT_FALSE(router.instance_healthy(1));
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(router.Score(RequestFor(sample)).ok());
+    ASSERT_TRUE(router.Score(RequestOf(sample)).ok());
   }
   EXPECT_EQ(router.requests_served(1), 10u);  // Unchanged while down.
 
   // All down -> Unavailable.
   ASSERT_TRUE(router.SetInstanceHealthy(0, false).ok());
   ASSERT_TRUE(router.SetInstanceHealthy(2, false).ok());
-  EXPECT_EQ(router.Score(RequestFor(sample)).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(router.Score(RequestOf(sample)).status().code(), StatusCode::kUnavailable);
   ASSERT_TRUE(router.SetInstanceHealthy(0, true).ok());
-  ASSERT_TRUE(router.Score(RequestFor(sample)).ok());
+  ASSERT_TRUE(router.Score(RequestOf(sample)).ok());
 
   // Aggregated latency counts every served request.
   EXPECT_EQ(router.AggregateLatency().count(), 51u);
@@ -244,7 +402,7 @@ TEST_F(ModelServerTest, RouterSurvivesConcurrentTrafficAndHealthFlaps) {
   for (int t = 0; t < 3; ++t) {
     clients.emplace_back([&] {
       while (!stop.load()) {
-        const auto verdict = router.Score(RequestFor(sample));
+        const auto verdict = router.Score(RequestOf(sample));
         if (verdict.ok()) {
           served.fetch_add(1);
         } else if (verdict.status().code() != StatusCode::kUnavailable) {
@@ -300,7 +458,7 @@ TEST_F(ModelServerTest, ConcurrentTrafficSurvivesBreakerTripsAndRecoveries) {
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&] {
       for (int i = 0; i < 400; ++i) {
-        const auto verdict = router.Score(RequestFor(sample));
+        const auto verdict = router.Score(RequestOf(sample));
         if (verdict.ok()) {
           served.fetch_add(1);
         } else if (verdict.status().code() != StatusCode::kUnavailable) {
@@ -323,10 +481,10 @@ TEST_F(ModelServerTest, ConcurrentTrafficSurvivesBreakerTripsAndRecoveries) {
 
   // With injections off, probes re-close any breaker left open.
   for (int i = 0; i < 500 && router.open_instances() > 0; ++i) {
-    (void)router.Score(RequestFor(sample));
+    (void)router.Score(RequestOf(sample));
   }
   EXPECT_EQ(router.open_instances(), 0);
-  EXPECT_TRUE(router.Score(RequestFor(sample)).ok());
+  EXPECT_TRUE(router.Score(RequestOf(sample)).ok());
 }
 
 TEST_F(ModelServerTest, BreakerTripsOnFailureStreakAndRecoversViaProbes) {
@@ -349,7 +507,7 @@ TEST_F(ModelServerTest, BreakerTripsOnFailureStreakAndRecoversViaProbes) {
   // consumed yet, so no further failpoint hits are needed to stay open).
   int failures = 0;
   for (int i = 0; i < 4 && Failpoints::hits("serving.score") < 4; ++i) {
-    failures += router.Score(RequestFor(sample)).ok() ? 0 : 1;
+    failures += router.Score(RequestOf(sample)).ok() ? 0 : 1;
   }
   EXPECT_EQ(failures, 2);
   EXPECT_TRUE(router.breaker_open(0));
@@ -363,7 +521,7 @@ TEST_F(ModelServerTest, BreakerTripsOnFailureStreakAndRecoversViaProbes) {
   // schedule is exhausted a probe succeeds and closes each breaker.
   int recovered_at = -1;
   for (int i = 0; i < 100; ++i) {
-    const auto verdict = router.Score(RequestFor(sample));
+    const auto verdict = router.Score(RequestOf(sample));
     if (verdict.ok() && !router.breaker_open(0) && !router.breaker_open(1)) {
       recovered_at = i;
       break;
@@ -372,7 +530,7 @@ TEST_F(ModelServerTest, BreakerTripsOnFailureStreakAndRecoversViaProbes) {
   ASSERT_GE(recovered_at, 0) << "breakers never closed after the outage ended";
   EXPECT_EQ(router.open_instances(), 0);
   // Closed breakers serve normally again.
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(router.Score(RequestFor(sample)).ok());
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(router.Score(RequestOf(sample)).ok());
   Failpoints::DisarmAll();
 }
 
@@ -398,7 +556,7 @@ TEST_F(ModelServerTest, PartialRolloutHoldsStaleInstanceOutOfRotation) {
   EXPECT_FALSE(router.instance_healthy(0));
   EXPECT_EQ(router.open_instances(), 1);
   for (int i = 0; i < 20; ++i) {
-    const auto verdict = router.Score(RequestFor(sample));
+    const auto verdict = router.Score(RequestOf(sample));
     ASSERT_TRUE(verdict.ok());
     EXPECT_EQ(verdict->model_version, 200u) << "stale instance served a request";
   }
@@ -408,7 +566,7 @@ TEST_F(ModelServerTest, PartialRolloutHoldsStaleInstanceOutOfRotation) {
   ASSERT_TRUE(router.LoadModel(ml::SerializeModel(*model_), 200).ok());
   EXPECT_FALSE(router.rollout_held(0));
   EXPECT_TRUE(router.instance_healthy(0));
-  for (int i = 0; i < 9; ++i) ASSERT_TRUE(router.Score(RequestFor(sample)).ok());
+  for (int i = 0; i < 9; ++i) ASSERT_TRUE(router.Score(RequestOf(sample)).ok());
   EXPECT_GT(router.requests_served(0), 0u);
   Failpoints::DisarmAll();
 }
@@ -424,7 +582,7 @@ TEST_F(ModelServerTest, AllInstanceRolloutFailureKeepsFleetOnOldVersion) {
   EXPECT_FALSE(router.LoadModel("corrupt-model-blob", 8).ok());
   EXPECT_EQ(router.model_version(), 7u);
   EXPECT_EQ(router.open_instances(), 0);
-  const auto verdict = router.Score(RequestFor(sample));
+  const auto verdict = router.Score(RequestOf(sample));
   ASSERT_TRUE(verdict.ok());
   EXPECT_EQ(verdict->model_version, 7u);
 }
@@ -436,7 +594,7 @@ TEST_F(ModelServerTest, DegradedScoringSurvivesStoreOutage) {
   const auto& sample = world_->log.records[window_->test_records.front()];
 
   // Baseline: a healthy store yields a full-quality verdict.
-  const auto healthy = server.Score(RequestFor(sample));
+  const auto healthy = server.Score(RequestOf(sample));
   ASSERT_TRUE(healthy.ok());
   EXPECT_FALSE(healthy->degraded);
 
@@ -445,7 +603,7 @@ TEST_F(ModelServerTest, DegradedScoringSurvivesStoreOutage) {
   FailpointSpec spec;
   spec.code = StatusCode::kUnavailable;
   Failpoints::Arm("kvstore.get", spec);
-  const auto degraded = server.Score(RequestFor(sample));
+  const auto degraded = server.Score(RequestOf(sample));
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_TRUE(degraded->degraded);
   EXPECT_GE(degraded->fraud_probability, 0.0);
@@ -454,7 +612,7 @@ TEST_F(ModelServerTest, DegradedScoringSurvivesStoreOutage) {
   Failpoints::DisarmAll();
 
   // Outage over: verdicts go back to full quality.
-  const auto recovered = server.Score(RequestFor(sample));
+  const auto recovered = server.Score(RequestOf(sample));
   ASSERT_TRUE(recovered.ok());
   EXPECT_FALSE(recovered->degraded);
   EXPECT_EQ(server.degraded_scores(), 1u);
@@ -481,12 +639,12 @@ TEST_F(ModelServerTest, ExpiredDeadlineSkipsFetchesAndDegrades) {
              std::chrono::steady_clock::now().time_since_epoch())
                  .count() -
              3'600'000'000LL);
-  const auto verdict = server.Score(RequestFor(sample), past);
+  const auto verdict = server.Score(RequestOf(sample), past);
   ASSERT_TRUE(verdict.ok()) << verdict.status().ToString();
   EXPECT_TRUE(verdict->degraded);
 
   // A generous deadline changes nothing about the happy path.
-  const auto fresh = server.Score(RequestFor(sample),
+  const auto fresh = server.Score(RequestOf(sample),
                                   std::chrono::duration_cast<std::chrono::microseconds>(
                                       std::chrono::steady_clock::now().time_since_epoch())
                                           .count() +
@@ -509,7 +667,7 @@ TEST_F(ModelServerTest, ScoreBatchMatchesSingleRequestScores) {
   // the same verdicts, in request order, as N single Scores.
   std::vector<TransferRequest> batch;
   for (std::size_t i = 0; i < 16 && i < window_->test_records.size(); ++i) {
-    batch.push_back(RequestFor(world_->log.records[window_->test_records[i]]));
+    batch.push_back(RequestOf(world_->log.records[window_->test_records[i]]));
   }
   const auto items = server_->ScoreBatch(batch);
   ASSERT_TRUE(items.ok()) << items.status().ToString();
@@ -533,7 +691,7 @@ TEST_F(ModelServerTest, ScoreBatchIsolatesPerRowOutcomes) {
 
   std::vector<TransferRequest> batch;
   for (std::size_t i = 0; i < 4; ++i) {
-    batch.push_back(RequestFor(world_->log.records[window_->test_records[i]]));
+    batch.push_back(RequestOf(world_->log.records[window_->test_records[i]]));
   }
 
   // A data error in one row (unknown transferor) fails that item alone.
@@ -575,7 +733,7 @@ TEST_F(ModelServerTest, RouterScoreBatchFailsOverAsAUnit) {
 
   std::vector<TransferRequest> batch;
   for (std::size_t i = 0; i < 3; ++i) {
-    batch.push_back(RequestFor(world_->log.records[window_->test_records[i]]));
+    batch.push_back(RequestOf(world_->log.records[window_->test_records[i]]));
   }
 
   // First dispatch hits an instance-level outage: the whole batch fails
@@ -600,7 +758,7 @@ TEST_F(ModelServerTest, CoalescerGroupsConcurrentCallersWithoutChangingResults) 
 
   // Single-caller traffic degenerates to batches of one.
   const auto& sample = world_->log.records[window_->test_records.front()];
-  const auto alone = coalescer.Score(RequestFor(sample));
+  const auto alone = coalescer.Score(RequestOf(sample));
   ASSERT_TRUE(alone.ok()) << alone.status().ToString();
   EXPECT_EQ(coalescer.batches(), 1u);
   EXPECT_EQ(coalescer.rows(), 1u);
@@ -618,8 +776,8 @@ TEST_F(ModelServerTest, CoalescerGroupsConcurrentCallersWithoutChangingResults) 
                               [window_->test_records[(static_cast<std::size_t>(t) * kCallsPerThread +
                                                       static_cast<std::size_t>(i)) %
                                                      window_->test_records.size()]];
-        const auto via_coalescer = coalescer.Score(RequestFor(rec));
-        const auto direct = router.Score(RequestFor(rec));
+        const auto via_coalescer = coalescer.Score(RequestOf(rec));
+        const auto direct = router.Score(RequestOf(rec));
         if (!via_coalescer.ok() || !direct.ok() ||
             via_coalescer->fraud_probability != direct->fraud_probability) {
           mismatches.fetch_add(1);
@@ -653,8 +811,8 @@ TEST_F(ModelServerTest, CoalescerConcurrentLeadersMatchDirectResults) {
                               [window_->test_records[(static_cast<std::size_t>(t) * kCallsPerThread +
                                                       static_cast<std::size_t>(i)) %
                                                      window_->test_records.size()]];
-        const auto via_coalescer = coalescer.Score(RequestFor(rec));
-        const auto direct = router.Score(RequestFor(rec));
+        const auto via_coalescer = coalescer.Score(RequestOf(rec));
+        const auto direct = router.Score(RequestOf(rec));
         if (!via_coalescer.ok() || !direct.ok() ||
             via_coalescer->fraud_probability != direct->fraud_probability) {
           mismatches.fetch_add(1);
@@ -706,6 +864,244 @@ TEST_F(ModelServerTest, ParallelUploadMatchesSequentialUpload) {
     ASSERT_TRUE(ca.ok() && cb.ok());
     EXPECT_EQ(*ca, *cb);
   }
+}
+
+TEST_F(ModelServerTest, ServedRowsMatchTheReferenceBitForBit) {
+  std::unique_ptr<kvstore::AliHBase> store = TestDayStore();
+  std::vector<TransferRequest> requests;
+  for (std::size_t idx : window_->test_records) {
+    requests.push_back(RequestOf(world_->log.records[idx]));
+  }
+  // Live counters: the day's traffic folded for a third of the transferors,
+  // a cell with no event yet for another third, and no cell for the rest.
+  streaming::Aggregator aggregator;
+  for (const TransferRequest& request : requests) aggregator.Apply(request);
+  const int64_t day_end = static_cast<int64_t>(window_->spec.test_day + 1) * 86400;
+  for (const TransferRequest& request : requests) {
+    streaming::LiveCounters counters;
+    if (request.from_user % 3 == 2) continue;
+    if (request.from_user % 3 == 0) {
+      ASSERT_TRUE(aggregator.Query(request.from_user, day_end, &counters));
+    }
+    float cell[streaming::kCounterFloats];
+    streaming::Aggregator::EncodeCounters(counters, cell);
+    ASSERT_TRUE(store
+                    ->Put(UserRowKey(request.from_user), streaming::kFamilyRealtime,
+                          streaming::kQualWindow, EncodeFloats(cell, streaming::kCounterFloats),
+                          20170410)
+                    .ok());
+  }
+  ModelServer server(store.get(), ModelServerOptions());
+  ASSERT_TRUE(server.LoadModel(ml::SerializeModel(*model_), 20170410).ok());
+
+  const std::size_t width = core::FeatureExtractor::kNumBasicFeatures + 32;
+  constexpr std::size_t kBatch = 16;
+  ScoreScratch scratch;
+  std::vector<StatusOr<Verdict>> verdicts(kBatch, Status::Internal("unscored"));
+  std::vector<float> want(width);
+  int live_rows = 0;
+  // Deadline 0 scores from the store; 1 (long past) degrades every row.
+  for (const int64_t deadline : {int64_t{0}, int64_t{1}}) {
+    for (std::size_t begin = 0; begin < requests.size(); begin += kBatch) {
+      const std::size_t n = std::min(kBatch, requests.size() - begin);
+      ASSERT_TRUE(server.ScoreSpan(&requests[begin], n, deadline, verdicts.data(), &scratch).ok());
+      for (std::size_t k = 0; k < n; ++k) {
+        const TransferRequest& request = requests[begin + k];
+        const std::string from = UserRowKey(request.from_user);
+        const StatusOr<std::string> cells[] = {
+            store->Get(from, kFamilyBasic, kQualSnapshot),
+            store->Get(from, kFamilyBasic, kQualAux),
+            store->Get(CityRowKey(request.trans_city), kFamilyCity, kQualStats),
+            store->Get(UserRowKey(request.to_user), kFamilyEmbedding, kQualVector),
+            store->Get(from, streaming::kFamilyRealtime, streaming::kQualWindow)};
+        std::vector<StatusOr<std::string_view>> fetched;
+        for (const StatusOr<std::string>& cell : cells) {
+          fetched.push_back(cell.ok() ? StatusOr<std::string_view>(std::string_view(*cell))
+                                      : StatusOr<std::string_view>(cell.status()));
+        }
+        ReferenceRow(request, fetched.data(), deadline > 0, want.data());
+        const float* got = scratch.feature_rows().data() + k * width;
+        ASSERT_EQ(std::memcmp(got, want.data(), width * sizeof(float)), 0)
+            << "row " << begin + k << ", deadline " << deadline;
+        ASSERT_TRUE(verdicts[k].ok()) << verdicts[k].status().ToString();
+        EXPECT_EQ(verdicts[k]->degraded, deadline > 0);
+        EXPECT_EQ(verdicts[k]->fraud_probability, model_->Score(want.data()));
+        live_rows += deadline == 0 && fetched[4].ok();
+      }
+    }
+  }
+  EXPECT_GT(live_rows, 0);
+}
+
+TEST_F(ModelServerTest, ServedRowsDifferFromTrainingRowsOnlyWhereTheTableDeclares) {
+  // Scores the test day with no ingestor and compares every served row
+  // with its training-time row, slot by slot, by the rule of the slot's
+  // source (DESIGN.md §17).
+  using core::SlotOf;
+  using core::SlotSource;
+  std::unique_ptr<kvstore::AliHBase> store = TestDayStore();
+  ModelServer server(store.get(), ModelServerOptions());
+  ASSERT_TRUE(server.LoadModel(ml::SerializeModel(*model_), 20170410).ok());
+  const std::vector<std::size_t>& records = window_->test_records;
+  const auto offline = trainer_->BuildMatrix(records, core::FeatureSet::kBasicDW);
+  ASSERT_TRUE(offline.ok());
+  constexpr int kBasic = core::FeatureExtractor::kNumBasicFeatures;
+  const std::size_t width = static_cast<std::size_t>(offline->num_cols());
+  ASSERT_EQ(width, kBasic + 32u);
+
+  std::vector<float> served;
+  std::vector<double> served_scores;
+  std::vector<uint8_t> labels;
+  ScoreScratch scratch;
+  constexpr std::size_t kBatch = 16;
+  std::vector<TransferRequest> batch;
+  std::vector<StatusOr<Verdict>> verdicts(kBatch, Status::Internal("unscored"));
+  for (std::size_t begin = 0; begin < records.size(); begin += kBatch) {
+    batch.clear();
+    for (std::size_t k = begin; k < std::min(records.size(), begin + kBatch); ++k) {
+      batch.push_back(RequestOf(world_->log.records[records[k]]));
+      labels.push_back(world_->log.records[records[k]].is_fraud ? 1 : 0);
+    }
+    ASSERT_TRUE(server.ScoreSpan(batch.data(), batch.size(), 0, verdicts.data(), &scratch).ok());
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      ASSERT_TRUE(verdicts[k].ok()) << verdicts[k].status().ToString();
+      served_scores.push_back(verdicts[k]->fraud_probability);
+    }
+    served.insert(served.end(), scratch.feature_rows().begin(),
+                  scratch.feature_rows().begin() + static_cast<std::ptrdiff_t>(batch.size() * width));
+  }
+
+  const auto same = [](float a, float b) { return std::memcmp(&a, &b, sizeof(a)) == 0; };
+  std::vector<int> differ(width, 0);        // Served != offline, bitwise.
+  std::vector<int> differ_clean(width, 0);  // The same, on clean rows.
+  std::vector<int> broken(width, 0);        // Violations of the source's rule.
+  int clean_rows = 0;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    const bool clean = IsClean(records[r]);
+    clean_rows += clean;
+    const float* got = &served[r * width];
+    const float cold_recency =
+        std::log1p(got[SlotOf("days_since_last_out")] * 86400.0f +
+                   static_cast<float>(world_->log.records[records[r]].second_of_day));
+    for (std::size_t j = 0; j < width; ++j) {
+      const float want = offline->At(r, static_cast<int>(j));
+      const bool equal = same(got[j], want);
+      differ[j] += !equal;
+      differ_clean[j] += clean && !equal;
+      bool ok = equal;  // Embedding columns and the bit-equal sources.
+      if (j < static_cast<std::size_t>(kBasic)) {
+        switch (core::kFeatureSlots[j].source) {
+          case SlotSource::kProfile:
+          case SlotSource::kRequest:
+          case SlotSource::kCity:
+            break;
+          case SlotSource::kHistory:
+            ok = equal || !clean;
+            break;
+          case SlotSource::kPayee:
+            ok = got[j] == (j == SlotOf("is_new_payee") ? 1.0f : 0.0f);
+            break;
+          case SlotSource::kToday:
+            ok = got[j] == (j == SlotOf("log_secs_since_prev") ? cold_recency : 0.0f);
+            break;
+          case SlotSource::kRatio:
+            // The aux cell carries the 30-day means as float32.
+            ok = !clean || (j == SlotOf("amount_over_avg")
+                                ? std::fabs(got[j] - want) <= 1e-6 * std::fabs(want)
+                                : std::fabs(got[j] - want) <= 1e-5);
+            break;
+        }
+      }
+      broken[j] += !ok;
+    }
+  }
+  EXPECT_GT(clean_rows, 0);
+
+  const auto served_auc = ml::RocAuc(served_scores, labels);
+  const auto offline_scores = model_->ScoreAll(*offline);
+  ASSERT_TRUE(served_auc.ok() && offline_scores.ok());
+  const auto offline_auc = ml::RocAuc(*offline_scores, labels);
+  ASSERT_TRUE(offline_auc.ok());
+  std::printf("skew over %zu test-day rows (%d clean), served vs training rows:\n",
+              records.size(), clean_rows);
+  for (int j = 0; j < kBasic; ++j) {
+    if (differ[j] == 0) continue;
+    std::printf("  slot %2d %-22s %6.1f%% of rows, %6.1f%% of clean rows\n", j,
+                std::string(core::kFeatureSlots[j].name).c_str(),
+                100.0 * differ[j] / static_cast<double>(records.size()),
+                100.0 * differ_clean[j] / std::max(1, clean_rows));
+  }
+  std::printf("AUC %.10f served vs %.10f offline\n", *served_auc, *offline_auc);
+  for (std::size_t j = 0; j < width; ++j) {
+    EXPECT_EQ(broken[j], 0) << (j < static_cast<std::size_t>(kBasic)
+                                    ? std::string(core::kFeatureSlots[j].name)
+                                    : "embedding column " + std::to_string(j - kBasic));
+  }
+}
+
+TEST_F(ModelServerTest, HostileStoreCellsKeepTheSlotAssemblyDefined) {
+  // With an ingestor attached, any gateway client may put any declared
+  // family, so a snapshot or live-counter cell can hold any float. The
+  // served row must stay well defined (the UBSan lane checks float-to-int
+  // casts): a home city that is no city reads as cross-city, and a counter
+  // stamp off the calendar reads as "no stamp", keeping the cold recency.
+  using core::SlotOf;
+  constexpr int kBasic = core::FeatureExtractor::kNumBasicFeatures;
+  std::unique_ptr<kvstore::AliHBase> store = TestDayStore();
+  ModelServer server(store.get(), ModelServerOptions());
+  ASSERT_TRUE(server.LoadModel(ml::SerializeModel(*model_), 20170410).ok());
+  TransferRequest request;
+  for (std::size_t idx : window_->test_records) {
+    request = RequestOf(world_->log.records[idx]);
+    if (request.second_of_day >= 10) break;
+  }
+  const std::string row = UserRowKey(request.from_user);
+  const auto genuine = store->Get(row, kFamilyBasic, kQualSnapshot);
+  ASSERT_TRUE(genuine.ok());
+  float snapshot[kBasic];
+  ASSERT_TRUE(DecodeFloats(*genuine, kBasic, snapshot).ok());
+  const float home_city = snapshot[SlotOf("home_city")];
+
+  uint64_t version = 20170411;
+  ScoreScratch scratch;
+  const auto serve = [&](float home, float last_day, float last_second) {
+    float cell[kBasic];
+    std::copy(snapshot, snapshot + kBasic, cell);
+    cell[SlotOf("home_city")] = home;
+    float counters[streaming::kCounterFloats] = {};
+    counters[streaming::kCounter24hCount] = 3.0f;
+    counters[streaming::kCounterLastDay] = last_day;
+    counters[streaming::kCounterLastSecond] = last_second;
+    EXPECT_TRUE(store->Put(row, kFamilyBasic, kQualSnapshot, EncodeFloats(cell, kBasic), version)
+                    .ok());
+    EXPECT_TRUE(store
+                    ->Put(row, streaming::kFamilyRealtime, streaming::kQualWindow,
+                          EncodeFloats(counters, streaming::kCounterFloats), version)
+                    .ok());
+    ++version;
+    StatusOr<Verdict> verdict = Status::Internal("unscored");
+    EXPECT_TRUE(server.ScoreSpan(&request, 1, 0, &verdict, &scratch).ok());
+    EXPECT_TRUE(verdict.ok() && !verdict->degraded);
+    return scratch.feature_rows().data();
+  };
+  const float cold_recency = std::log1p(snapshot[SlotOf("days_since_last_out")] * 86400.0f +
+                                        static_cast<float>(request.second_of_day));
+  const float cross_city = static_cast<float>(request.trans_city) != home_city ? 1.0f : 0.0f;
+  const float day = static_cast<float>(request.day);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (const float hostile :
+       {std::numeric_limits<float>::quiet_NaN(), kInf, -kInf, 1e15f, -1.0f}) {
+    const float* f = serve(hostile, hostile, 0.0f);
+    EXPECT_EQ(f[SlotOf("is_cross_city")], 1.0f) << hostile;
+    EXPECT_EQ(f[SlotOf("cnt_today")], 3.0f) << hostile;
+    EXPECT_EQ(f[SlotOf("log_secs_since_prev")], cold_recency) << hostile;
+    f = serve(home_city, day, hostile);
+    EXPECT_EQ(f[SlotOf("is_cross_city")], cross_city) << hostile;
+    EXPECT_EQ(f[SlotOf("log_secs_since_prev")], cold_recency) << hostile;
+  }
+  // A stamp on the calendar is read: the last event ten seconds back.
+  const float* f = serve(home_city, day, static_cast<float>(request.second_of_day - 10));
+  EXPECT_EQ(f[SlotOf("log_secs_since_prev")], std::log1p(10.0f));
 }
 
 TEST(ModelServerLifecycleTest, RequiresModelBeforeScoring) {

@@ -749,7 +749,7 @@ class StreamingGatewayTest : public ::testing::Test {
     ASSERT_TRUE(gateway_->Start().ok());
   }
 
-  /// A model keyed off nothing but f[43] — the 24h live txn count — so
+  /// A model keyed off nothing but cnt_today — the 24h live txn count — so
   /// the verdict can only move when streaming counters move.
   static std::string VelocityModelBlob() {
     // 40 rows so the root clears DecisionTreeOptions::min_split_weight
@@ -758,7 +758,7 @@ class StreamingGatewayTest : public ::testing::Test {
     train.mutable_labels().assign(40, 0);
     for (std::size_t row = 0; row < 20; ++row) {
       train.mutable_labels()[row] = 1;
-      train.Set(row, 43, 30.0f);
+      train.Set(row, core::SlotOf("cnt_today"), 30.0f);
     }
     auto model = ml::MakeId3();
     EXPECT_TRUE(model->Train(train).ok());
@@ -812,7 +812,7 @@ TEST_F(StreamingGatewayTest, ScoredTrafficMovesTheNextVerdict) {
   serving::GatewayClient client("127.0.0.1", gateway_->port());
   const int64_t t0 = 100 * 86400 + 43'200;
 
-  // Cold counters: f[43] = 0, far from the trained fraud profile.
+  // Cold counters: cnt_today = 0, far from the trained fraud profile.
   auto before = client.Score(Transfer(t0));
   ASSERT_TRUE(before.ok()) << before.status().ToString();
   EXPECT_FALSE(before->interrupt);

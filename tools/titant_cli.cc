@@ -466,18 +466,7 @@ int CmdIngest(int argc, char** argv) {
   // replay hits the gateway in the same sequence the ring fired).
   std::vector<titant::serving::TransferRequest> day_traffic;
   for (const auto& rec : log.records) {
-    if (rec.day != day) continue;
-    titant::serving::TransferRequest request;
-    request.txn_id = rec.txn_id;
-    request.from_user = rec.from_user;
-    request.to_user = rec.to_user;
-    request.amount = rec.amount;
-    request.day = rec.day;
-    request.second_of_day = rec.second_of_day;
-    request.channel = rec.channel;
-    request.trans_city = rec.trans_city;
-    request.is_new_device = rec.is_new_device;
-    day_traffic.push_back(request);
+    if (rec.day == day) day_traffic.push_back(titant::serving::RequestOf(rec));
   }
   if (day_traffic.empty()) {
     std::fprintf(stderr, "error: no records on %s\n", argv[6]);
