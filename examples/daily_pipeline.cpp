@@ -5,7 +5,9 @@
 // model — all while historical versions stay queryable in the store.
 
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
+#include <functional>
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -33,6 +35,17 @@ void OrDie(const titant::Status& status) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     std::exit(1);
   }
+}
+
+/// Runs one stage and prints its wall and process-CPU seconds. CPU time
+/// tells a stage that got slower from one that was descheduled (CPU well
+/// below wall) or ran on several cores (CPU above wall).
+void Timed(const char* stage, const std::function<void()>& body) {
+  titant::Stopwatch wall;
+  const std::clock_t cpu = std::clock();
+  body();
+  std::printf("  %-22s wall %7.3f s   cpu %7.3f s\n", stage, wall.ElapsedSeconds(),
+              static_cast<double>(std::clock() - cpu) / CLOCKS_PER_SEC);
 }
 
 }  // namespace
@@ -83,13 +96,16 @@ int main() {
                 txn::DayToDate(test_day).c_str(), static_cast<unsigned long long>(version));
 
     // Label feed via MaxCompute SQL.
-    OrDie(mc->SubmitSqlJob(
-              "SELECT COUNT(*) AS reports, SUM(amount) AS exposure FROM txn_log "
-              "WHERE is_fraud AND day >= " +
-                  std::to_string(test_day - 14) + " AND day < " + std::to_string(test_day),
-              "label_feed")
-              .status());
-    const auto feed = OrDie(mc->GetTable("label_feed"));
+    const maxcompute::Table* feed = nullptr;
+    Timed("label feed", [&] {
+      OrDie(mc->SubmitSqlJob(
+                "SELECT COUNT(*) AS reports, SUM(amount) AS exposure FROM txn_log "
+                "WHERE is_fraud AND day >= " +
+                    std::to_string(test_day - 14) + " AND day < " + std::to_string(test_day),
+                "label_feed")
+                .status());
+      feed = OrDie(mc->GetTable("label_feed"));
+    });
     std::printf("  label feed: %lld fraud reports, %.0f yuan exposure in the window\n",
                 static_cast<long long>(feed->row(0)[0].AsInt()),
                 feed->row(0)[1].AsDouble());
@@ -99,16 +115,19 @@ int main() {
     core::PipelineOptions pipeline;
     pipeline.walks_per_node = 40;  // Daily cadence: lighter sampling.
     core::OfflineTrainer trainer(world.log, windows[0], pipeline);
-    OrDie(trainer.Prepare(core::FeatureSet::kBasicDW));
-    const auto train =
-        OrDie(trainer.BuildMatrix(windows[0].train_records, core::FeatureSet::kBasicDW));
+    Timed("Prepare(kBasicDW)", [&] { OrDie(trainer.Prepare(core::FeatureSet::kBasicDW)); });
+    ml::DataMatrix train;
+    Timed("BuildMatrix", [&] {
+      train = OrDie(trainer.BuildMatrix(windows[0].train_records, core::FeatureSet::kBasicDW));
+    });
     auto model = core::MakeModel(core::ModelKind::kGbdt, pipeline);
-    OrDie(model->Train(train));
+    Timed("Train (GBDT)", [&] { OrDie(model->Train(train)); });
 
     // On the first day, measure the offline pipeline's multi-thread
-    // speedup: the same walk-corpus generation and GBDT train, one worker
-    // vs a small pool (per-rep / per-feature fan-out is deterministic, so
-    // the parallel run does the same work).
+    // speedup: the same walk-corpus generation and GBDT fit, one worker vs
+    // a small pool. Walk repetitions are independent tasks, and every GBDT
+    // histogram adds its rows in the same order on any number of threads,
+    // so the 4-thread fit must write the very same model bytes.
     if (test_day == 0) {
       const int offline_workers = 4;
       graph::RandomWalkOptions walk_opts;
@@ -138,10 +157,18 @@ int main() {
       Stopwatch gbdt_parallel_watch;
       OrDie(parallel_model->Train(train));
       const double gbdt_parallel_ms = gbdt_parallel_watch.ElapsedMillis();
+      const bool same_model =
+          ml::SerializeModel(*serial_model) == ml::SerializeModel(*parallel_model);
       std::printf(
-          "  gbdt train: %.1f ms on 1 thread, %.1f ms on %d (%.2fx speedup)\n",
+          "  gbdt train: %.1f ms on 1 thread, %.1f ms on %d (%.2fx speedup); models %s\n",
           gbdt_serial_ms, gbdt_parallel_ms, offline_workers,
-          gbdt_parallel_ms > 0.0 ? gbdt_serial_ms / gbdt_parallel_ms : 0.0);
+          gbdt_parallel_ms > 0.0 ? gbdt_serial_ms / gbdt_parallel_ms : 0.0,
+          same_model ? "byte-identical" : "DIFFER");
+      if (!same_model) {
+        std::fprintf(stderr, "error: the %d-thread GBDT differs from the 1-thread one\n",
+                     offline_workers);
+        return 1;
+      }
     }
 
     // Upload artifacts under the new version; hot-swap the model. On the
@@ -162,11 +189,13 @@ int main() {
       sequential_ms = sequential_watch.ElapsedMillis();
     }
     Stopwatch upload_watch;
-    OrDie(serving::UploadDailyArtifacts(store.get(), world.log, trainer.extractor(),
-                                        *trainer.dw_embeddings(), test_day, version, 50,
-                                        &upload_pool));
+    Timed("upload", [&] {
+      OrDie(serving::UploadDailyArtifacts(store.get(), world.log, trainer.extractor(),
+                                          *trainer.dw_embeddings(), test_day, version, 50,
+                                          &upload_pool));
+    });
     const double parallel_ms = upload_watch.ElapsedMillis();
-    OrDie(server.LoadModel(ml::SerializeModel(*model), version));
+    Timed("LoadModel", [&] { OrDie(server.LoadModel(ml::SerializeModel(*model), version)); });
     std::printf("  artifacts uploaded in %.1f ms across %zu upload workers", parallel_ms,
                 upload_pool.num_threads());
     if (test_day == 0 && parallel_ms > 0.0) {

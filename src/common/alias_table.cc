@@ -1,7 +1,5 @@
 #include "common/alias_table.h"
 
-#include "common/logging.h"
-
 namespace titant {
 
 bool AliasTable::Build(const std::vector<double>& weights) {
@@ -46,13 +44,9 @@ bool AliasTable::Build(const std::vector<double>& weights) {
     prob_[l] = 1.0;
     alias_[l] = l;
   }
+  threshold_ = -static_cast<uint64_t>(n) % n;
+  mod_ = FixedModulus(n);
   return true;
-}
-
-std::size_t AliasTable::Sample(Rng& rng) const {
-  TITANT_CHECK(!prob_.empty()) << "sampling from an empty AliasTable";
-  const std::size_t i = static_cast<std::size_t>(rng.Uniform(prob_.size()));
-  return rng.NextDouble() < prob_[i] ? i : alias_[i];
 }
 
 }  // namespace titant

@@ -16,8 +16,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -25,31 +23,14 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : s_) word = SplitMix64(sm);
 }
 
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
 uint64_t Rng::Uniform(uint64_t n) {
   TITANT_CHECK(n > 0) << "Uniform(0) is undefined";
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -n % n;
+  // The rejection threshold 2^64 mod n is below n, so a draw of at least
+  // n (almost every draw) is accepted without dividing to find it.
   for (;;) {
     const uint64_t r = NextU64();
-    if (r >= threshold) return r % n;
+    if (r >= n || r >= -n % n) return r % n;
   }
-}
-
-double Rng::NextDouble() {
-  // 53 high-quality bits -> [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::UniformReal(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }

@@ -16,13 +16,24 @@ class Rng {
   explicit Rng(uint64_t seed = 0x5eed'7177'4a47'0001ULL);
 
   /// Next raw 64 random bits.
-  uint64_t NextU64();
+  uint64_t NextU64() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform integer in [0, n). `n` must be > 0.
+  /// Uniform integer in [0, n): NextU64() % n, redrawn while the draw is
+  /// below 2^64 mod n (no modulo bias). `n` must be > 0.
   uint64_t Uniform(uint64_t n);
 
-  /// Uniform double in [0, 1).
-  double NextDouble();
+  /// Uniform double in [0, 1): the 53 high bits of NextU64().
+  double NextDouble() { return static_cast<double>(NextU64() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double UniformReal(double lo, double hi);
@@ -65,6 +76,8 @@ class Rng {
   Rng Fork();
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t s_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 
 namespace titant {
@@ -40,7 +41,7 @@ void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t
   // Static block partitioning; tasks are expected to be similar in cost.
   const std::size_t workers = std::min(n, threads_.size());
   const std::size_t chunk = (n + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
+  for (std::size_t w = 1; w < workers; ++w) {
     const std::size_t begin = w * chunk;
     const std::size_t end = std::min(n, begin + chunk);
     if (begin >= end) break;
@@ -48,6 +49,7 @@ void ThreadPool::ParallelFor(std::size_t n, const std::function<void(std::size_t
       for (std::size_t i = begin; i < end; ++i) fn(i);
     });
   }
+  for (std::size_t i = 0; i < chunk; ++i) fn(i);
   Wait();
 }
 

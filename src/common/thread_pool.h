@@ -35,7 +35,10 @@ class ThreadPool {
   /// Number of worker threads.
   std::size_t num_threads() const { return threads_.size(); }
 
-  /// Runs `fn(i)` for every i in [0, n) across the pool and waits.
+  /// Runs `fn(i)` for every i in [0, n) in up to num_threads() contiguous
+  /// blocks and waits for all of them. The calling thread runs the first
+  /// block itself instead of sleeping, so a call wakes one worker fewer
+  /// and never runs more than num_threads() blocks at once.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -333,7 +333,7 @@ StatusOr<std::unique_ptr<DecisionTreeModel>> DecisionTreeModel::FromPayload(
   const char* p = payload.data();
   const char* end = payload.data() + payload.size();
   auto read = [&](void* dst, std::size_t n) -> bool {
-    if (p + n > end) return false;
+    if (n > static_cast<std::size_t>(end - p)) return false;
     std::memcpy(dst, p, n);
     p += n;
     return true;
@@ -354,34 +354,44 @@ StatusOr<std::unique_ptr<DecisionTreeModel>> DecisionTreeModel::FromPayload(
   model->num_features_ = opts[5];
 
   uint64_t disc_len = 0;
-  if (!read(&disc_len, sizeof(disc_len)) || p + disc_len > end) {
+  if (!read(&disc_len, sizeof(disc_len)) || disc_len > static_cast<uint64_t>(end - p)) {
     return Status::Corruption("dtree: truncated discretizer");
   }
   TITANT_ASSIGN_OR_RETURN(model->discretizer_,
                           Discretizer::Deserialize(std::string(p, disc_len)));
   p += disc_len;
+  // Score bins a row into num_features_ slots with the discretizer.
+  if (model->discretizer_.num_features() != model->num_features_) {
+    return Status::Corruption("dtree: discretizer width differs from the header's");
+  }
 
+  // A model file may come off the wire (DESIGN.md §16): every node a walk
+  // reaches must test a real feature and lead to a later node of its tree.
+  // A tree takes at least its 16-byte header and one node.
+  constexpr std::size_t kMinTreeBytes = sizeof(double) + sizeof(uint64_t) + sizeof(Node);
   uint32_t num_trees = 0;
-  if (!read(&num_trees, sizeof(num_trees)) || num_trees > (1u << 20)) {
+  if (!read(&num_trees, sizeof(num_trees)) ||
+      num_trees > static_cast<std::size_t>(end - p) / kMinTreeBytes) {
     return Status::Corruption("dtree: bad tree count");
   }
   model->trees_.resize(num_trees);
   for (auto& tree : model->trees_) {
     uint64_t num_nodes = 0;
     if (!read(&tree.alpha, sizeof(tree.alpha)) || !read(&num_nodes, sizeof(num_nodes)) ||
-        num_nodes == 0 || num_nodes > (1ull << 32)) {
+        num_nodes == 0 || num_nodes > static_cast<uint64_t>(end - p) / sizeof(Node)) {
       return Status::Corruption("dtree: bad tree header");
     }
     tree.nodes.resize(static_cast<std::size_t>(num_nodes));
-    if (!read(tree.nodes.data(), tree.nodes.size() * sizeof(Node))) {
-      return Status::Corruption("dtree: truncated nodes");
-    }
-    for (const Node& node : tree.nodes) {
-      if (node.feature >= 0 &&
-          (node.left < 0 || node.right < 0 ||
-           static_cast<uint64_t>(node.left) >= num_nodes ||
-           static_cast<uint64_t>(node.right) >= num_nodes)) {
-        return Status::Corruption("dtree: child index out of range");
+    read(tree.nodes.data(), tree.nodes.size() * sizeof(Node));  // Fits: checked above.
+    const int64_t size = static_cast<int64_t>(num_nodes);
+    for (int64_t i = 0; i < size; ++i) {
+      const Node& node = tree.nodes[static_cast<std::size_t>(i)];
+      if (node.feature == -1) continue;  // Leaf.
+      if (node.feature < 0 || node.feature >= model->num_features_) {
+        return Status::Corruption("dtree: split feature out of range");
+      }
+      if (node.left <= i || node.right <= i || node.left >= size || node.right >= size) {
+        return Status::Corruption("dtree: child out of range");
       }
     }
   }

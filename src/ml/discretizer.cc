@@ -4,21 +4,23 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/thread_pool.h"
+
 namespace titant::ml {
 
-StatusOr<Discretizer> Discretizer::Fit(const DataMatrix& data, int max_bins) {
+StatusOr<Discretizer> Discretizer::Fit(const DataMatrix& data, int max_bins, ThreadPool* pool) {
   if (max_bins < 2) return Status::InvalidArgument("max_bins must be >= 2");
   if (data.num_rows() == 0) return Status::InvalidArgument("cannot fit on empty data");
 
   Discretizer disc;
   disc.boundaries_.resize(static_cast<std::size_t>(data.num_cols()));
 
-  std::vector<float> column(data.num_rows());
-  for (int f = 0; f < data.num_cols(); ++f) {
-    for (std::size_t r = 0; r < data.num_rows(); ++r) column[r] = data.At(r, f);
+  auto fit_feature = [&](std::size_t f) {
+    std::vector<float> column(data.num_rows());
+    for (std::size_t r = 0; r < data.num_rows(); ++r) column[r] = data.At(r, static_cast<int>(f));
     std::sort(column.begin(), column.end());
 
-    auto& cuts = disc.boundaries_[static_cast<std::size_t>(f)];
+    auto& cuts = disc.boundaries_[f];
     const std::size_t n = column.size();
     for (int b = 1; b < max_bins; ++b) {
       const std::size_t idx = n * static_cast<std::size_t>(b) / static_cast<std::size_t>(max_bins);
@@ -28,6 +30,11 @@ StatusOr<Discretizer> Discretizer::Fit(const DataMatrix& data, int max_bins) {
     }
     // A cut equal to the global minimum creates an empty first bin; drop it.
     if (!cuts.empty() && cuts.front() <= column.front()) cuts.erase(cuts.begin());
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(disc.boundaries_.size(), fit_feature);
+  } else {
+    for (std::size_t f = 0; f < disc.boundaries_.size(); ++f) fit_feature(f);
   }
   disc.RebuildOffsets();
   return disc;
@@ -55,6 +62,25 @@ std::vector<uint16_t> Discretizer::Transform(const DataMatrix& data) const {
   std::vector<uint16_t> out(data.num_rows() * static_cast<std::size_t>(num_features()));
   for (std::size_t r = 0; r < data.num_rows(); ++r) {
     TransformRow(data.Row(r), out.data() + r * static_cast<std::size_t>(num_features()));
+  }
+  return out;
+}
+
+std::vector<uint16_t> Discretizer::TransformColumns(const DataMatrix& data,
+                                                    ThreadPool* pool) const {
+  const std::size_t rows = data.num_rows();
+  std::vector<uint16_t> out(rows * static_cast<std::size_t>(num_features()));
+  auto transform_column = [&](std::size_t f) {
+    const int feature = static_cast<int>(f);
+    uint16_t* column = out.data() + f * rows;
+    for (std::size_t r = 0; r < rows; ++r) {
+      column[r] = static_cast<uint16_t>(BinOf(feature, data.At(r, feature)));
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(static_cast<std::size_t>(num_features()), transform_column);
+  } else {
+    for (std::size_t f = 0; f < static_cast<std::size_t>(num_features()); ++f) transform_column(f);
   }
   return out;
 }

@@ -8,6 +8,10 @@
 #include "common/statusor.h"
 #include "ml/dataset.h"
 
+namespace titant {
+class ThreadPool;
+}  // namespace titant
+
 namespace titant::ml {
 
 /// Equal-frequency (quantile) discretizer: fits per-feature bin boundaries
@@ -17,8 +21,11 @@ namespace titant::ml {
 class Discretizer {
  public:
   /// Fits boundaries with up to `max_bins` bins per feature (>= 2).
-  /// Features with fewer distinct values get fewer bins.
-  static StatusOr<Discretizer> Fit(const DataMatrix& data, int max_bins);
+  /// Features with fewer distinct values get fewer bins. With a `pool`,
+  /// features are fitted in parallel, one task each; the cuts do not
+  /// depend on it.
+  static StatusOr<Discretizer> Fit(const DataMatrix& data, int max_bins,
+                                   ThreadPool* pool = nullptr);
 
   /// Number of bins actually used for feature `f` (>= 1).
   int NumBins(int feature) const {
@@ -43,6 +50,11 @@ class Discretizer {
 
   /// Transforms a whole matrix into a row-major bin-index matrix.
   std::vector<uint16_t> Transform(const DataMatrix& data) const;
+
+  /// Transforms a whole matrix into a column-major bin-index matrix:
+  /// feature f's bins of every row at [f * num_rows, (f + 1) * num_rows).
+  /// With a `pool`, one feature per task.
+  std::vector<uint16_t> TransformColumns(const DataMatrix& data, ThreadPool* pool = nullptr) const;
 
   /// Total one-hot width: sum over features of NumBins.
   std::size_t OneHotWidth() const;

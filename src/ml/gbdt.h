@@ -26,10 +26,13 @@ struct GbdtOptions {
   int max_bins = 64;            // Histogram pre-binning resolution.
   int min_child_samples = 8;
   uint64_t seed = 31;
-  /// Workers for the per-node histogram build (the training hot loop).
-  /// Each sampled feature's histogram is an independent task; candidate
-  /// splits are then reduced sequentially in feature order, so the
-  /// trained model is identical for every thread count.
+  /// Threads of the fit, the calling one included (DESIGN.md §18). Each
+  /// level of a tree is one parallel pass in which a thread fills, scans
+  /// and partitions the histograms of its own group of sampled features;
+  /// the discretizer fit, the binning and the score update run on the
+  /// same threads. Every histogram adds its rows in the order the tree
+  /// drew them and splits are chosen in feature order, so the trained
+  /// model is byte-for-byte the same for every thread count.
   int num_threads = 1;
 };
 

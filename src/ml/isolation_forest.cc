@@ -155,16 +155,22 @@ StatusOr<std::unique_ptr<IsolationForestModel>> IsolationForestModel::FromPayloa
   const char* p = payload.data();
   const char* end = payload.data() + payload.size();
   auto read = [&](void* dst, std::size_t n) -> bool {
-    if (p + n > end) return false;
+    if (n > static_cast<std::size_t>(end - p)) return false;
     std::memcpy(dst, p, n);
     p += n;
     return true;
   };
+  // A model file may come off the wire (DESIGN.md §16): counts are checked
+  // against the bytes left before anything is sized by them, and every
+  // node a walk reaches must test a real feature and lead to a later node
+  // of its tree. A tree takes at least its node count and one node.
+  constexpr std::size_t kMinTreeBytes = sizeof(uint64_t) + sizeof(Node);
   int32_t header[4];
   double normalizer = 1.0;
   uint32_t num_trees = 0;
   if (!read(header, sizeof(header)) || !read(&normalizer, sizeof(normalizer)) ||
-      !read(&num_trees, sizeof(num_trees)) || num_trees > (1u << 20)) {
+      !read(&num_trees, sizeof(num_trees)) ||
+      num_trees > static_cast<std::size_t>(end - p) / kMinTreeBytes) {
     return Status::Corruption("iforest: truncated header");
   }
   IsolationForestOptions o;
@@ -177,17 +183,20 @@ StatusOr<std::unique_ptr<IsolationForestModel>> IsolationForestModel::FromPayloa
   model->trees_.resize(num_trees);
   for (auto& tree : model->trees_) {
     uint64_t num_nodes = 0;
-    if (!read(&num_nodes, sizeof(num_nodes)) || num_nodes == 0 || num_nodes > (1ull << 32)) {
+    if (!read(&num_nodes, sizeof(num_nodes)) || num_nodes == 0 ||
+        num_nodes > static_cast<uint64_t>(end - p) / sizeof(Node)) {
       return Status::Corruption("iforest: bad node count");
     }
     tree.nodes.resize(static_cast<std::size_t>(num_nodes));
-    if (!read(tree.nodes.data(), tree.nodes.size() * sizeof(Node))) {
-      return Status::Corruption("iforest: truncated nodes");
-    }
-    for (const Node& node : tree.nodes) {
-      if (node.feature >= 0 &&
-          (node.left < 0 || node.right < 0 || static_cast<uint64_t>(node.left) >= num_nodes ||
-           static_cast<uint64_t>(node.right) >= num_nodes)) {
+    read(tree.nodes.data(), tree.nodes.size() * sizeof(Node));  // Fits: checked above.
+    const int64_t size = static_cast<int64_t>(num_nodes);
+    for (int64_t i = 0; i < size; ++i) {
+      const Node& node = tree.nodes[static_cast<std::size_t>(i)];
+      if (node.feature == -1) continue;  // Leaf.
+      if (node.feature < 0 || node.feature >= model->num_features_) {
+        return Status::Corruption("iforest: split feature out of range");
+      }
+      if (node.left <= i || node.right <= i || node.left >= size || node.right >= size) {
         return Status::Corruption("iforest: child out of range");
       }
     }

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/alias_table.h"
 #include "common/arena.h"
@@ -374,6 +376,61 @@ TEST_P(AliasTableParamTest, MatchesWeightDistribution) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AliasTableParamTest, ::testing::Values(1, 2, 7, 64, 501));
 
+/// Rng::Uniform as it was before it skipped the threshold division: the
+/// threshold 2^64 mod n, computed on every call.
+uint64_t ReferenceUniform(Rng& rng, uint64_t n) {
+  const uint64_t threshold = -n % n;
+  for (;;) {
+    const uint64_t r = rng.NextU64();
+    if (r >= threshold) return r % n;
+  }
+}
+
+TEST(RngTest, UniformDrawsLikeTheRejectionReference) {
+  // Large n reject often (2^63 + 1 rejects almost half of all draws).
+  for (const uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{13492},
+                           (uint64_t{1} << 32) + 1, (uint64_t{1} << 63) + 1,
+                           uint64_t{3} << 62, ~uint64_t{0}}) {
+    Rng a(n), b(n);
+    for (int i = 0; i < 2000; ++i) ASSERT_EQ(a.Uniform(n), ReferenceUniform(b, n)) << n;
+    EXPECT_EQ(a.NextU64(), b.NextU64()) << n;
+  }
+}
+
+TEST(FixedModulusTest, MatchesTheRemainder) {
+  const uint64_t max = ~uint64_t{0};
+  Rng rng(29);
+  for (const uint64_t n :
+       {uint64_t{1}, uint64_t{2}, uint64_t{3}, uint64_t{7}, uint64_t{2000}, uint64_t{65537},
+        (uint64_t{1} << 31) - 1, uint64_t{1} << 31, (uint64_t{1} << 32) - 1, uint64_t{1} << 32,
+        rng.Uniform(uint64_t{1} << 32) + 1}) {
+    const FixedModulus mod(n);
+    std::vector<uint64_t> xs = {0, 1, n - 1, n, max, max - 1, max / n * n, max / n * n - 1};
+    for (const uint64_t k : {uint64_t{2}, uint64_t{3}, uint64_t{1} << 20, max / n}) {
+      if (k <= max / n) xs.push_back(k * n);
+    }
+    for (int i = 0; i < 1000; ++i) xs.push_back(rng.NextU64());
+    for (const uint64_t x : xs) ASSERT_EQ(mod.Of(x), x % n) << x << " % " << n;
+  }
+}
+
+TEST(AliasTableTest, SampleDrawsExactlyUniformThenNextDouble) {
+  // With equal weights every cell keeps itself (probability 1), so Sample
+  // returns the cell Uniform(size()) draws, after the same draws.
+  for (const std::size_t size : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                 std::size_t{2000}, std::size_t{65537}}) {
+    const AliasTable table(std::vector<double>(size, 1.0));
+    ASSERT_EQ(table.size(), size);
+    Rng a(size), b(size);
+    for (int i = 0; i < 5000; ++i) {
+      const std::size_t want = static_cast<std::size_t>(b.Uniform(size));
+      b.NextDouble();
+      ASSERT_EQ(table.Sample(a), want) << size;
+    }
+    EXPECT_EQ(a.NextU64(), b.NextU64()) << size;
+  }
+}
+
 TEST(AliasTableTest, RejectsInvalidWeights) {
   AliasTable table;
   EXPECT_FALSE(table.Build({}));
@@ -501,6 +558,26 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   std::vector<std::atomic<int>> hits(57);
   pool.ParallelFor(57, [&hits](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForRunsTheFirstBlockOnTheCaller) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(9);
+  std::atomic<int> running{0};
+  std::atomic<int> most{0};
+  pool.ParallelFor(ran.size(), [&](std::size_t i) {
+    const int now = running.fetch_add(1) + 1;
+    int seen = most.load();
+    while (now > seen && !most.compare_exchange_weak(seen, now)) {
+    }
+    ran[i] = std::this_thread::get_id();
+    running.fetch_sub(1);
+  });
+  // Three blocks of three: the first on this thread, the others not.
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(ran[i], caller) << i;
+  for (std::size_t i = 3; i < ran.size(); ++i) EXPECT_NE(ran[i], caller) << i;
+  EXPECT_LE(most.load(), 3);
 }
 
 TEST(ThreadPoolTest, DrainsOnDestruction) {

@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -563,6 +565,206 @@ struct ReferenceGbdt {
   double Score(const float* row) const { return std::clamp(Sum(row), 0.0, 1.0); }
 };
 
+/// The depth-first trainer the level-wise one replaced, kept as an
+/// independent reference: its loop as it was, serial, with the test's own
+/// node struct. It rescans each node's rows in the strided bin matrix
+/// once per sampled feature, numbers children as it splits them (the
+/// right subtree popped first), and updates the scores by walking the
+/// bins. Returns the payload GbdtModel::SerializePayload writes.
+std::string ReferenceTrainPayload(const DataMatrix& train, const GbdtOptions& options) {
+  using Node = ReferenceGbdt::Node;
+  const int num_features = train.num_cols();
+  const std::size_t n = train.num_rows();
+  const auto& labels = train.labels();
+
+  const auto discretizer = Discretizer::Fit(train, options.max_bins);
+  EXPECT_TRUE(discretizer.ok());
+  const std::vector<uint16_t> bins = discretizer->Transform(train);
+
+  const double base_score = train.PositiveRate();
+  std::vector<double> score(n, base_score);
+  std::vector<double> residual(n);
+
+  Rng rng(options.seed);
+  std::vector<std::size_t> all_rows(n);
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  std::vector<int> all_features(static_cast<std::size_t>(num_features));
+  std::iota(all_features.begin(), all_features.end(), 0);
+
+  const std::size_t sample_rows =
+      std::max<std::size_t>(2, static_cast<std::size_t>(options.row_subsample *
+                                                        static_cast<double>(n)));
+  const std::size_t sample_features = std::max<std::size_t>(
+      1, static_cast<std::size_t>(options.feature_subsample * num_features));
+
+  struct Partition {
+    std::size_t node_idx;
+    std::vector<std::size_t> rows;
+    int depth;
+  };
+  struct SplitCand {
+    double gain = 1e-10;
+    int bin = -1;
+  };
+
+  std::vector<std::vector<Node>> trees;
+  for (int t = 0; t < options.num_trees; ++t) {
+    for (std::size_t i = 0; i < n; ++i) residual[i] = (labels[i] ? 1.0 : 0.0) - score[i];
+
+    rng.Shuffle(all_rows);
+    std::vector<std::size_t> rows(all_rows.begin(),
+                                  all_rows.begin() + static_cast<std::ptrdiff_t>(sample_rows));
+    rng.Shuffle(all_features);
+    std::vector<int> features(all_features.begin(),
+                              all_features.begin() +
+                                  static_cast<std::ptrdiff_t>(sample_features));
+
+    std::vector<Node> tree;
+    tree.push_back({-1, 0, -1, -1, 0.0f});
+    std::vector<Partition> stack;
+    stack.push_back({0, std::move(rows), 0});
+
+    while (!stack.empty()) {
+      Partition part = std::move(stack.back());
+      stack.pop_back();
+
+      double sum = 0.0;
+      for (std::size_t r : part.rows) sum += residual[r];
+      const double count = static_cast<double>(part.rows.size());
+
+      auto make_leaf = [&] {
+        tree[part.node_idx].feature = -1;
+        tree[part.node_idx].value =
+            static_cast<float>(options.learning_rate * sum / std::max(1.0, count));
+      };
+
+      if (part.depth >= options.max_depth ||
+          part.rows.size() < 2 * static_cast<std::size_t>(options.min_child_samples)) {
+        make_leaf();
+        continue;
+      }
+
+      const double parent_gain = sum * sum / count;
+      auto scan_feature = [&](int f, std::vector<double>& hist_sum,
+                              std::vector<uint32_t>& hist_cnt) -> SplitCand {
+        SplitCand cand;
+        const int nb = discretizer->NumBins(f);
+        if (nb < 2) return cand;
+        hist_sum.assign(static_cast<std::size_t>(nb), 0.0);
+        hist_cnt.assign(static_cast<std::size_t>(nb), 0);
+        for (std::size_t r : part.rows) {
+          const uint16_t b =
+              bins[r * static_cast<std::size_t>(num_features) + static_cast<std::size_t>(f)];
+          hist_sum[b] += residual[r];
+          ++hist_cnt[b];
+        }
+        double left_sum = 0.0;
+        uint32_t left_cnt = 0;
+        for (int b = 0; b + 1 < nb; ++b) {
+          left_sum += hist_sum[b];
+          left_cnt += hist_cnt[b];
+          const uint32_t right_cnt = static_cast<uint32_t>(part.rows.size()) - left_cnt;
+          if (left_cnt < static_cast<uint32_t>(options.min_child_samples) ||
+              right_cnt < static_cast<uint32_t>(options.min_child_samples)) {
+            continue;
+          }
+          const double right_sum = sum - left_sum;
+          const double gain = left_sum * left_sum / left_cnt +
+                              right_sum * right_sum / right_cnt - parent_gain;
+          if (gain > cand.gain) {
+            cand.gain = gain;
+            cand.bin = b;
+          }
+        }
+        return cand;
+      };
+
+      std::vector<SplitCand> cands(features.size());
+      std::vector<double> hist_sum;
+      std::vector<uint32_t> hist_cnt;
+      for (std::size_t j = 0; j < features.size(); ++j) {
+        cands[j] = scan_feature(features[j], hist_sum, hist_cnt);
+      }
+      double best_gain = 1e-10;
+      int best_feature = -1;
+      int best_bin = -1;
+      for (std::size_t j = 0; j < features.size(); ++j) {
+        if (cands[j].bin >= 0 && cands[j].gain > best_gain) {
+          best_gain = cands[j].gain;
+          best_feature = features[j];
+          best_bin = cands[j].bin;
+        }
+      }
+      if (best_feature < 0) {
+        make_leaf();
+        continue;
+      }
+
+      std::vector<std::size_t> left_rows, right_rows;
+      for (std::size_t r : part.rows) {
+        const uint16_t b = bins[r * static_cast<std::size_t>(num_features) +
+                                static_cast<std::size_t>(best_feature)];
+        (b <= static_cast<uint16_t>(best_bin) ? left_rows : right_rows).push_back(r);
+      }
+
+      tree[part.node_idx].feature = best_feature;
+      tree[part.node_idx].bin_threshold = best_bin;
+      const int32_t left_idx = static_cast<int32_t>(tree.size());
+      tree.push_back({-1, 0, -1, -1, 0.0f});
+      const int32_t right_idx = static_cast<int32_t>(tree.size());
+      tree.push_back({-1, 0, -1, -1, 0.0f});
+      tree[part.node_idx].left = left_idx;
+      tree[part.node_idx].right = right_idx;
+      stack.push_back({static_cast<std::size_t>(left_idx), std::move(left_rows), part.depth + 1});
+      stack.push_back(
+          {static_cast<std::size_t>(right_idx), std::move(right_rows), part.depth + 1});
+    }
+
+    // Every row's score, through the bins.
+    for (std::size_t i = 0; i < n; ++i) {
+      const uint16_t* row_bins = bins.data() + i * static_cast<std::size_t>(num_features);
+      const Node* node = &tree[0];
+      while (node->feature >= 0) {
+        node = &tree[static_cast<std::size_t>(
+            row_bins[node->feature] <= static_cast<uint16_t>(node->bin_threshold) ? node->left
+                                                                                 : node->right)];
+      }
+      score[i] += node->value;
+    }
+    trees.push_back(std::move(tree));
+  }
+
+  double se = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = (labels[i] ? 1.0 : 0.0) - score[i];
+    se += d * d;
+  }
+  const double final_train_rmse = std::sqrt(se / static_cast<double>(n));
+
+  std::string blob;
+  auto put = [&](const void* p, std::size_t size) {
+    blob.append(static_cast<const char*>(p), size);
+  };
+  const int32_t header[] = {options.num_trees, options.max_depth, options.max_bins,
+                            options.min_child_samples, num_features};
+  put(header, sizeof(header));
+  const double doubles[] = {options.learning_rate, options.row_subsample,
+                            options.feature_subsample, base_score, final_train_rmse};
+  put(doubles, sizeof(doubles));
+  const std::string disc = discretizer->Serialize();
+  const uint64_t disc_len = disc.size();
+  put(&disc_len, sizeof(disc_len));
+  blob += disc;
+  const uint32_t num_trees = static_cast<uint32_t>(trees.size());
+  put(&num_trees, sizeof(num_trees));
+  for (const auto& tree : trees) {
+    const uint64_t num_nodes = tree.size();
+    put(&num_nodes, sizeof(num_nodes));
+    put(tree.data(), tree.size() * sizeof(Node));
+  }
+  return blob;
+}
+
 /// Row-major probe rows that give every feature each value a raw-value
 /// comparison could get wrong: NaN, ±inf, ±0, every cut and both of its
 /// float neighbours, values beyond the outer cuts, and huge magnitudes.
@@ -676,6 +878,77 @@ TEST(GbdtScoringTest, BitExactWithBinWalkingReference) {
       }
     }
   }
+}
+
+/// Eight features that stress the trainer: uniform, NaN-laced, small
+/// integers (many ties), ±inf-laced, constant, binary, heavy-tailed, and a
+/// copy of the first. The copy's split gains equal its twin's bit for bit
+/// only while both histograms add the same rows in the same order; the
+/// twin that comes first in the tree's feature order wins the tie.
+DataMatrix MakeHostileTask(std::size_t rows, uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(seed);
+  DataMatrix data(rows, 8);
+  auto& labels = data.mutable_labels();
+  labels.resize(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    data.Set(r, 0, static_cast<float>(rng.NextDouble()));
+    data.Set(r, 1, rng.Bernoulli(0.1) ? std::numeric_limits<float>::quiet_NaN()
+                                      : static_cast<float>(rng.Gaussian(0, 10)));
+    data.Set(r, 2, static_cast<float>(rng.Uniform(5)));
+    const double u = rng.NextDouble();
+    data.Set(r, 3, u < 0.05 ? inf : u < 0.1 ? -inf : static_cast<float>(u));
+    data.Set(r, 4, 2.5f);
+    data.Set(r, 5, static_cast<float>(rng.Uniform(2)));
+    data.Set(r, 6, static_cast<float>(std::exp(rng.Gaussian(0, 3))));
+    data.Set(r, 7, data.At(r, 0));
+    bool y = (data.At(r, 0) > 0.6f && data.At(r, 2) < 2.0f) || data.At(r, 3) > 0.9f ||
+             data.At(r, 6) > 50.0f;
+    if (rng.Bernoulli(0.1)) y = !y;
+    labels[r] = y ? 1 : 0;
+  }
+  return data;
+}
+
+TEST(GbdtTrainingTest, EveryThreadCountWritesTheDepthFirstReferencePayload) {
+  // 4 rows (the minimum), 37 (every node smaller than 2 * 100), and 3,000.
+  // Feature subsampling 0.4 samples 3 of the 8 features, fewer than most
+  // thread counts here.
+  int cases = 0;
+  for (const std::size_t rows : {std::size_t{4}, std::size_t{37}, std::size_t{3000}}) {
+    const DataMatrix train = MakeHostileTask(rows, 90 + rows);
+    for (const int depth : {1, 3, 6}) {
+      for (const int max_bins : {2, 16, 64, 255}) {
+        for (const int min_child : {1, 8, 100}) {
+          for (const double subsample : {0.4, 1.0}) {
+            GbdtOptions o;
+            o.num_trees = 6;
+            o.max_depth = depth;
+            o.max_bins = max_bins;
+            o.min_child_samples = min_child;
+            o.row_subsample = subsample;
+            o.feature_subsample = subsample;
+            o.seed = 91 + static_cast<uint64_t>(cases);
+            const std::string want = ReferenceTrainPayload(train, o);
+            const std::string what = std::to_string(rows) + " rows, depth " +
+                                     std::to_string(depth) + ", bins " +
+                                     std::to_string(max_bins) + ", min_child " +
+                                     std::to_string(min_child) + ", subsample " +
+                                     std::to_string(subsample);
+            for (const int threads : {1, 2, 3, 4, 8}) {
+              o.num_threads = threads;
+              GbdtModel model(o);
+              ASSERT_TRUE(model.Train(train).ok()) << what;
+              EXPECT_TRUE(model.SerializePayload() == want) << what << ", " << threads
+                                                            << " threads";
+            }
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 216);
 }
 
 TEST(GbdtScoringTest, DistributedTrainerModelIsBitExact) {
@@ -837,6 +1110,194 @@ TEST(GbdtHostileBlobTest, BitFlippedBlobsFailToLoadOrScoreLikeTheReference) {
   }
   EXPECT_GT(loaded, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile ID3 / C5.0 / Isolation Forest model files
+// ---------------------------------------------------------------------------
+
+/// Byte offset of the first tree's root node in a decision-tree payload:
+/// six int32 options, a double, a float, the discretizer's length and
+/// bytes, the tree count, then the first tree's alpha and node count.
+std::size_t DtreeRootOffset(const std::string& payload) {
+  std::size_t at = 6 * sizeof(int32_t) + sizeof(double) + sizeof(float);
+  uint64_t disc_len = 0;
+  std::memcpy(&disc_len, payload.data() + at, sizeof(disc_len));
+  return at + sizeof(disc_len) + disc_len + sizeof(uint32_t) + sizeof(double) + sizeof(uint64_t);
+}
+
+/// The same for an Isolation Forest payload: four int32s, the normalizer,
+/// the tree count and the first tree's node count.
+constexpr std::size_t kIforestRootOffset =
+    4 * sizeof(int32_t) + sizeof(double) + sizeof(uint32_t) + sizeof(uint64_t);
+
+/// Both tree node layouts start with int32 feature, a 4-byte test, int32
+/// left and int32 right.
+void PatchNode(std::string* payload, std::size_t at, int32_t feature, int32_t left,
+               int32_t right) {
+  std::memcpy(payload->data() + at, &feature, sizeof(feature));
+  std::memcpy(payload->data() + at + 8, &left, sizeof(left));
+  std::memcpy(payload->data() + at + 12, &right, sizeof(right));
+}
+
+int32_t NodeFeature(const std::string& payload, std::size_t at) {
+  int32_t feature = 0;
+  std::memcpy(&feature, payload.data() + at, sizeof(feature));
+  return feature;
+}
+
+std::unique_ptr<Model> TrainedTreeModel(const std::string& kind, uint64_t seed) {
+  std::unique_ptr<Model> model;
+  if (kind == "id3") model = MakeId3();
+  if (kind == "c50") model = MakeC50(12, 3);
+  if (kind == "iforest") {
+    IsolationForestOptions o;
+    o.num_trees = 6;
+    o.subsample_size = 64;
+    model = std::make_unique<IsolationForestModel>(o);
+  }
+  EXPECT_TRUE(model->Train(MakeTask(300, seed)).ok()) << kind;
+  return model;
+}
+
+StatusOr<std::unique_ptr<Model>> LoadPayload(const std::string& kind, const std::string& payload) {
+  if (kind == "iforest") {
+    TITANT_ASSIGN_OR_RETURN(auto model, IsolationForestModel::FromPayload(payload));
+    return std::unique_ptr<Model>(std::move(model));
+  }
+  TITANT_ASSIGN_OR_RETURN(auto model, DecisionTreeModel::FromPayload(payload));
+  return std::unique_ptr<Model>(std::move(model));
+}
+
+/// Scores rows of hostile values (NaN, ±inf, ±0, huge, in-range) through
+/// Score, ScoreBatch and, for decision trees, DumpRules. A model that
+/// loaded must answer all of them, without a hang or a sanitizer report.
+void ScoreHostileRows(const Model& model) {
+  ASSERT_GE(model.num_features(), 0);
+  const std::size_t width = static_cast<std::size_t>(model.num_features());
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> values = {std::numeric_limits<float>::quiet_NaN(), inf, -inf, 0.0f,
+                                     -0.0f, 0.3f, 0.61f, 0.95f, 1e30f, -1e30f};
+  std::vector<float> rows(values.size() * width);
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    for (std::size_t f = 0; f < width; ++f) {
+      rows[r * width + f] = values[(r + 3 * f) % values.size()];
+    }
+  }
+  std::vector<double> out(values.size());
+  model.ScoreBatch(rows.data(), static_cast<int>(values.size()), out.data());
+  for (std::size_t r = 0; r < values.size(); ++r) {
+    const double score = model.Score(rows.data() + r * width);
+    EXPECT_TRUE(std::memcmp(&score, &out[r], sizeof(score)) == 0 || std::isnan(score));
+  }
+  if (const auto* tree = dynamic_cast<const DecisionTreeModel*>(&model)) {
+    tree->DumpRules(std::vector<std::string>(width, "x"), 0.0);
+  }
+}
+
+TEST(TreeModelHostileBlobTest, Id3RootThatIsItsOwnChildIsRejected) {
+  // It used to load, and Score never returned.
+  const auto model = TrainedTreeModel("id3", 87);
+  std::string blob = model->SerializePayload();
+  const std::size_t root = DtreeRootOffset(blob);
+  ASSERT_GE(NodeFeature(blob, root), 0);
+  PatchNode(&blob, root, NodeFeature(blob, root), 0, 0);
+  EXPECT_TRUE(DecisionTreeModel::FromPayload(blob).status().IsCorruption());
+}
+
+TEST(TreeModelHostileBlobTest, Id3HeaderNarrowerThanItsDiscretizerIsRejected) {
+  // A header of 2 features over the 5-feature discretizer used to load,
+  // and Score binned 5 features into 2 slots.
+  const auto model = TrainedTreeModel("id3", 88);
+  for (const int32_t width : {2, 6, -1}) {
+    std::string blob = model->SerializePayload();
+    std::memcpy(blob.data() + 5 * sizeof(int32_t), &width, sizeof(width));
+    EXPECT_TRUE(DecisionTreeModel::FromPayload(blob).status().IsCorruption()) << width;
+  }
+}
+
+TEST(TreeModelHostileBlobTest, SplitsAndChildrenOutOfRangeAreRejected) {
+  for (const std::string kind : {"id3", "iforest"}) {
+    const auto model = TrainedTreeModel(kind, 89);
+    const std::string blob = model->SerializePayload();
+    const std::size_t root = kind == "iforest" ? kIforestRootOffset : DtreeRootOffset(blob);
+    const int32_t feature = NodeFeature(blob, root);
+    ASSERT_GE(feature, 0) << kind;
+    int32_t left = 0, right = 0;
+    std::memcpy(&left, blob.data() + root + 8, sizeof(left));
+    std::memcpy(&right, blob.data() + root + 12, sizeof(right));
+    for (const auto& [f, l, r] : std::vector<std::tuple<int32_t, int32_t, int32_t>>{
+             {5, left, right},            // Past the 5 features.
+             {-2, left, right},           // Negative, and not the leaf mark.
+             {feature, 0, right},         // The root is its own child.
+             {feature, left, 1 << 20}}) {  // Past the tree's last node.
+      std::string bad = blob;
+      PatchNode(&bad, root, f, l, r);
+      EXPECT_TRUE(LoadPayload(kind, bad).status().IsCorruption())
+          << kind << " " << f << " " << l << " " << r;
+    }
+  }
+}
+
+TEST(TreeModelHostileBlobTest, CountsTheBlobCannotHoldAreRejected) {
+  for (const std::string kind : {"id3", "iforest"}) {
+    const auto model = TrainedTreeModel(kind, 90);
+    const std::string blob = model->SerializePayload();
+    const std::size_t root = kind == "iforest" ? kIforestRootOffset : DtreeRootOffset(blob);
+    const std::size_t trees_at = root - sizeof(uint64_t) -
+                                 (kind == "iforest" ? 0 : sizeof(double)) - sizeof(uint32_t);
+    for (const uint32_t trees : {1u << 20, ~0u}) {
+      std::string bad = blob;
+      std::memcpy(bad.data() + trees_at, &trees, sizeof(trees));
+      EXPECT_TRUE(LoadPayload(kind, bad).status().IsCorruption()) << kind << " " << trees;
+    }
+    for (const uint64_t nodes : {uint64_t{1} << 32, ~uint64_t{0}}) {
+      std::string bad = blob;
+      std::memcpy(bad.data() + root - sizeof(uint64_t), &nodes, sizeof(nodes));
+      EXPECT_TRUE(LoadPayload(kind, bad).status().IsCorruption()) << kind << " " << nodes;
+    }
+  }
+}
+
+TEST(TreeModelHostileBlobTest, EveryPrefixOfATrainedBlobFails) {
+  for (const std::string kind : {"id3", "c50", "iforest"}) {
+    const auto model = TrainedTreeModel(kind, 91);
+    const std::string blob = model->SerializePayload();
+    ASSERT_TRUE(LoadPayload(kind, blob).ok()) << kind;
+    for (std::size_t len = 0; len < blob.size(); ++len) {
+      EXPECT_FALSE(LoadPayload(kind, blob.substr(0, len)).ok()) << kind << " " << len;
+    }
+  }
+}
+
+TEST(TreeModelHostileBlobTest, BitFlippedBlobsFailToLoadOrScoreSafely) {
+  for (const std::string kind : {"id3", "c50", "iforest"}) {
+    const auto model = TrainedTreeModel(kind, 92);
+    const std::string blob = model->SerializePayload();
+    Rng rng(93);
+    int loaded = 0;
+    int rejected = 0;
+    for (int mutant = 0; mutant < 3000; ++mutant) {
+      std::string bad = blob;
+      const int flips = 1 + static_cast<int>(rng.Uniform(3));
+      for (int i = 0; i < flips; ++i) {
+        const uint64_t bit = rng.Uniform(bad.size() * 8);
+        bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+      }
+      const auto parsed = LoadPayload(kind, bad);
+      if (!parsed.ok()) {
+        ++rejected;
+        continue;
+      }
+      ++loaded;
+      // An Isolation Forest's width comes from its header alone; a width
+      // no serving layout has is never scored.
+      if ((*parsed)->num_features() < 0 || (*parsed)->num_features() > 4096) continue;
+      ScoreHostileRows(**parsed);
+    }
+    EXPECT_GT(loaded, 0) << kind;
+    EXPECT_GT(rejected, 0) << kind;
+  }
 }
 
 TEST(DecisionTreeTest, DumpRulesDescribesHighRiskLeaves) {
