@@ -138,7 +138,7 @@ BENCHMARK(BM_GatewayScoreOverLoopback)->Unit(benchmark::kMicrosecond);
 
 // The batched MS path at various batch sizes: per-ROW time, so the curve
 // shows how much of the single-request cost the batch amortizes (one
-// MultiGet round trip + one vectorized model call).
+// MultiGetView round trip + one vectorized model call).
 void BM_ModelServerScoreBatch(benchmark::State& state) {
   auto& fixture = ServingFixture::Get();
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
@@ -196,20 +196,27 @@ void BM_GbdtScoreBatchOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtScoreBatchOnly)->Arg(1)->Arg(8)->Arg(32)->Unit(benchmark::kMicrosecond);
 
-// Sorted multi-probe KV read: per-probe cost against the point-Get bar.
+// Sorted multi-probe KV read through MultiGetView with a reused pin, as
+// ScoreSpan issues it: per-probe cost against the point-Get bar.
 void BM_FeatureStoreMultiGet(benchmark::State& state) {
+  using titant::serving::kUserRowKeyLen;
   auto& fixture = ServingFixture::Get();
   const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  std::vector<char> keys(batch * kUserRowKeyLen);
+  std::vector<titant::kvstore::ColumnProbeView> probes(batch);
+  std::vector<titant::StatusOr<std::string_view>> values(
+      batch, titant::StatusOr<std::string_view>(std::string_view()));
+  titant::kvstore::ReadPin pin;
   uint32_t user = 0;
   for (auto _ : state) {
-    std::vector<titant::kvstore::ColumnProbe> probes;
-    probes.reserve(batch);
     for (std::size_t b = 0; b < batch; ++b) {
-      probes.push_back({titant::serving::UserRowKey(user++ % 1500),
-                        titant::serving::kFamilyBasic, titant::serving::kQualSnapshot});
+      probes[b] = {titant::serving::UserRowKeyTo(&keys[b * kUserRowKeyLen], user++ % 1500),
+                   titant::serving::kFamilyBasic, titant::serving::kQualSnapshot};
     }
-    const auto values = fixture.store->MultiGet(probes);
-    benchmark::DoNotOptimize(values.size());
+    pin.Reset();
+    fixture.store->MultiGetView(probes.data(), batch, &pin, values.data());
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch));
@@ -219,24 +226,32 @@ BENCHMARK(BM_FeatureStoreMultiGet)->Arg(4)->Arg(32)->Unit(benchmark::kMicrosecon
 // The exact probe mix ScoreSpan issues for a batch of 8: snapshot + aux +
 // city stats + transferee embedding per row.
 void BM_FeatureStoreMultiGetServingMix(benchmark::State& state) {
+  using titant::serving::kCityRowKeyLen;
+  using titant::serving::kUserRowKeyLen;
   auto& fixture = ServingFixture::Get();
+  char keys[8][2 * kUserRowKeyLen + kCityRowKeyLen];
+  titant::kvstore::ColumnProbeView probes[32];
+  std::vector<titant::StatusOr<std::string_view>> values(
+      32, titant::StatusOr<std::string_view>(std::string_view()));
+  titant::kvstore::ReadPin pin;
   std::size_t i = 0;
   for (auto _ : state) {
-    std::vector<titant::kvstore::ColumnProbe> probes;
-    probes.reserve(32);
     for (std::size_t b = 0; b < 8; ++b) {
       const auto& req = fixture.requests[i++ % fixture.requests.size()];
-      std::string row = titant::serving::UserRowKey(req.from_user);
-      probes.push_back({row, titant::serving::kFamilyBasic, titant::serving::kQualSnapshot});
-      probes.push_back({std::move(row), titant::serving::kFamilyBasic,
-                        titant::serving::kQualAux});
-      probes.push_back({titant::serving::CityRowKey(req.trans_city),
-                        titant::serving::kFamilyCity, titant::serving::kQualStats});
-      probes.push_back({titant::serving::UserRowKey(req.to_user),
-                        titant::serving::kFamilyEmbedding, titant::serving::kQualVector});
+      const std::string_view from = titant::serving::UserRowKeyTo(keys[b], req.from_user);
+      const std::string_view city =
+          titant::serving::CityRowKeyTo(keys[b] + kUserRowKeyLen, req.trans_city);
+      const std::string_view to = titant::serving::UserRowKeyTo(
+          keys[b] + kUserRowKeyLen + kCityRowKeyLen, req.to_user);
+      probes[4 * b] = {from, titant::serving::kFamilyBasic, titant::serving::kQualSnapshot};
+      probes[4 * b + 1] = {from, titant::serving::kFamilyBasic, titant::serving::kQualAux};
+      probes[4 * b + 2] = {city, titant::serving::kFamilyCity, titant::serving::kQualStats};
+      probes[4 * b + 3] = {to, titant::serving::kFamilyEmbedding, titant::serving::kQualVector};
     }
-    const auto values = fixture.store->MultiGet(probes);
-    benchmark::DoNotOptimize(values.size());
+    pin.Reset();
+    fixture.store->MultiGetView(probes, 32, &pin, values.data());
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 32);
 }

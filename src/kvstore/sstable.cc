@@ -133,36 +133,6 @@ Status SSTable::Write(const std::string& path, const std::vector<Cell>& cells,
   return Status::OK();
 }
 
-Status SSTable::WriteLegacyV1(const std::string& path, const std::vector<Cell>& cells) {
-  TITANT_RETURN_IF_ERROR(CheckSorted(cells));
-
-  std::string data;
-  std::string index;
-  std::vector<uint64_t> offsets;
-  BloomFilter bloom(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i % kIndexStride == 0) {
-      offsets.push_back(data.size());
-      index += EncodeKey(cells[i].key);
-    }
-    bloom.Add(BloomKeyOf(cells[i].key.row, cells[i].key.family, cells[i].key.qualifier));
-    data += EncodeCell(cells[i]);
-  }
-
-  std::string file = data;
-  file += index;
-  for (uint64_t off : offsets) AppendU64(&file, off);
-  file += bloom.payload();
-  AppendU64(&file, data.size());
-  AppendU64(&file, index.size());
-  AppendU64(&file, offsets.size());
-  AppendU64(&file, cells.size());
-  AppendU64(&file, bloom.payload().size());
-  AppendU32(&file, Crc32(data));
-  AppendU32(&file, kMagicV1);
-  return WriteFileAtomic(path, file, nullptr);
-}
-
 StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
@@ -173,57 +143,6 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
   }
   uint32_t magic = 0;
   std::memcpy(&magic, file.data() + file.size() - sizeof(uint32_t), sizeof(uint32_t));
-
-  SSTable table;
-  table.path_ = path;
-  table.table_id_ = BlockCache::NextTableId();
-
-  if (magic == kMagicV1) {
-    // Legacy footer: 5 u64 fields + crc + magic, no row bloom, sparse
-    // every-Nth-key index, whole data region resident.
-    const std::size_t footer_size = 5 * sizeof(uint64_t) + 2 * sizeof(uint32_t);
-    if (file.size() < footer_size) return Status::DataLoss("short SSTable footer: " + path);
-    const char* footer = file.data() + file.size() - footer_size;
-    uint64_t index_offset = 0, index_size = 0, num_index = 0, num_cells = 0, bloom_size = 0;
-    uint32_t crc = 0;
-    std::memcpy(&index_offset, footer, 8);
-    std::memcpy(&index_size, footer + 8, 8);
-    std::memcpy(&num_index, footer + 16, 8);
-    std::memcpy(&num_cells, footer + 24, 8);
-    std::memcpy(&bloom_size, footer + 32, 8);
-    std::memcpy(&crc, footer + 40, 4);
-    const uint64_t offsets_size = num_index * sizeof(uint64_t);
-    if (index_offset + index_size + offsets_size + bloom_size + footer_size != file.size()) {
-      return Status::DataLoss("bad SSTable geometry: " + path);
-    }
-
-    table.format_version_ = 1;
-    table.data_ = file.substr(0, index_offset);
-    table.data_size_ = index_offset;
-    if (Crc32(table.data_) != crc) {
-      return Status::DataLoss("SSTable data CRC mismatch: " + path);
-    }
-    table.num_cells_ = static_cast<std::size_t>(num_cells);
-
-    const std::string index_blob = file.substr(index_offset, index_size);
-    std::size_t pos = 0;
-    table.index_keys_.reserve(static_cast<std::size_t>(num_index));
-    for (uint64_t i = 0; i < num_index; ++i) {
-      Cell key_cell;
-      if (!DecodeCell(index_blob, &pos, &key_cell)) {
-        return Status::DataLoss("bad SSTable index: " + path);
-      }
-      table.index_keys_.push_back(std::move(key_cell.key));
-    }
-    table.index_offsets_.resize(static_cast<std::size_t>(num_index));
-    std::memcpy(table.index_offsets_.data(), file.data() + index_offset + index_size,
-                offsets_size);
-    table.bloom_ = BloomFilter::FromPayload(
-        file.substr(static_cast<std::size_t>(index_offset + index_size + offsets_size),
-                    static_cast<std::size_t>(bloom_size)));
-    return table;
-  }
-
   if (magic != kMagicV2) return Status::DataLoss("bad SSTable magic: " + path);
 
   const std::size_t footer_size = 6 * sizeof(uint64_t) + 3 * sizeof(uint32_t);
@@ -241,11 +160,18 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
   std::memcpy(&crc, footer + 48, 4);
   std::memcpy(&version, footer + 52, 4);
   if (version != 2) return Status::DataLoss("unsupported SSTable version: " + path);
+  // Bound every count by the bytes before the footer before multiplying
+  // or adding: a flipped high bit of num_blocks would otherwise wrap the
+  // sum below back to the file size (12 * 2^62 == 0 mod 2^64) and size
+  // the index reservation from the bogus count.
+  const uint64_t body = file.size() - footer_size;
+  if (data_size > body || index_size > body || bloom_size > body || row_bloom_size > body ||
+      num_blocks > body / (sizeof(uint64_t) + sizeof(uint32_t))) {
+    return Status::DataLoss("bad SSTable geometry: " + path);
+  }
   const uint64_t offsets_size = num_blocks * sizeof(uint64_t);
   const uint64_t crcs_size = num_blocks * sizeof(uint32_t);
-  if (data_size + index_size + offsets_size + crcs_size + bloom_size + row_bloom_size +
-          footer_size !=
-      file.size()) {
+  if (data_size + index_size + offsets_size + crcs_size + bloom_size + row_bloom_size != body) {
     return Status::DataLoss("bad SSTable geometry: " + path);
   }
 
@@ -255,7 +181,9 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
     return Status::DataLoss("SSTable data CRC mismatch: " + path);
   }
 
-  table.format_version_ = 2;
+  SSTable table;
+  table.path_ = path;
+  table.table_id_ = BlockCache::NextTableId();
   table.data_size_ = data_size;
   table.num_cells_ = static_cast<std::size_t>(num_cells);
   table.cache_ = cache;
@@ -272,6 +200,18 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
   }
   table.index_offsets_.resize(static_cast<std::size_t>(num_blocks));
   std::memcpy(table.index_offsets_.data(), file.data() + data_size + index_size, offsets_size);
+  // Blocks tile the data region from offset 0 in increasing order, so
+  // every block size the read paths derive from these is positive.
+  const std::vector<uint64_t>& offsets = table.index_offsets_;
+  for (std::size_t b = 0; b < offsets.size(); ++b) {
+    const bool ordered = b == 0 ? offsets[b] == 0 : offsets[b] > offsets[b - 1];
+    if (!ordered || offsets[b] >= data_size) {
+      return Status::DataLoss("bad SSTable block offsets: " + path);
+    }
+  }
+  if (offsets.empty() && data_size != 0) {
+    return Status::DataLoss("bad SSTable block offsets: " + path);
+  }
   table.block_crcs_.resize(static_cast<std::size_t>(num_blocks));
   std::memcpy(table.block_crcs_.data(), file.data() + data_size + index_size + offsets_size,
               crcs_size);
@@ -292,9 +232,7 @@ SSTable::SSTable(SSTable&& other) noexcept { *this = std::move(other); }
 SSTable& SSTable::operator=(SSTable&& other) noexcept {
   if (this == &other) return *this;
   if (fd_ >= 0) ::close(fd_);
-  format_version_ = other.format_version_;
   path_ = std::move(other.path_);
-  data_ = std::move(other.data_);
   fd_ = other.fd_;
   other.fd_ = -1;
   data_size_ = other.data_size_;
@@ -386,32 +324,12 @@ std::size_t SSTable::SeekBlock(std::string_view row, std::string_view family,
   return lo == 0 ? 0 : lo - 1;
 }
 
-bool SSTable::GetViewV1(std::string_view row, std::string_view family,
-                        std::string_view qualifier, uint64_t snapshot, CellViewRec* out) const {
-  if (index_keys_.empty()) return false;
-  const std::size_t block = SeekBlock(row, family, qualifier, snapshot);
-  std::size_t pos = static_cast<std::size_t>(index_offsets_[block]);
-  const std::string_view data(data_);
-  CellViewRec rec;
-  while (pos < data.size()) {
-    if (!DecodeCellView(data, &pos, &rec)) return false;
-    const int c = CompareRfq(rec.row, rec.family, rec.qualifier, row, family, qualifier);
-    if (c < 0) continue;                   // Still before the column.
-    if (c > 0) return false;               // Past it without a hit: absent.
-    if (rec.version > snapshot) continue;  // Too new for this snapshot.
-    *out = rec;                            // Newest version <= snapshot.
-    return true;
-  }
-  return false;
-}
-
 bool SSTable::GetView(std::string_view row, std::string_view family, std::string_view qualifier,
                       uint64_t snapshot, uint64_t row_hash, CellViewRec* out,
                       BlockCache::Block* pin, Status* io_status) const {
   if (!row_bloom_.MayContainHash(row_hash)) return false;
   if (!bloom_.MayContainColumn(row, family, qualifier)) return false;
   if (index_keys_.empty()) return false;
-  if (format_version_ == 1) return GetViewV1(row, family, qualifier, snapshot, out);
 
   // Scan forward from the candidate block. The target column usually
   // resolves within it; a column whose versions span a boundary continues
@@ -438,7 +356,6 @@ bool SSTable::GetView(std::string_view row, std::string_view family, std::string
 bool SSTable::Iterator::LoadBlock(std::size_t block) {
   block_ = block;
   pos_ = 0;
-  if (table_->format_version_ == 1) return true;  // One resident region.
   if (block >= table_->index_offsets_.size()) return false;
   buffer_.resize(table_->BlockSizeOf(block));
   const ssize_t got = ::pread(table_->fd_, buffer_.data(), buffer_.size(),
@@ -477,24 +394,18 @@ void SSTable::Iterator::Seek(const CellKey& start) {
   auto it = std::upper_bound(keys.begin(), keys.end(), start);
   const std::size_t entry =
       it == keys.begin() ? 0 : static_cast<std::size_t>(it - keys.begin()) - 1;
-  if (table_->format_version_ == 1) {
-    LoadAt(0, static_cast<std::size_t>(table_->index_offsets_[entry]));
-  } else {
-    LoadAt(entry, 0);
-  }
+  LoadAt(entry, 0);
   while (valid_ && current_.key < start) Next();
 }
 
 void SSTable::Iterator::Next() {
   valid_ = false;
   while (true) {
-    const std::string& data = table_->format_version_ == 1 ? table_->data_ : buffer_;
-    if (pos_ < data.size()) {
-      valid_ = DecodeCell(data, &pos_, &current_);
+    if (pos_ < buffer_.size()) {
+      valid_ = DecodeCell(buffer_, &pos_, &current_);
       return;
     }
-    if (table_->format_version_ == 1) return;  // Region exhausted.
-    if (!LoadBlock(block_ + 1)) return;        // Cross the block boundary.
+    if (!LoadBlock(block_ + 1)) return;  // Cross the block boundary.
   }
 }
 

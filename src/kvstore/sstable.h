@@ -28,11 +28,6 @@ class RateLimiter;  // maintenance.h — byte/sec throttle for background writes
 /// its block's checksum before the bytes are served or cached — bit rot
 /// after open surfaces as DataLoss on first touch, and cache hits skip the
 /// verification because cached blocks are pre-verified.
-///
-/// Format v1 (pre-block files) still opens: the versioned footer fallback
-/// detects the old magic, loads the whole data region into memory as
-/// before, and serves reads from it (no row bloom, no block reads). The
-/// next compaction rewrites such tables as v2.
 class SSTable {
  public:
   /// Writes `cells` (must already be sorted by CellKey and free of exact
@@ -43,15 +38,10 @@ class SSTable {
   static Status Write(const std::string& path, const std::vector<Cell>& cells,
                       RateLimiter* limiter = nullptr, uint64_t* bytes_written = nullptr);
 
-  /// Writes a format-v1 file (the pre-block layout). Compatibility
-  /// fixture writer: tests use it to synthesize stores written before the
-  /// bloom-footer change and prove they reopen and upgrade.
-  static Status WriteLegacyV1(const std::string& path, const std::vector<Cell>& cells);
-
-  /// Opens and validates an SSTable file of either format. Corrupt files
-  /// (short footer, bad magic, CRC mismatch, bad geometry) fail loudly
-  /// with a DataLoss status naming the path. `cache` (nullable) serves
-  /// this table's block reads; v1 tables ignore it.
+  /// Opens and validates an SSTable file. Corrupt files (short footer,
+  /// bad magic, CRC mismatch, bad geometry) fail loudly with a DataLoss
+  /// status naming the path. `cache` (nullable) serves this table's block
+  /// reads.
   static StatusOr<SSTable> Open(const std::string& path, BlockCache* cache = nullptr);
 
   SSTable(SSTable&& other) noexcept;
@@ -71,10 +61,10 @@ class SSTable {
   /// before the column filter or any block is touched. On a hit, fills
   /// `out` with views into the block backing the record and hands the
   /// block's strong cache reference back through `pin` — the views stay
-  /// valid exactly as long as the pin (or, for v1 tables, the table) is
-  /// alive. A cache hit performs no heap allocation; a cache miss reads
-  /// the block from disk. A failed disk read reports DataLoss through
-  /// `io_status` (when non-null) and returns false.
+  /// valid exactly as long as the pin is alive. A cache hit performs no
+  /// heap allocation; a cache miss reads the block from disk. A failed
+  /// disk read reports DataLoss through `io_status` (when non-null) and
+  /// returns false.
   bool GetView(std::string_view row, std::string_view family, std::string_view qualifier,
                uint64_t snapshot, uint64_t row_hash, CellViewRec* out, BlockCache::Block* pin,
                Status* io_status = nullptr) const;
@@ -99,10 +89,9 @@ class SSTable {
     bool LoadBlock(std::size_t block);
 
     const SSTable* table_;
-    std::size_t block_ = 0;  // Current block (always 0 for v1).
-    std::string buffer_;     // Owned block bytes (v2 only).
-    std::size_t pos_ = 0;    // Offset of the NEXT record in the block
-                             // (v1: in the whole data region).
+    std::size_t block_ = 0;  // Current block.
+    std::string buffer_;     // Owned bytes of the current block.
+    std::size_t pos_ = 0;    // Offset of the NEXT record in the block.
     Cell current_;
     bool valid_ = false;
     Status status_;
@@ -111,20 +100,17 @@ class SSTable {
   std::size_t num_cells() const { return num_cells_; }
   std::size_t num_blocks() const { return index_offsets_.size(); }
   const std::string& path() const { return path_; }
-  int format_version() const { return format_version_; }
   uint64_t table_id() const { return table_id_; }
 
  private:
   friend class Iterator;
 
-  static constexpr uint32_t kMagicV1 = 0x54535354;  // "TSST"
   static constexpr uint32_t kMagicV2 = 0x32545354;  // "TST2"
-  static constexpr std::size_t kIndexStride = 16;   // v1 sparse-index stride.
-  static constexpr std::size_t kBlockSize = 4096;   // v2 target block bytes.
+  static constexpr std::size_t kBlockSize = 4096;   // Target block bytes.
 
   SSTable() = default;
 
-  /// v2: returns a view of block `b`, cache-first, pinned by `pin`.
+  /// Returns a view of block `b`, cache-first, pinned by `pin`.
   bool ReadBlockView(std::size_t b, BlockCache::Block* pin, std::string_view* out,
                      Status* io_status) const;
   /// Size in bytes of block `b`.
@@ -133,21 +119,16 @@ class SSTable {
   std::size_t SeekBlock(std::string_view row, std::string_view family,
                         std::string_view qualifier, uint64_t snapshot) const;
 
-  bool GetViewV1(std::string_view row, std::string_view family, std::string_view qualifier,
-                 uint64_t snapshot, CellViewRec* out) const;
-
-  int format_version_ = 2;
   std::string path_;
-  std::string data_;  // v1 only: the whole cell-record region, resident.
-  int fd_ = -1;       // v2 only: open file for block pread.
+  int fd_ = -1;  // Open file for block pread.
   uint64_t data_size_ = 0;
   uint64_t table_id_ = 0;
   BlockCache* cache_ = nullptr;
-  std::vector<CellKey> index_keys_;      // v1: every Nth key; v2: block first keys.
+  std::vector<CellKey> index_keys_;      // First key of every block.
   std::vector<uint64_t> index_offsets_;  // Matching data-region offsets.
-  std::vector<uint32_t> block_crcs_;     // v2: per-block CRC32, checked per read.
+  std::vector<uint32_t> block_crcs_;     // Per-block CRC32, checked per read.
   BloomFilter bloom_ = BloomFilter::FromPayload("");      // Column coordinates.
-  BloomFilter row_bloom_ = BloomFilter::FromPayload("");  // v2: row keys.
+  BloomFilter row_bloom_ = BloomFilter::FromPayload("");  // Row keys.
   std::size_t num_cells_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <tuple>
 
 #include "common/failpoint.h"
@@ -39,7 +40,7 @@ Status WriteFileString(const std::string& path, const std::string& text) {
 }
 
 /// Collects "<id>.sst" files directly inside `dir`, sorted by id
-/// (oldest first). Subdirectories (the shard dirs) are skipped.
+/// (oldest first).
 StatusOr<std::vector<std::pair<uint64_t, std::string>>> ListSSTables(const std::string& dir) {
   std::vector<std::pair<uint64_t, std::string>> found;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -118,7 +119,7 @@ StatusOr<std::unique_ptr<AliHBase>> AliHBase::Open(StoreOptions options) {
     // open wins over the requested count forever after — a reopen with a
     // different count must not silently mis-route existing rows. The
     // manifest is written before any shard state so a crash at any later
-    // point (including mid-migration) reopens under the same count.
+    // point reopens under the same count.
     const std::string manifest = store->options_.dir + "/SHARDS";
     if (fs::exists(manifest)) {
       TITANT_ASSIGN_OR_RETURN(std::string text, ReadFileToString(manifest));
@@ -154,7 +155,6 @@ StatusOr<std::unique_ptr<AliHBase>> AliHBase::Open(StoreOptions options) {
     for (auto& shard : store->shards_) {
       TITANT_RETURN_IF_ERROR(store->OpenShardFiles(*shard));
     }
-    TITANT_RETURN_IF_ERROR(store->MigrateLegacyDir());
     if (store->options_.background_maintenance) {
       store->maintenance_ = std::make_unique<MaintenanceThread>(store.get());
       store->maintenance_->Start();
@@ -194,72 +194,6 @@ Status AliHBase::OpenShardFiles(Shard& shard) {
   }
   TITANT_ASSIGN_OR_RETURN(WriteAheadLog wal, WriteAheadLog::Open(wal_path));
   shard.wal.emplace(std::move(wal));
-  return Status::OK();
-}
-
-Status AliHBase::MigrateLegacyDir() {
-  // Pre-shard layouts kept one WAL and every SSTable at the directory
-  // root. Route each legacy cell to its shard — oldest SSTable first,
-  // then the WAL records in order, so the per-shard sequence numbers
-  // reproduce the legacy newest-wins resolution exactly — then delete
-  // the legacy files. A crash mid-migration re-runs harmlessly: the
-  // re-inserted cells carry the same key+version and resolve to the
-  // same winners.
-  TITANT_ASSIGN_OR_RETURN(auto legacy_ssts, ListSSTables(options_.dir));
-  const std::string legacy_wal = options_.dir + "/wal.log";
-  const bool has_wal = fs::exists(legacy_wal);
-  if (legacy_ssts.empty() && !has_wal) return Status::OK();
-
-  std::vector<std::vector<Cell>> routed(shards_.size());
-  auto route = [&](Cell cell) { routed[ShardOf(cell.key.row)].push_back(std::move(cell)); };
-  for (const auto& [id, path] : legacy_ssts) {
-    TITANT_ASSIGN_OR_RETURN(SSTable table, SSTable::Open(path));
-    SSTable::Iterator it(&table);
-    for (it.SeekToFirst(); it.Valid(); it.Next()) route(it.cell());
-  }
-  if (has_wal) {
-    TITANT_ASSIGN_OR_RETURN(std::vector<std::string> records,
-                            WriteAheadLog::ReadAll(legacy_wal));
-    for (const std::string& record : records) {
-      std::size_t offset = 0;
-      while (offset < record.size()) {
-        Cell cell;
-        if (!DecodeCell(record, &offset, &cell)) {
-          return Status::Corruption("corrupt WAL record in " + legacy_wal);
-        }
-        route(std::move(cell));
-      }
-    }
-  }
-
-  constexpr std::size_t kMigrateChunkCells = 1024;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (routed[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::unique_lock lock(shard.mu);
-    std::string record;
-    std::size_t in_record = 0;
-    for (const Cell& cell : routed[s]) {
-      record += EncodeCell(cell);
-      if (++in_record >= kMigrateChunkCells) {
-        TITANT_RETURN_IF_ERROR(shard.wal->Append(record));
-        record.clear();
-        in_record = 0;
-      }
-    }
-    if (!record.empty()) TITANT_RETURN_IF_ERROR(shard.wal->Append(record));
-    for (Cell& cell : routed[s]) {
-      shard.memtable->Insert(MemEntry{std::move(cell), shard.next_seq++});
-    }
-    if (shard.memtable->size() >= options_.memtable_flush_cells) {
-      TITANT_RETURN_IF_ERROR(FlushShardLocked(shard));
-    }
-  }
-
-  // Legacy files go away only after their cells are durable per shard.
-  std::error_code ec;
-  if (has_wal) fs::remove(legacy_wal, ec);
-  for (const auto& [id, path] : legacy_ssts) fs::remove(path, ec);
   return Status::OK();
 }
 
@@ -476,29 +410,6 @@ StatusOr<std::string> AliHBase::Get(const std::string& row, const std::string& f
   return std::string(rec.value);
 }
 
-std::vector<StatusOr<std::string>> AliHBase::MultiGet(const std::vector<ColumnProbe>& probes,
-                                                      uint64_t snapshot) const {
-  // Convenience wrapper over the view path: same admission, visit order,
-  // and per-probe semantics, with values copied out into owning strings.
-  std::vector<ColumnProbeView> views;
-  views.reserve(probes.size());
-  for (const ColumnProbe& p : probes) views.push_back({p.row, p.family, p.qualifier});
-  ReadPin pin;
-  std::vector<StatusOr<std::string_view>> raw(
-      probes.size(), StatusOr<std::string_view>(std::string_view()));
-  MultiGetView(views.data(), views.size(), &pin, raw.data(), snapshot);
-  std::vector<StatusOr<std::string>> results;
-  results.reserve(probes.size());
-  for (StatusOr<std::string_view>& r : raw) {
-    if (r.ok()) {
-      results.emplace_back(std::string(*r));
-    } else {
-      results.emplace_back(r.status());
-    }
-  }
-  return results;
-}
-
 void AliHBase::MultiGetView(const ColumnProbeView* probes, std::size_t n, ReadPin* pin,
                             StatusOr<std::string_view>* out, uint64_t snapshot) const {
   // Per-probe admission mirrors Get: the chaos hook and the family check
@@ -524,7 +435,7 @@ void AliHBase::MultiGetView(const ColumnProbeView* probes, std::size_t n, ReadPi
 
   // Group the surviving probes by shard, sorted by key within each group:
   // every shard's read lock is taken exactly once per batch, lookups sweep
-  // the memtable and SSTable sparse indexes forward instead of seeking
+  // the memtable and SSTable block indexes forward instead of seeking
   // randomly, and duplicate coordinates collapse into one lookup (the
   // bloom-filter and index probes are paid once per distinct column, not
   // per request). Equal keys always share a shard, so the dedup still
@@ -597,19 +508,6 @@ void AliHBase::MultiGetView(const ColumnProbeView* probes, std::size_t n, ReadPi
     }
     pos = end;
   }
-}
-
-StatusOr<std::map<std::string, std::string>> AliHBase::GetRow(const std::string& row,
-                                                              uint64_t snapshot) const {
-  // A row never spans shards, so this is a single-stripe scan.
-  const Shard& shard = *shards_[ShardOf(row)];
-  std::shared_lock lock(shard.mu);
-  std::map<std::string, std::string> out;
-  for (Cell& cell :
-       ScanShardLocked(shard, row, row + std::string(1, '\0'), snapshot, SIZE_MAX)) {
-    out[cell.key.family + ":" + cell.key.qualifier] = std::move(cell.value);
-  }
-  return out;
 }
 
 StatusOr<std::vector<Cell>> AliHBase::Scan(const std::string& start_row,
@@ -705,43 +603,6 @@ std::vector<Cell> AliHBase::ScanShardLocked(const Shard& shard, const std::strin
     if (out.size() >= limit) break;
   }
   return out;
-}
-
-std::vector<StatusOr<std::map<std::string, std::string>>> AliHBase::MultiGetRow(
-    const std::vector<std::string>& rows, uint64_t snapshot) const {
-  // Visit rows grouped by shard (a row never spans shards), sorted within
-  // each group, taking each shard's read lock once for its run.
-  std::vector<std::pair<std::size_t, std::size_t>> order(rows.size());  // (shard, index)
-  for (std::size_t i = 0; i < rows.size(); ++i) order[i] = {ShardOf(rows[i]), i};
-  std::sort(order.begin(), order.end(),
-            [&rows](const std::pair<std::size_t, std::size_t>& a,
-                    const std::pair<std::size_t, std::size_t>& b) {
-              if (a.first != b.first) return a.first < b.first;
-              return rows[a.second] < rows[b.second];
-            });
-
-  std::vector<StatusOr<std::map<std::string, std::string>>> results(
-      rows.size(), StatusOr<std::map<std::string, std::string>>(std::map<std::string, std::string>()));
-  std::size_t pos = 0;
-  while (pos < order.size()) {
-    const std::size_t cur = order[pos].first;
-    std::size_t end = pos + 1;
-    while (end < order.size() && order[end].first == cur) ++end;
-
-    const Shard& shard = *shards_[cur];
-    std::shared_lock lock(shard.mu);  // One acquisition per shard run.
-    for (std::size_t k = pos; k < end; ++k) {
-      const std::string& row = rows[order[k].second];
-      std::map<std::string, std::string> columns;
-      for (Cell& cell :
-           ScanShardLocked(shard, row, row + std::string(1, '\0'), snapshot, SIZE_MAX)) {
-        columns[cell.key.family + ":" + cell.key.qualifier] = std::move(cell.value);
-      }
-      results[order[k].second] = std::move(columns);
-    }
-    pos = end;
-  }
-  return results;
 }
 
 Status AliHBase::FlushShardLocked(Shard& shard) {

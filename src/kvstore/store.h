@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -53,9 +52,7 @@ struct StoreOptions {
   /// shard never blocks reads on the others. 1 (the default) reproduces
   /// the original single-striped store. For durable stores the count is
   /// recorded in `dir/SHARDS` on first open and the recorded value wins
-  /// on reopen (re-sharding an existing directory is not supported);
-  /// directories written by the pre-shard layout (a root-level `wal.log`
-  /// plus `*.sst`) are migrated into the sharded layout on open.
+  /// on reopen (re-sharding an existing directory is not supported).
   int num_shards = 1;
   /// Block-cache budget shared by every shard's SSTable reads. 0 turns
   /// the cache off (every block read hits the disk).
@@ -94,17 +91,10 @@ struct KvStoreStats {
   uint64_t stall_us = 0;
 };
 
-/// One column coordinate of a MultiGet batch (a CellKey without the
-/// version — the snapshot applies to the whole batch).
-struct ColumnProbe {
-  std::string row;
-  std::string family;
-  std::string qualifier;
-};
-
-/// Non-owning probe for the view read path: the caller keeps the key
-/// bytes alive for the duration of the MultiGetView call (typically a
-/// stack or scratch buffer the row keys were formatted into).
+/// One column coordinate of a MultiGetView batch (a CellKey without the
+/// version — the snapshot applies to the whole batch). Non-owning: the
+/// caller keeps the key bytes alive for the duration of the call
+/// (typically a stack or scratch buffer the row keys were formatted into).
 struct ColumnProbeView {
   std::string_view row;
   std::string_view family;
@@ -185,7 +175,6 @@ class KvTable {
 class AliHBase : public KvTable {
  public:
   /// Opens the table, replaying any WALs and loading existing SSTables.
-  /// Directories written by the pre-shard layout are migrated in place.
   static StatusOr<std::unique_ptr<AliHBase>> Open(StoreOptions options);
 
   /// Stops the background maintenance thread (when running) and joins it
@@ -243,39 +232,23 @@ class AliHBase : public KvTable {
                             const std::string& qualifier,
                             uint64_t snapshot = UINT64_MAX) const;
 
-  /// Batched Get: one result per probe, in probe order. Probes are grouped
-  /// by shard and visited in sorted key order within each shard (seek
+  /// Zero-allocation batched Get: one result per probe, written into the
+  /// caller's `out` array (length n) in probe order. Probes are grouped by
+  /// shard and visited in sorted key order within each shard (seek
   /// locality in the memtable and SSTable indexes; duplicate coordinates
   /// collapse to one lookup), taking each shard's read lock exactly once.
   /// Per-probe semantics match Get exactly — a probe that fails
   /// (undeclared family, injected fault, no visible value) fails alone,
-  /// never its batch siblings.
-  std::vector<StatusOr<std::string>> MultiGet(const std::vector<ColumnProbe>& probes,
-                                              uint64_t snapshot = UINT64_MAX) const;
-
-  /// Zero-allocation batched Get. Identical per-probe semantics and visit
-  /// order to MultiGet, but the probes carry string_view keys, results are
-  /// written into the caller's `out` array (length n), and value bytes are
-  /// copied once into `pin`'s arena — the returned views are valid until
-  /// the pin is Reset or destroyed, independent of later flushes or
-  /// compactions. Miss and fault Statuses are message-free canonical
-  /// values, so with a reused pin the steady state performs no heap
-  /// allocation on hits **or** misses. This is the hot path under
-  /// ModelServer::ScoreSpan; concurrent callers only contend when their
-  /// probes hash to the same shard.
+  /// never its batch siblings. Value bytes are copied once into `pin`'s
+  /// arena — the returned views are valid until the pin is Reset or
+  /// destroyed, independent of later flushes or compactions. Miss and
+  /// fault Statuses are message-free canonical values, so with a reused
+  /// pin the steady state performs no heap allocation on hits **or**
+  /// misses. This is the hot path under ModelServer::ScoreSpan; concurrent
+  /// callers only contend when their probes hash to the same shard.
   void MultiGetView(const ColumnProbeView* probes, std::size_t n, ReadPin* pin,
                     StatusOr<std::string_view>* out,
                     uint64_t snapshot = UINT64_MAX) const override;
-
-  /// Returns all visible columns of a row as "family:qualifier" -> value.
-  StatusOr<std::map<std::string, std::string>> GetRow(const std::string& row,
-                                                      uint64_t snapshot = UINT64_MAX) const;
-
-  /// Batched GetRow: one row map per requested row, in request order.
-  /// Rows are grouped by shard (a row never spans shards) and each
-  /// shard's read lock is taken once for its run of rows.
-  std::vector<StatusOr<std::map<std::string, std::string>>> MultiGetRow(
-      const std::vector<std::string>& rows, uint64_t snapshot = UINT64_MAX) const;
 
   /// Scans visible cells with start_row <= row < end_row (end empty =
   /// unbounded), at most `limit` cells. Returns the newest visible
@@ -381,9 +354,6 @@ class AliHBase : public KvTable {
   Status MaintainCompactShard(Shard& shard);
   /// Loads a shard's SSTables, replays its WAL, opens the WAL for append.
   Status OpenShardFiles(Shard& shard);
-  /// Moves a pre-shard root-level `wal.log` + `*.sst` layout into the
-  /// shard directories (idempotent; re-runs after a crash converge).
-  Status MigrateLegacyDir();
   /// Point lookup under the shard's mu, allocation-free for keys within
   /// the string SSO limit (the 11/6-char feature row keys qualify).
   /// `row_hash` is BloomHashOf(row), computed once per probe and reused

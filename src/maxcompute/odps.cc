@@ -84,15 +84,7 @@ StatusOr<const Table*> MaxCompute::GetTable(const std::string& name) {
     auto it = cache_.find(name);
     if (it != cache_.end()) return it->second.get();
   }
-  uint32_t format_version = 0;
-  TITANT_ASSIGN_OR_RETURN(Table table,
-                          pangu_->GetTable(TableBlobName(name), &format_version));
-  if (format_version < 2) {
-    // Upgrade on rewrite: a legacy row-major blob is rewritten in the
-    // columnar v2 format the first time it is read, so old stores
-    // converge without a migration pass (the SSTable-v2 precedent).
-    TITANT_RETURN_IF_ERROR(pangu_->PutTable(TableBlobName(name), table));
-  }
+  TITANT_ASSIGN_OR_RETURN(Table table, pangu_->GetTable(TableBlobName(name)));
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = cache_.emplace(name, std::make_unique<Table>(std::move(table)));
   return it->second.get();

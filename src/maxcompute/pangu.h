@@ -36,13 +36,9 @@ class PanguStore {
   Status PutTable(const std::string& name, const Table& table) {
     return PutBlob(name, table.Serialize());
   }
-  /// `format_version` (optional) reports the on-disk format the blob was
-  /// parsed from (1 = legacy row-major, 2 = columnar) so callers can
-  /// upgrade old blobs on rewrite.
-  StatusOr<Table> GetTable(const std::string& name,
-                           uint32_t* format_version = nullptr) const {
+  StatusOr<Table> GetTable(const std::string& name) const {
     TITANT_ASSIGN_OR_RETURN(std::string blob, GetBlob(name));
-    return Table::Deserialize(blob, format_version);
+    return Table::Deserialize(blob);
   }
 
   const std::string& dir() const { return dir_; }

@@ -6,8 +6,7 @@ namespace titant::maxcompute {
 
 namespace {
 
-// v2 magic ("TTC2" little-endian). Unambiguous against v1 blobs: v1 leads
-// with a u32 column count capped at 1<<16, far below this value.
+// v2 magic ("TTC2" little-endian).
 constexpr uint32_t kMagicV2 = 0x32435454u;
 constexpr uint32_t kMaxColumns = 1u << 16;
 
@@ -502,10 +501,6 @@ Status Table::AppendAll(std::vector<Row> rows) {
   return Status::OK();
 }
 
-void Table::Reserve(std::size_t n) {
-  for (auto& col : cols_) col.Reserve(n);
-}
-
 Status Table::AdoptColumns(std::vector<ColumnData> cols) {
   if (cols.size() != schema_.num_columns()) {
     return Status::InvalidArgument("column count does not match schema " +
@@ -549,10 +544,7 @@ void Table::MaterializeRowInto(std::size_t i, Row* out) const {
 //     if has_nulls: packed null bitmap, (nrows+7)/8 bytes (bit i = row i)
 //     payload: kI64/kF64 raw 8B per row; kBool 1B per row; kStr u32 end
 //       offsets per row then u32 blob size then the blob; kMixed one
-//       v1-style tagged Value per row; kEmpty nothing.
-// v1 layout (legacy, no magic): u32 ncols, schema, u32 nrows, then rows of
-// tagged Values. v1 blobs parse through the fallback below and upgrade to
-// v2 the next time they are written.
+//       tagged Value per row; kEmpty nothing.
 
 std::string Table::Serialize() const {
   std::string out;
@@ -606,20 +598,6 @@ std::string Table::Serialize() const {
   return out;
 }
 
-std::string Table::SerializeV1() const {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(schema_.num_columns()));
-  for (const auto& col : schema_.columns()) {
-    PutString(&out, col.name);
-    out.push_back(static_cast<char>(col.type));
-  }
-  PutU32(&out, static_cast<uint32_t>(num_rows_));
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    for (const auto& col : cols_) PutValue(&out, col.ValueAt(r));
-  }
-  return out;
-}
-
 namespace {
 
 StatusOr<Schema> ParseSchema(const std::string& blob, std::size_t* offset,
@@ -636,41 +614,6 @@ StatusOr<Schema> ParseSchema(const std::string& blob, std::size_t* offset,
     col.type = static_cast<ValueType>(t);
   }
   return Schema(std::move(columns));
-}
-
-StatusOr<Table> DeserializeV1(const std::string& blob) {
-  std::size_t offset = 0;
-  uint32_t num_columns = 0;
-  if (!GetU32(blob, &offset, &num_columns) || num_columns > kMaxColumns) {
-    return Status::DataLoss("table blob: bad column count");
-  }
-  auto schema = ParseSchema(blob, &offset, num_columns);
-  TITANT_RETURN_IF_ERROR(schema.status());
-  Table table{std::move(*schema)};
-  uint32_t num_rows = 0;
-  if (!GetU32(blob, &offset, &num_rows)) return Status::DataLoss("table blob: row count");
-  if (num_columns == 0 && num_rows > 0) {
-    return Status::DataLoss("table blob: rows without columns");
-  }
-  // Every cell costs at least one tag byte; refuse row counts the buffer
-  // cannot possibly hold before reserving anything.
-  if (num_columns > 0 && !FitsRemaining(blob, offset, num_rows, num_columns)) {
-    return Status::DataLoss("table blob: row count past buffer");
-  }
-  table.Reserve(num_rows);
-  Row row;
-  for (uint32_t r = 0; r < num_rows; ++r) {
-    row.resize(num_columns);
-    for (auto& value : row) {
-      if (!GetValue(blob, &offset, &value)) {
-        return Status::DataLoss("table blob: truncated row");
-      }
-    }
-    TITANT_RETURN_IF_ERROR(table.Append(std::move(row)));
-    row.clear();
-  }
-  if (offset != blob.size()) return Status::DataLoss("table blob: trailing bytes");
-  return table;
 }
 
 StatusOr<Table> DeserializeV2(const std::string& blob) {
@@ -800,19 +743,14 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
 
 }  // namespace
 
-StatusOr<Table> Table::Deserialize(const std::string& blob,
-                                   uint32_t* format_version) {
+StatusOr<Table> Table::Deserialize(const std::string& blob) {
   std::size_t probe = 0;
   uint32_t head = 0;
   if (!GetU32(blob, &probe, &head)) {
     return Status::DataLoss("table blob: truncated header");
   }
-  if (head == kMagicV2) {
-    if (format_version != nullptr) *format_version = 2;
-    return DeserializeV2(blob);
-  }
-  if (format_version != nullptr) *format_version = 1;
-  return DeserializeV1(blob);
+  if (head != kMagicV2) return Status::DataLoss("table blob: bad magic");
+  return DeserializeV2(blob);
 }
 
 }  // namespace titant::maxcompute

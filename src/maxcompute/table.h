@@ -108,9 +108,6 @@ class Table {
   /// Bulk append.
   Status AppendAll(std::vector<Row> rows);
 
-  /// Pre-sizes the column storage (query results know their cardinality).
-  void Reserve(std::size_t n);
-
   /// Adopts pre-filled columns as this table's data; every column must
   /// match the schema width and share one row count.
   Status AdoptColumns(std::vector<ColumnData> cols);
@@ -144,16 +141,10 @@ class Table {
   /// format; magic "TTC2", packed null bitmaps, flat typed payloads).
   std::string Serialize() const;
 
-  /// Legacy row-major v1 writer, kept as a fixture generator so the v1
-  /// fallback parser stays covered (old blobs upgrade on rewrite).
-  std::string SerializeV1() const;
-
-  /// Parses either format; v1 blobs (no magic) take the row-major fallback
-  /// path. Hostile blobs (truncated headers, counts past the buffer,
-  /// string lengths out of bounds) return DataLoss without reading out of
-  /// bounds. If `format_version` is non-null it receives 1 or 2.
-  static StatusOr<Table> Deserialize(const std::string& blob,
-                                     uint32_t* format_version = nullptr);
+  /// Parses a blob written by Serialize. Hostile blobs (no "TTC2" magic,
+  /// truncated headers, counts past the buffer, string lengths out of
+  /// bounds) return DataLoss without reading out of bounds.
+  static StatusOr<Table> Deserialize(const std::string& blob);
 
  private:
   Schema schema_;

@@ -122,8 +122,6 @@ StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,
 
         // 2. Pull the working set.
         std::vector<float> local = client.Pull(keys, dim);
-        std::vector<float> original;
-        if (!options.model_average) original = local;  // For delta pushes.
 
         // 3. Local SGNS updates.
         const uint64_t done = tokens_done.fetch_add(batch_tokens);
@@ -166,13 +164,8 @@ StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,
           }
         }
 
-        // 4. Push the batch's result back to the servers.
-        if (options.model_average) {
-          client.Push(keys, local, dim, PushOp::kAverage);
-        } else {
-          for (std::size_t i = 0; i < local.size(); ++i) local[i] -= original[i];
-          client.Push(keys, local, dim, PushOp::kAdd);
-        }
+        // 4. Push the batch's result back; the servers model-average it.
+        client.Push(keys, local, dim, PushOp::kAverage);
       }
     }
   });

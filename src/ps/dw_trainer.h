@@ -15,10 +15,6 @@ struct DistributedDwOptions {
   /// Walks per mini-batch; each batch is one pull -> local-train -> push
   /// round (the KunPeng word2vec schedule, §4.3).
   int batch_walks = 64;
-  /// When true, workers push full updated embeddings and servers combine
-  /// them with the model-average operation (the paper's aggregation);
-  /// when false, workers push additive deltas (classic async-SGD PS).
-  bool model_average = false;
   /// When true, the servers' existing parameters are kept (resuming after
   /// a failure recovery via KunPengCluster::Restore) instead of being
   /// re-initialized — the PS fault-tolerance story of §4.3.
@@ -28,7 +24,9 @@ struct DistributedDwOptions {
 /// The distributed reimplementation of DeepWalk's word2vec stage (§4.3):
 /// `cluster`'s workers shard the walk corpus; per batch each worker pulls
 /// the embeddings it needs (batch vocabulary + pre-sampled negatives),
-/// runs local SGNS updates, and pushes the result back to the servers.
+/// runs local SGNS updates, and pushes the updated rows back, which the
+/// servers combine with the model-average operation (the paper's
+/// aggregation).
 ///
 /// Returns the final syn0 embedding matrix gathered from the servers.
 StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,

@@ -14,7 +14,7 @@ namespace titant::serving {
 
 /// Group-commit micro-batcher in front of ModelServerRouter::ScoreBatch —
 /// the WAL group-commit idea applied to scoring. Concurrent single scores
-/// coalesce into one batched dispatch (one MultiGet round trip, one
+/// coalesce into one batched dispatch (one MultiGetView round trip, one
 /// vectorized model invocation) without any timer:
 ///
 ///   - A thread that arrives while a leader slot is free becomes a

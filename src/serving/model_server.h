@@ -100,7 +100,7 @@ class ModelServer {
   StatusOr<Verdict> Score(const TransferRequest& request, int64_t deadline_us = 0);
 
   /// Scores a batch of requests with ONE feature-store round trip
-  /// (AliHBase::MultiGet over every row's probes) and ONE vectorized model
+  /// (KvTable::MultiGetView over every row's probes) and ONE vectorized model
   /// invocation (ml::Model::ScoreBatch). Score is the batch-of-1 special
   /// case of this path.
   ///

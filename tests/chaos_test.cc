@@ -315,7 +315,7 @@ TEST_F(ChaosTest, BatchFaultDegradesOnlyTheRowItHit) {
   for (std::size_t i = 0; i < batch.size(); ++i) batch[i].txn_id = i + 1;
 
   // The Model Server issues five probes per row (snapshot, aux, city,
-  // embedding, live counters) in request order, and MultiGet evaluates
+  // embedding, live counters) in request order, and MultiGetView evaluates
   // the kvstore.get failpoint per probe in that same order — so
   // "skip:10,hits:1" lands the injected outage on exactly row 2's
   // snapshot fetch, deterministically.

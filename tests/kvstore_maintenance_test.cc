@@ -1,9 +1,8 @@
 // Background LSM maintenance and the machinery under it: the token-bucket
 // RateLimiter, the sharded BlockCache, the MaintenanceThread's
 // flush/compact scheduling (with WaitIdle determinism), the per-stripe
-// maintenance mutex that serializes concurrent Compact()/Flush(), loud
-// DataLoss on corrupt SSTables, and the legacy v1 footer round-trip
-// (pre-bloom-footer stores reopen, serve, and upgrade on compaction).
+// maintenance mutex that serializes concurrent Compact()/Flush(), and
+// loud DataLoss on corrupt SSTables.
 
 #include <gtest/gtest.h>
 
@@ -386,77 +385,6 @@ TEST(MaintenanceTest, BlockCrcCatchesBitRotAfterOpen) {
   EXPECT_EQ(it.status().code(), StatusCode::kDataLoss) << it.status().ToString();
   EXPECT_NE(it.status().message().find(path), std::string::npos);
   fs::remove(path);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy v1 footer round-trip
-
-TEST(MaintenanceTest, LegacyV1StoreReopensServesAndUpgradesOnCompaction) {
-  // Synthesize a store directory exactly as the pre-bloom-footer code
-  // left it: a SHARDS manifest and one v1 SSTable in the stripe dir.
-  const std::string dir = "/tmp/titant_maint_legacy";
-  fs::remove_all(dir);
-  fs::create_directories(dir + "/shard-0");
-  {
-    std::ofstream manifest(dir + "/SHARDS");
-    manifest << "1\n";
-  }
-  const std::string v1_path = dir + "/shard-0/1.sst";
-  constexpr uint32_t kRows = 200;
-  ASSERT_TRUE(SSTable::WriteLegacyV1(v1_path, SortedCells(kRows)).ok());
-  {
-    StatusOr<SSTable> table = SSTable::Open(v1_path);
-    ASSERT_TRUE(table.ok()) << table.status().ToString();
-    EXPECT_EQ((*table).format_version(), 1);
-    EXPECT_EQ((*table).num_cells(), kRows);
-  }
-
-  StoreOptions options;
-  options.dir = dir;
-  options.column_families = {"cf"};
-  options.durable = true;
-  auto store_or = AliHBase::Open(std::move(options));
-  ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
-  auto store = std::move(*store_or);
-
-  // The v1 table serves (both the allocation path and the view path).
-  for (uint32_t i = 0; i < kRows; i += 17) {
-    auto got = store->Get(RowKey(i), "cf", "q");
-    ASSERT_TRUE(got.ok()) << RowKey(i);
-    EXPECT_EQ(*got, "v" + std::to_string(i));
-  }
-
-  // New writes coexist with the legacy file; the next compaction rewrites
-  // the stripe as a single v2 table.
-  ASSERT_TRUE(store->Put(RowKey(0), "cf", "q", "upgraded", 9).ok());
-  ASSERT_TRUE(store->Compact().ok());
-  EXPECT_EQ(store->num_sstables(), 1u);
-  const std::vector<std::string> ssts = ListSstFiles(dir + "/shard-0");
-  ASSERT_EQ(ssts.size(), 1u);
-  EXPECT_NE(ssts[0], v1_path) << "compaction must write a fresh file id";
-  {
-    StatusOr<SSTable> upgraded = SSTable::Open(ssts[0]);
-    ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
-    EXPECT_EQ((*upgraded).format_version(), 2);
-  }
-  auto latest = store->Get(RowKey(0), "cf", "q");
-  ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(*latest, "upgraded");
-  auto old_version = store->Get(RowKey(0), "cf", "q", /*snapshot=*/1);
-  ASSERT_TRUE(old_version.ok());
-  EXPECT_EQ(*old_version, "v0");
-
-  // And the upgraded directory reopens clean.
-  store.reset();
-  StoreOptions reopen;
-  reopen.dir = dir;
-  reopen.column_families = {"cf"};
-  reopen.durable = true;
-  auto reopened = AliHBase::Open(std::move(reopen));
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto got = (*reopened)->Get(RowKey(123), "cf", "q");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, "v123");
 }
 
 // ---------------------------------------------------------------------------

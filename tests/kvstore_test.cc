@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <thread>
 
@@ -294,6 +300,85 @@ TEST(SSTableTest, DetectsCorruption) {
   std::fputc('X', f);
   std::fclose(f);
   EXPECT_FALSE(SSTable::Open(path).ok());
+
+  // A file ending in "TSST", the magic of the retired v1 layout, is not
+  // an SSTable either.
+  ASSERT_TRUE(SSTable::Write(path, MakeSortedCells(20, 1)).ok());
+  f = std::fopen(path.c_str(), "r+b");
+  std::fseek(f, -4, SEEK_END);
+  std::fwrite("TSST", 1, 4, f);
+  std::fclose(f);
+  const auto v1 = SSTable::Open(path);
+  ASSERT_FALSE(v1.ok());
+  EXPECT_EQ(v1.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(v1.status().message().find("bad SSTable magic"), std::string::npos);
+}
+
+// A damaged footer or block-offset array must never abort the process or
+// serve a wrong cell. Every single-bit flip of the 60-byte footer, and
+// every truncation of the file, opens as DataLoss or reads every cell
+// back unchanged. A flip in the offset array may also pass Open and then
+// stop the read with DataLoss when a block's CRC no longer matches.
+TEST(SSTableTest, DamagedFooterOrOffsetsFailAsDataLoss) {
+  const std::string dir = TempDir("sstdamage");
+  fs::create_directories(dir);
+  const std::string path = dir + "/1.sst";
+  const auto cells = MakeSortedCells(100, 2);  // Three blocks.
+  ASSERT_TRUE(SSTable::Write(path, cells).ok());
+  std::string file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kFooter = 6 * sizeof(uint64_t) + 3 * sizeof(uint32_t);
+  ASSERT_GT(file.size(), kFooter);
+  const char* footer = file.data() + file.size() - kFooter;
+  uint64_t data_size = 0, index_size = 0, num_blocks = 0;
+  std::memcpy(&data_size, footer, 8);
+  std::memcpy(&index_size, footer + 8, 8);
+  std::memcpy(&num_blocks, footer + 16, 8);
+  ASSERT_EQ(num_blocks, 3u);
+
+  // Each case damages the file in place, then opens and reads it back.
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  auto check = [&](bool may_fail_on_read, const std::string& what) {
+    StatusOr<SSTable> table = SSTable::Open(path);
+    if (!table.ok()) {
+      EXPECT_EQ(table.status().code(), StatusCode::kDataLoss) << what;
+      return;
+    }
+    SSTable::Iterator it(&*table);
+    std::size_t n = 0;
+    for (it.SeekToFirst(); it.Valid(); it.Next(), ++n) {
+      ASSERT_LT(n, cells.size()) << what;
+      ASSERT_EQ(it.cell().key, cells[n].key) << what;
+      ASSERT_EQ(it.cell().value, cells[n].value) << what;
+    }
+    if (may_fail_on_read && !it.status().ok()) {
+      EXPECT_EQ(it.status().code(), StatusCode::kDataLoss) << what;
+    } else {
+      EXPECT_TRUE(it.status().ok()) << what;
+      EXPECT_EQ(n, cells.size()) << what;
+    }
+  };
+  auto check_flips = [&](std::size_t first_byte, std::size_t bytes, bool may_fail_on_read,
+                         const std::string& region) {
+    for (std::size_t bit = 0; bit < bytes * 8; ++bit) {
+      const std::size_t pos = first_byte + bit / 8;
+      const char damaged = static_cast<char>(file[pos] ^ (1 << (bit % 8)));
+      ASSERT_EQ(::pwrite(fd, &damaged, 1, static_cast<off_t>(pos)), 1);
+      check(may_fail_on_read, region + " bit " + std::to_string(bit));
+      ASSERT_EQ(::pwrite(fd, &file[pos], 1, static_cast<off_t>(pos)), 1);
+    }
+  };
+  check_flips(file.size() - kFooter, kFooter, false, "footer");
+  check_flips(data_size + index_size, num_blocks * sizeof(uint64_t), true, "offset");
+  for (std::size_t cut = file.size(); cut-- > 0;) {
+    ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(cut)), 0);
+    check(false, "prefix " + std::to_string(cut));
+  }
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +433,21 @@ TEST(StoreTest, OverwriteSameVersionTakesLatestWrite) {
   EXPECT_EQ(*(*store)->Get("u", "bf", "x"), "second");
 }
 
-TEST(StoreTest, GetRowAndScan) {
+// The range [row, row + '\0') holds exactly one row key.
+std::string RowEnd(const std::string& row) { return row + '\0'; }
+
+// One MultiGetView batch; the views stay valid while `pin` does.
+std::vector<StatusOr<std::string_view>> ViewBatch(const AliHBase& store,
+                                                  const std::vector<ColumnProbeView>& probes,
+                                                  ReadPin* pin,
+                                                  uint64_t snapshot = UINT64_MAX) {
+  std::vector<StatusOr<std::string_view>> out(probes.size(),
+                                              StatusOr<std::string_view>(std::string_view()));
+  store.MultiGetView(probes.data(), probes.size(), pin, out.data(), snapshot);
+  return out;
+}
+
+TEST(StoreTest, ScanReadsOneRowAndARange) {
   auto store = AliHBase::Open(MemOptions());
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("u1", "bf", "age", "30", 1).ok());
@@ -356,11 +455,14 @@ TEST(StoreTest, GetRowAndScan) {
   ASSERT_TRUE((*store)->Put("u2", "bf", "age", "40", 1).ok());
   ASSERT_TRUE((*store)->Put("u3", "bf", "age", "50", 1).ok());
 
-  const auto row = (*store)->GetRow("u1");
+  // Every visible column of one row, in (family, qualifier) order.
+  const auto row = (*store)->Scan("u1", RowEnd("u1"));
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ(row->size(), 2u);
-  EXPECT_EQ(row->at("bf:age"), "30");
-  EXPECT_EQ(row->at("emb:vec"), "E1");
+  ASSERT_EQ(row->size(), 2u);
+  EXPECT_EQ((*row)[0].key, (CellKey{"u1", "bf", "age", 1}));
+  EXPECT_EQ((*row)[0].value, "30");
+  EXPECT_EQ((*row)[1].key, (CellKey{"u1", "emb", "vec", 1}));
+  EXPECT_EQ((*row)[1].value, "E1");
 
   const auto scan = (*store)->Scan("u1", "u3");
   ASSERT_TRUE(scan.ok());
@@ -370,7 +472,7 @@ TEST(StoreTest, GetRowAndScan) {
   EXPECT_EQ(limited->size(), 2u);
 }
 
-TEST(StoreTest, MultiGetPreservesProbeOrderAndPerProbeErrors) {
+TEST(StoreTest, MultiGetViewPreservesProbeOrderAndPerProbeErrors) {
   auto store = AliHBase::Open(MemOptions());
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("u1", "bf", "age", "30", 1).ok());
@@ -380,15 +482,15 @@ TEST(StoreTest, MultiGetPreservesProbeOrderAndPerProbeErrors) {
   // Deliberately unsorted probe order, with failures interleaved: results
   // must come back in probe order, and a failing probe must not poison
   // its batch siblings.
-  const std::vector<ColumnProbe> probes = {
+  const std::vector<ColumnProbeView> probes = {
       {"u2", "bf", "age"},       // hit
       {"u9", "bf", "age"},       // NotFound: absent row
       {"u1", "emb", "vec"},      // hit
       {"u1", "nope", "q"},       // InvalidArgument: undeclared family
       {"u1", "bf", "age"},       // hit
   };
-  const auto results = (*store)->MultiGet(probes);
-  ASSERT_EQ(results.size(), probes.size());
+  ReadPin pin;
+  const auto results = ViewBatch(**store, probes, &pin);
   EXPECT_EQ(*results[0], "40");
   EXPECT_TRUE(results[1].status().IsNotFound());
   EXPECT_EQ(*results[2], "E1");
@@ -396,7 +498,7 @@ TEST(StoreTest, MultiGetPreservesProbeOrderAndPerProbeErrors) {
   EXPECT_EQ(*results[4], "30");
 }
 
-TEST(StoreTest, MultiGetDuplicateProbesAndSnapshot) {
+TEST(StoreTest, MultiGetViewDuplicateProbesAndSnapshot) {
   auto store = AliHBase::Open(MemOptions());
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE((*store)->Put("u", "bf", "x", "old", 10).ok());
@@ -404,25 +506,25 @@ TEST(StoreTest, MultiGetDuplicateProbesAndSnapshot) {
 
   // Duplicate coordinates collapse to one lookup internally but still get
   // one result slot each.
-  const std::vector<ColumnProbe> probes = {
+  const std::vector<ColumnProbeView> probes = {
       {"u", "bf", "x"}, {"u", "bf", "x"}, {"u", "bf", "x"}};
-  const auto latest = (*store)->MultiGet(probes);
-  ASSERT_EQ(latest.size(), 3u);
-  for (const auto& value : latest) EXPECT_EQ(*value, "new");
+  ReadPin pin;
+  for (const auto& value : ViewBatch(**store, probes, &pin)) EXPECT_EQ(*value, "new");
 
   // The snapshot applies to every probe of the batch.
-  const auto pinned = (*store)->MultiGet(probes, 15);
-  ASSERT_EQ(pinned.size(), 3u);
-  for (const auto& value : pinned) EXPECT_EQ(*value, "old");
+  for (const auto& value : ViewBatch(**store, probes, &pin, 15)) EXPECT_EQ(*value, "old");
+  for (const auto& value : ViewBatch(**store, probes, &pin, 5)) {
+    EXPECT_TRUE(value.status().IsNotFound());
+  }
 
-  const auto before = (*store)->MultiGet(probes, 5);
-  for (const auto& value : before) EXPECT_TRUE(value.status().IsNotFound());
-
-  EXPECT_TRUE((*store)->MultiGet({}).empty());
+  // An empty batch reads nothing and writes no result slot.
+  StatusOr<std::string_view> untouched(Status::Unavailable("sentinel"));
+  (*store)->MultiGetView(nullptr, 0, &pin, &untouched);
+  EXPECT_TRUE(untouched.status().IsUnavailable());
 }
 
-TEST(StoreTest, MultiGetMatchesGetAcrossMemtableAndSSTables) {
-  const std::string dir = TempDir("multiget");
+TEST(StoreTest, MultiGetViewMatchesGetAcrossMemtableAndSSTablesAndReusesPin) {
+  const std::string dir = TempDir("multigetview");
   StoreOptions options = MemOptions();
   options.durable = true;
   options.dir = dir;
@@ -430,38 +532,11 @@ TEST(StoreTest, MultiGetMatchesGetAcrossMemtableAndSSTables) {
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 40; ++i) {
     ASSERT_TRUE(
-        (*store)->Put("row" + std::to_string(i), "bf", "q", std::to_string(i), 1).ok());
+        (*store)->Put("row" + std::to_string(i), "bf", "q", "sst" + std::to_string(i), 1).ok());
   }
   ASSERT_TRUE((*store)->Flush().ok());
   // Overwrite a few rows so the memtable shadows the SSTable for them.
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        (*store)->Put("row" + std::to_string(i), "bf", "q", "mem" + std::to_string(i), 2).ok());
-  }
-  std::vector<ColumnProbe> probes;
-  for (int i = 39; i >= 0; --i) probes.push_back({"row" + std::to_string(i), "bf", "q"});
-  const auto results = (*store)->MultiGet(probes);
-  ASSERT_EQ(results.size(), probes.size());
-  for (std::size_t p = 0; p < probes.size(); ++p) {
-    const auto single = (*store)->Get(probes[p].row, probes[p].family, probes[p].qualifier);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(*results[p], *single) << probes[p].row;
-  }
-}
-
-TEST(StoreTest, MultiGetViewMatchesMultiGetAndReusesPin) {
-  const std::string dir = TempDir("multigetview");
-  StoreOptions options = MemOptions();
-  options.durable = true;
-  options.dir = dir;
-  auto store = AliHBase::Open(options);
-  ASSERT_TRUE(store.ok());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        (*store)->Put("row" + std::to_string(i), "bf", "q", "sst" + std::to_string(i), 1).ok());
-  }
-  ASSERT_TRUE((*store)->Flush().ok());
-  for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
         (*store)->Put("row" + std::to_string(i), "bf", "q", "mem" + std::to_string(i), 2).ok());
   }
@@ -470,7 +545,7 @@ TEST(StoreTest, MultiGetViewMatchesMultiGetAndReusesPin) {
   // buffers) — the store must not need owned keys.
   std::vector<std::string> keys;
   std::vector<ColumnProbeView> probes;
-  for (int i = 19; i >= 0; --i) keys.push_back("row" + std::to_string(i));
+  for (int i = 39; i >= 0; --i) keys.push_back("row" + std::to_string(i));
   for (const std::string& key : keys) probes.push_back({key, "bf", "q"});
   probes.push_back({"row3", "bf", "q"});       // Duplicate coordinate.
   probes.push_back({"absent", "bf", "q"});     // NotFound.
@@ -536,24 +611,6 @@ TEST(StoreTest, MultiGetViewStaleAfterPinResetIsPoisoned) {
   EXPECT_TRUE(__asan_address_is_poisoned(data));
 }
 #endif
-
-TEST(StoreTest, MultiGetRowPreservesRequestOrder) {
-  auto store = AliHBase::Open(MemOptions());
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE((*store)->Put("u1", "bf", "age", "30", 1).ok());
-  ASSERT_TRUE((*store)->Put("u1", "emb", "vec", "E1", 1).ok());
-  ASSERT_TRUE((*store)->Put("u2", "bf", "age", "40", 1).ok());
-
-  const auto rows = (*store)->MultiGetRow({"u2", "missing", "u1"});
-  ASSERT_EQ(rows.size(), 3u);
-  ASSERT_TRUE(rows[0].ok());
-  EXPECT_EQ(rows[0]->at("bf:age"), "40");
-  ASSERT_TRUE(rows[1].ok());
-  EXPECT_TRUE(rows[1]->empty());  // GetRow semantics: absent row = empty map.
-  ASSERT_TRUE(rows[2].ok());
-  EXPECT_EQ(rows[2]->size(), 2u);
-  EXPECT_EQ(rows[2]->at("emb:vec"), "E1");
-}
 
 TEST(StoreTest, FlushMovesDataToSSTable) {
   const std::string dir = TempDir("flush");
@@ -751,18 +808,30 @@ TEST(ShardedStoreTest, MatchesSingleShardSemantics) {
   ASSERT_EQ(lb->size(), 9u);
   for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ((*la)[i].key.row, (*lb)[i].key.row);
 
-  // Row reads and batched row reads.
-  const auto ra = (*a)->GetRow("user7");
-  const auto rb = (*b)->GetRow("user7");
+  // One-row scans and batched reads across stripes.
+  const auto ra = (*a)->Scan("user7", RowEnd("user7"));
+  const auto rb = (*b)->Scan("user7", RowEnd("user7"));
   ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_EQ(*ra, *rb);
-  const std::vector<std::string> rows = {"user9", "user1", "user30", "absent"};
-  const auto ma = (*a)->MultiGetRow(rows);
-  const auto mb = (*b)->MultiGetRow(rows);
-  ASSERT_EQ(ma.size(), mb.size());
-  for (std::size_t i = 0; i < ma.size(); ++i) {
-    ASSERT_TRUE(ma[i].ok() && mb[i].ok());
-    EXPECT_EQ(*ma[i], *mb[i]);
+  ASSERT_EQ(ra->size(), 1u);
+  ASSERT_EQ(rb->size(), 1u);
+  EXPECT_EQ((*ra)[0].key, (*rb)[0].key);
+  EXPECT_EQ((*ra)[0].value, "reborn");
+  EXPECT_EQ((*rb)[0].value, "reborn");
+  const std::vector<std::string> rows = {"user9", "user1", "user30", "absent", "user7"};
+  std::vector<ColumnProbeView> probes;
+  for (const std::string& row : rows) probes.push_back({row, "bf", "q"});
+  for (const uint64_t snapshot : std::vector<uint64_t>{2, 3, UINT64_MAX}) {
+    ReadPin pin_a, pin_b;
+    const auto ma = ViewBatch(**a, probes, &pin_a, snapshot);
+    const auto mb = ViewBatch(**b, probes, &pin_b, snapshot);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(ma[i].ok(), mb[i].ok()) << rows[i] << " @" << snapshot;
+      if (ma[i].ok()) {
+        EXPECT_EQ(*ma[i], *mb[i]);
+      } else {
+        EXPECT_EQ(ma[i].status().code(), mb[i].status().code());
+      }
+    }
   }
 }
 
@@ -815,61 +884,6 @@ TEST(ShardedStoreTest, ShardCountIsPinnedByTheDirectory) {
   EXPECT_EQ((*reopened)->num_shards(), 4u);
   EXPECT_EQ((*reopened)->options().num_shards, 4);
   EXPECT_EQ(*(*reopened)->Get("alice", "bf", "q"), "A");
-}
-
-TEST(ShardedStoreTest, MigratesLegacySingleWalDirectory) {
-  // Hand-build a pre-shard layout: one root-level WAL plus root-level
-  // SSTables, exactly what Open() produced before sharding landed.
-  const std::string dir = TempDir("sharded_migrate");
-  fs::create_directories(dir);
-  {
-    // Legacy SSTable 1: the older flush.
-    std::vector<Cell> old_cells;
-    for (int i = 0; i < 20; ++i) {
-      old_cells.push_back(
-          {CellKey{"user" + std::to_string(i), "bf", "q", 1}, "old" + std::to_string(i), false});
-    }
-    std::sort(old_cells.begin(), old_cells.end(),
-              [](const Cell& x, const Cell& y) { return x.key < y.key; });
-    ASSERT_TRUE(SSTable::Write(dir + "/1.sst", old_cells).ok());
-    // Legacy SSTable 2 overwrites user3 at the same version: the newer
-    // file must win after migration, as it did before.
-    std::vector<Cell> newer_cells = {{CellKey{"user3", "bf", "q", 1}, "newer3", false}};
-    ASSERT_TRUE(SSTable::Write(dir + "/2.sst", newer_cells).ok());
-    // Legacy WAL: unflushed tail, including a same-version overwrite that
-    // must beat both SSTables.
-    auto wal = WriteAheadLog::Open(dir + "/wal.log");
-    ASSERT_TRUE(wal.ok());
-    std::string record;
-    record += EncodeCell({CellKey{"user5", "bf", "q", 1}, "walwins5", false});
-    record += EncodeCell({CellKey{"user90", "bf", "q", 2}, "tail90", false});
-    ASSERT_TRUE(wal->Append(record).ok());
-  }
-
-  StoreOptions options = MemOptions();
-  options.durable = true;
-  options.dir = dir;
-  options.num_shards = 4;
-  {
-    auto store = AliHBase::Open(options);
-    ASSERT_TRUE(store.ok());
-    EXPECT_EQ((*store)->num_shards(), 4u);
-    // Every legacy cell is readable, with legacy resolution preserved:
-    // WAL over SSTables, newer SSTable over older.
-    EXPECT_EQ(*(*store)->Get("user0", "bf", "q"), "old0");
-    EXPECT_EQ(*(*store)->Get("user3", "bf", "q"), "newer3");
-    EXPECT_EQ(*(*store)->Get("user5", "bf", "q"), "walwins5");
-    EXPECT_EQ(*(*store)->Get("user90", "bf", "q"), "tail90");
-    // The legacy files are gone; the data now lives under shard dirs.
-    EXPECT_FALSE(fs::exists(dir + "/wal.log"));
-    EXPECT_FALSE(fs::exists(dir + "/1.sst"));
-    EXPECT_FALSE(fs::exists(dir + "/2.sst"));
-  }
-  // And the migrated layout survives a reopen on its own.
-  auto reopened = AliHBase::Open(options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(*(*reopened)->Get("user5", "bf", "q"), "walwins5");
-  EXPECT_EQ(*(*reopened)->Get("user90", "bf", "q"), "tail90");
 }
 
 TEST(ShardedStoreTest, FlushAndCompactWorkPerShard) {

@@ -77,10 +77,8 @@ TEST(TableTest, SchemaEnforcedOnAppend) {
 
 TEST(TableTest, SerializeRoundTrip) {
   const Table table = PeopleTable();
-  uint32_t version = 0;
-  const auto parsed = Table::Deserialize(table.Serialize(), &version);
+  const auto parsed = Table::Deserialize(table.Serialize());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(version, 2u);  // Serialize() writes the columnar format.
   EXPECT_EQ(parsed->num_rows(), table.num_rows());
   EXPECT_EQ(parsed->schema().num_columns(), 4u);
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
@@ -109,37 +107,53 @@ TEST(TableTest, NullsSurviveColumnarRoundTrip) {
   }
 }
 
-// A legacy v1 (row-major) blob must still deserialize, report its format
-// version, and come back as v2 once reserialized.
-TEST(TableTest, V1BlobDeserializesAndUpgrades) {
-  const Table table = PeopleTable();
-  const std::string v1 = table.SerializeV1();
-  uint32_t version = 0;
-  const auto parsed = Table::Deserialize(v1, &version);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(version, 1u);
-  ASSERT_EQ(parsed->num_rows(), table.num_rows());
+// The retired row-major v1 layout, which had no magic: u32 column count,
+// u32-prefixed names with u8 types, u32 row count, then every cell as a
+// type tag and its payload (here only the string, bigint and double cells
+// PeopleTable holds).
+std::string RowMajorV1Blob(const Table& table) {
+  std::string out;
+  auto u32 = [&out](uint32_t v) { out.append(reinterpret_cast<const char*>(&v), sizeof(v)); };
+  u32(static_cast<uint32_t>(table.schema().num_columns()));
+  for (const auto& col : table.schema().columns()) {
+    u32(static_cast<uint32_t>(col.name.size()));
+    out += col.name;
+    out.push_back(static_cast<char>(col.type));
+  }
+  u32(static_cast<uint32_t>(table.num_rows()));
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(Value::Compare(parsed->row(r)[c], table.row(r)[c]), 0);
+    for (std::size_t c = 0; c < table.schema().num_columns(); ++c) {
+      const Value v = table.row(r)[c];
+      out.push_back(static_cast<char>(v.type()));
+      if (v.type() == ValueType::kString) {
+        u32(static_cast<uint32_t>(v.AsString().size()));
+        out += v.AsString();
+      } else if (v.type() == ValueType::kInt) {
+        const int64_t x = v.AsInt();
+        out.append(reinterpret_cast<const char*>(&x), sizeof(x));
+      } else if (v.type() == ValueType::kDouble) {
+        const double x = v.AsDouble();
+        out.append(reinterpret_cast<const char*>(&x), sizeof(x));
+      }
     }
   }
-  uint32_t reversion = 0;
-  const auto upgraded = Table::Deserialize(parsed->Serialize(), &reversion);
-  ASSERT_TRUE(upgraded.ok());
-  EXPECT_EQ(reversion, 2u);
-  EXPECT_EQ(upgraded->num_rows(), table.num_rows());
+  return out;
 }
 
-// Hostile blobs: truncations and forged counts in either format must
-// return DataLoss, never read past the buffer or allocate absurdly.
+// Hostile blobs: truncations, forged counts and blobs without the "TTC2"
+// magic (the retired v1 layout among them) must return DataLoss, never
+// read past the buffer or allocate absurdly.
 TEST(TableTest, HostileBlobsAreRejected) {
   const Table table = PeopleTable();
-  const std::string v1 = table.SerializeV1();
+  const std::string v1 = RowMajorV1Blob(table);
   const std::string v2 = table.Serialize();
 
-  // Every prefix of both formats either parses to the full table (only
-  // the complete blob) or errors cleanly.
+  const auto legacy = Table::Deserialize(v1);
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.status().code(), StatusCode::kDataLoss);
+
+  // Every prefix either parses to the full table (only the complete v2
+  // blob) or errors cleanly.
   for (const std::string* blob : {&v1, &v2}) {
     for (std::size_t cut = 0; cut < blob->size(); ++cut) {
       const auto parsed = Table::Deserialize(blob->substr(0, cut));
@@ -166,21 +180,6 @@ TEST(TableTest, HostileBlobsAreRejected) {
       mutated[off + 3] = '\x7f';
       (void)Table::Deserialize(mutated);  // Must not crash or over-read.
     }
-  }
-
-  // A v1 string length running past the buffer.
-  {
-    Table one{Schema({{"s", ValueType::kString}})};
-    ASSERT_TRUE(one.Append({Value(std::string("abcdef"))}).ok());
-    std::string blob = one.SerializeV1();
-    // The final u32 before the string bytes is its length; inflate it.
-    const std::size_t len_pos = blob.size() - 6 - 4;
-    blob[len_pos] = '\xff';
-    blob[len_pos + 1] = '\x00';
-    blob[len_pos + 2] = '\x00';
-    blob[len_pos + 3] = '\x00';
-    const auto parsed = Table::Deserialize(blob);
-    EXPECT_FALSE(parsed.ok());
   }
 }
 
@@ -583,27 +582,6 @@ TEST(MaxComputeTest, PlanCacheEvictsLeastRecentlyUsed) {
   EXPECT_EQ(stats.plan_cache_hits, 2u);
   EXPECT_EQ(stats.plan_cache_evictions, 2u);
   EXPECT_EQ(stats.parse_failures, 0u);
-}
-
-// A v1 (row-major) table blob written directly into Pangu is readable
-// through MaxCompute and silently rewritten in the v2 columnar format on
-// first read.
-TEST(MaxComputeTest, LegacyV1BlobUpgradesOnRead) {
-  MaxComputeOptions options;
-  options.pangu_dir = TempDir("odps_v1_upgrade");
-  auto mc = MaxCompute::Open(options);
-  ASSERT_TRUE(mc.ok());
-  ASSERT_TRUE((*mc)->pangu().PutBlob("table/legacy", PeopleTable().SerializeV1()).ok());
-
-  const auto table = (*mc)->GetTable("legacy");
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  EXPECT_EQ((*table)->num_rows(), 5u);
-
-  uint32_t version = 0;
-  const auto reread = (*mc)->pangu().GetTable("table/legacy", &version);
-  ASSERT_TRUE(reread.ok());
-  EXPECT_EQ(version, 2u);  // Rewritten columnar on first read.
-  EXPECT_EQ(reread->num_rows(), 5u);
 }
 
 }  // namespace

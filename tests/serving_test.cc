@@ -663,7 +663,7 @@ TEST_F(ModelServerTest, RouterPropagatesRequestLevelErrors) {
 }
 
 TEST_F(ModelServerTest, ScoreBatchMatchesSingleRequestScores) {
-  // The batch path (one MultiGet + one vectorized model call) must produce
+  // The batch path (one MultiGetView + one vectorized model call) must produce
   // the same verdicts, in request order, as N single Scores.
   std::vector<TransferRequest> batch;
   for (std::size_t i = 0; i < 16 && i < window_->test_records.size(); ++i) {
