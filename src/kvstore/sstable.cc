@@ -1,11 +1,14 @@
 #include "kvstore/sstable.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <memory>
 
 #include "kvstore/maintenance.h"  // RateLimiter
 #include "kvstore/wal.h"          // Crc32
@@ -70,63 +73,82 @@ void AppendU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
+/// Reads exactly `n` bytes at `offset` of `fd` into `out`; false on an
+/// I/O error or a short file.
+bool ReadFull(int fd, char* out, std::size_t n, uint64_t offset) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    out += got;
+    n -= static_cast<std::size_t>(got);
+    offset += static_cast<uint64_t>(got);
+  }
+  return true;
+}
+
+// Footer (64 bytes): data, index, block-count, cell-count, column-bloom
+// and row-bloom sizes (u64 each), then the data CRC, the metadata CRC,
+// the format version and the magic (u32 each).
+constexpr std::size_t kFooterSize = 6 * sizeof(uint64_t) + 4 * sizeof(uint32_t);
+
 }  // namespace
 
 Status SSTable::Write(const std::string& path, const std::vector<Cell>& cells,
                       RateLimiter* limiter, uint64_t* bytes_written) {
   TITANT_RETURN_IF_ERROR(CheckSorted(cells));
 
-  // Data region: whole records packed into blocks. A block closes once it
-  // reaches kBlockSize, so records never straddle a boundary and a block
-  // is independently decodable.
-  std::string data;
+  // The file is built in one string. Data region first: whole records
+  // packed into blocks. A block closes once it reaches kBlockSize, so
+  // records never straddle a boundary and a block is independently
+  // decodable.
+  std::string file;
   std::string index;
   std::vector<uint64_t> offsets;
   BloomFilter bloom(cells.size());
   BloomFilter row_bloom(cells.size(), /*bits_per_key=*/10);
   std::size_t block_start = 0;
   for (const Cell& cell : cells) {
-    if (offsets.empty() || data.size() - block_start >= kBlockSize) {
-      block_start = data.size();
+    if (offsets.empty() || file.size() - block_start >= kBlockSize) {
+      block_start = file.size();
       offsets.push_back(block_start);
       index += EncodeKey(cell.key);
     }
     bloom.Add(BloomKeyOf(cell.key.row, cell.key.family, cell.key.qualifier));
     row_bloom.AddHash(BloomHashOf(cell.key.row));
-    data += EncodeCell(cell);
+    file += EncodeCell(cell);
   }
-
-  std::string index_offsets;
-  for (uint64_t off : offsets) AppendU64(&index_offsets, off);
+  const std::size_t data_size = file.size();
+  const uint32_t data_crc = Crc32(file);
 
   // Per-block checksums, verified on every disk read (a cache hit serves
   // pre-verified bytes, so the read path only pays this on a miss).
-  std::string block_crcs;
+  std::vector<uint32_t> block_crcs(offsets.size());
   for (std::size_t b = 0; b < offsets.size(); ++b) {
     const std::size_t start = static_cast<std::size_t>(offsets[b]);
     const std::size_t end =
-        b + 1 < offsets.size() ? static_cast<std::size_t>(offsets[b + 1]) : data.size();
-    AppendU32(&block_crcs, Crc32(std::string_view(data).substr(start, end - start)));
+        b + 1 < offsets.size() ? static_cast<std::size_t>(offsets[b + 1]) : data_size;
+    block_crcs[b] = Crc32(std::string_view(file).substr(start, end - start));
   }
 
-  std::string file;
-  file.reserve(data.size() + index.size() + index_offsets.size() + block_crcs.size() +
-               bloom.payload().size() + row_bloom.payload().size() + 64);
-  file += data;
+  // Metadata region, appended after the data and covered by its own CRC.
   file += index;
-  file += index_offsets;
-  file += block_crcs;
+  for (uint64_t off : offsets) AppendU64(&file, off);
+  for (uint32_t crc : block_crcs) AppendU32(&file, crc);
   file += bloom.payload();
   file += row_bloom.payload();
-  AppendU64(&file, data.size());
+  const uint32_t meta_crc = Crc32(std::string_view(file).substr(data_size));
+
+  AppendU64(&file, data_size);
   AppendU64(&file, index.size());
   AppendU64(&file, offsets.size());
   AppendU64(&file, cells.size());
   AppendU64(&file, bloom.payload().size());
   AppendU64(&file, row_bloom.payload().size());
-  AppendU32(&file, Crc32(data));
-  AppendU32(&file, 2);  // Format version.
-  AppendU32(&file, kMagicV2);
+  AppendU32(&file, data_crc);
+  AppendU32(&file, meta_crc);
+  AppendU32(&file, kFormatVersion);
+  AppendU32(&file, kMagic);
 
   TITANT_RETURN_IF_ERROR(WriteFileAtomic(path, file, limiter));
   if (bytes_written != nullptr) *bytes_written = file.size();
@@ -134,37 +156,53 @@ Status SSTable::Write(const std::string& path, const std::vector<Cell>& cells,
 }
 
 StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  // The descriptor stays open for block preads; the table's destructor
+  // closes it on every early return below.
+  SSTable table;
+  table.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (table.fd_ < 0) return Status::IOError("cannot open " + path);
+  struct stat st;
+  if (::fstat(table.fd_, &st) != 0) return Status::IOError("cannot stat " + path);
+  // One read of the whole file; every check and decode below works on
+  // views of this buffer, which is dropped when Open returns.
+  const std::size_t size = static_cast<std::size_t>(st.st_size);
+  const auto buffer = std::make_unique_for_overwrite<char[]>(size);
+  if (!ReadFull(table.fd_, buffer.get(), size, 0)) {
+    return Status::IOError("cannot read " + path);
+  }
+  const std::string_view file(buffer.get(), size);
 
   if (file.size() < sizeof(uint32_t)) {
     return Status::DataLoss("SSTable too small (no magic): " + path);
   }
   uint32_t magic = 0;
   std::memcpy(&magic, file.data() + file.size() - sizeof(uint32_t), sizeof(uint32_t));
-  if (magic != kMagicV2) return Status::DataLoss("bad SSTable magic: " + path);
+  if (magic != kMagic) return Status::DataLoss("bad SSTable magic: " + path);
 
-  const std::size_t footer_size = 6 * sizeof(uint64_t) + 3 * sizeof(uint32_t);
-  if (file.size() < footer_size) return Status::DataLoss("short SSTable footer: " + path);
-  const char* footer = file.data() + file.size() - footer_size;
+  if (file.size() < kFooterSize) return Status::DataLoss("short SSTable footer: " + path);
+  const char* footer = file.data() + file.size() - kFooterSize;
   uint64_t data_size = 0, index_size = 0, num_blocks = 0, num_cells = 0;
   uint64_t bloom_size = 0, row_bloom_size = 0;
-  uint32_t crc = 0, version = 0;
+  uint32_t data_crc = 0, meta_crc = 0, version = 0;
   std::memcpy(&data_size, footer, 8);
   std::memcpy(&index_size, footer + 8, 8);
   std::memcpy(&num_blocks, footer + 16, 8);
   std::memcpy(&num_cells, footer + 24, 8);
   std::memcpy(&bloom_size, footer + 32, 8);
   std::memcpy(&row_bloom_size, footer + 40, 8);
-  std::memcpy(&crc, footer + 48, 4);
-  std::memcpy(&version, footer + 52, 4);
-  if (version != 2) return Status::DataLoss("unsupported SSTable version: " + path);
+  std::memcpy(&data_crc, footer + 48, 4);
+  std::memcpy(&meta_crc, footer + 52, 4);
+  std::memcpy(&version, footer + 56, 4);
+  // The version sits 8 bytes before the end in every footer layout, so a
+  // table written by an older layout is named as such here.
+  if (version != kFormatVersion) {
+    return Status::DataLoss("unsupported SSTable version: " + path);
+  }
   // Bound every count by the bytes before the footer before multiplying
   // or adding: a flipped high bit of num_blocks would otherwise wrap the
   // sum below back to the file size (12 * 2^62 == 0 mod 2^64) and size
   // the index reservation from the bogus count.
-  const uint64_t body = file.size() - footer_size;
+  const uint64_t body = file.size() - kFooterSize;
   if (data_size > body || index_size > body || bloom_size > body || row_bloom_size > body ||
       num_blocks > body / (sizeof(uint64_t) + sizeof(uint32_t))) {
     return Status::DataLoss("bad SSTable geometry: " + path);
@@ -175,31 +213,38 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
     return Status::DataLoss("bad SSTable geometry: " + path);
   }
 
-  // One sequential pass over the data region verifies the checksum at
-  // open; after this the region is dropped and re-read block by block.
-  if (Crc32(file.substr(0, data_size)) != crc) {
+  // The metadata (index keys, block offsets and CRCs, both filters) is
+  // verified before any of it is decoded; a flipped bit there would
+  // otherwise open cleanly and answer NotFound for present cells. The
+  // data region is verified in one sequential pass here, then re-read
+  // block by block on demand.
+  const std::string_view meta = file.substr(data_size, body - data_size);
+  if (Crc32(meta) != meta_crc) {
+    return Status::DataLoss("SSTable metadata CRC mismatch: " + path);
+  }
+  if (Crc32(file.substr(0, data_size)) != data_crc) {
     return Status::DataLoss("SSTable data CRC mismatch: " + path);
   }
 
-  SSTable table;
   table.path_ = path;
   table.table_id_ = BlockCache::NextTableId();
   table.data_size_ = data_size;
   table.num_cells_ = static_cast<std::size_t>(num_cells);
   table.cache_ = cache;
 
-  const std::string index_blob = file.substr(data_size, index_size);
+  const std::string_view index_blob = meta.substr(0, index_size);
   std::size_t pos = 0;
   table.index_keys_.reserve(static_cast<std::size_t>(num_blocks));
   for (uint64_t i = 0; i < num_blocks; ++i) {
-    Cell key_cell;
-    if (!DecodeCell(index_blob, &pos, &key_cell)) {
+    CellViewRec key;
+    if (!DecodeCellView(index_blob, &pos, &key)) {
       return Status::DataLoss("bad SSTable index: " + path);
     }
-    table.index_keys_.push_back(std::move(key_cell.key));
+    table.index_keys_.push_back(CellKey{std::string(key.row), std::string(key.family),
+                                        std::string(key.qualifier), key.version});
   }
   table.index_offsets_.resize(static_cast<std::size_t>(num_blocks));
-  std::memcpy(table.index_offsets_.data(), file.data() + data_size + index_size, offsets_size);
+  std::memcpy(table.index_offsets_.data(), meta.data() + index_size, offsets_size);
   // Blocks tile the data region from offset 0 in increasing order, so
   // every block size the read paths derive from these is positive.
   const std::vector<uint64_t>& offsets = table.index_offsets_;
@@ -213,17 +258,10 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
     return Status::DataLoss("bad SSTable block offsets: " + path);
   }
   table.block_crcs_.resize(static_cast<std::size_t>(num_blocks));
-  std::memcpy(table.block_crcs_.data(), file.data() + data_size + index_size + offsets_size,
-              crcs_size);
-  table.bloom_ = BloomFilter::FromPayload(
-      file.substr(static_cast<std::size_t>(data_size + index_size + offsets_size + crcs_size),
-                  static_cast<std::size_t>(bloom_size)));
-  table.row_bloom_ = BloomFilter::FromPayload(file.substr(
-      static_cast<std::size_t>(data_size + index_size + offsets_size + crcs_size + bloom_size),
-      static_cast<std::size_t>(row_bloom_size)));
-
-  table.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (table.fd_ < 0) return Status::IOError("cannot reopen " + path);
+  std::memcpy(table.block_crcs_.data(), meta.data() + index_size + offsets_size, crcs_size);
+  const std::string_view blooms = meta.substr(index_size + offsets_size + crcs_size);
+  table.bloom_ = BloomFilter::FromPayload(std::string(blooms.substr(0, bloom_size)));
+  table.row_bloom_ = BloomFilter::FromPayload(std::string(blooms.substr(bloom_size)));
   return table;
 }
 
@@ -265,9 +303,7 @@ bool SSTable::ReadBlockView(std::size_t b, BlockCache::Block* pin, std::string_v
   }
   auto block = std::make_shared<std::string>();
   block->resize(BlockSizeOf(b));
-  const ssize_t got = ::pread(fd_, block->data(), block->size(),
-                              static_cast<off_t>(index_offsets_[b]));
-  if (got < 0 || static_cast<std::size_t>(got) != block->size()) {
+  if (!ReadFull(fd_, block->data(), block->size(), index_offsets_[b])) {
     if (io_status != nullptr) *io_status = Status::DataLoss("SSTable block read failed: " + path_);
     return false;
   }
@@ -358,9 +394,7 @@ bool SSTable::Iterator::LoadBlock(std::size_t block) {
   pos_ = 0;
   if (block >= table_->index_offsets_.size()) return false;
   buffer_.resize(table_->BlockSizeOf(block));
-  const ssize_t got = ::pread(table_->fd_, buffer_.data(), buffer_.size(),
-                              static_cast<off_t>(table_->index_offsets_[block]));
-  if (got < 0 || static_cast<std::size_t>(got) != buffer_.size()) {
+  if (!ReadFull(table_->fd_, buffer_.data(), buffer_.size(), table_->index_offsets_[block])) {
     status_ = Status::DataLoss("SSTable block read failed: " + table_->path_);
     return false;
   }

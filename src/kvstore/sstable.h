@@ -18,10 +18,11 @@ class RateLimiter;  // maintenance.h — byte/sec throttle for background writes
 
 /// Immutable sorted run of cells on disk (the HFile analogue).
 ///
-/// Format v2 (written by Write): cell records grouped into ~4 KiB blocks
+/// Format v3 (written by Write): cell records grouped into ~4 KiB blocks
 /// (records never straddle a block boundary), a per-block index (first key
 /// + file offset + CRC32 of every block), a column-coordinate Bloom
-/// filter, a row-prefix Bloom filter, and a versioned footer. Readers keep
+/// filter, a row-prefix Bloom filter, and a versioned footer holding one
+/// CRC32 over the data region and one over the metadata. Readers keep
 /// only the index and the filters in memory; data blocks are fetched on
 /// demand with pread through the store's shared BlockCache, so the
 /// resident set is the hot blocks, not the table. Every disk read verifies
@@ -31,7 +32,7 @@ class RateLimiter;  // maintenance.h — byte/sec throttle for background writes
 class SSTable {
  public:
   /// Writes `cells` (must already be sorted by CellKey and free of exact
-  /// duplicates) to `path` in format v2, replacing any existing file.
+  /// duplicates) to `path` in format v3, replacing any existing file.
   /// A non-null `limiter` throttles the file write (background compaction
   /// pacing against foreground traffic); `bytes_written` (optional)
   /// returns the file size for maintenance accounting.
@@ -39,9 +40,9 @@ class SSTable {
                       RateLimiter* limiter = nullptr, uint64_t* bytes_written = nullptr);
 
   /// Opens and validates an SSTable file. Corrupt files (short footer,
-  /// bad magic, CRC mismatch, bad geometry) fail loudly with a DataLoss
-  /// status naming the path. `cache` (nullable) serves this table's block
-  /// reads.
+  /// bad magic, a version other than 3, CRC mismatch, bad geometry) fail
+  /// loudly with a DataLoss status naming the path. `cache` (nullable)
+  /// serves this table's block reads.
   static StatusOr<SSTable> Open(const std::string& path, BlockCache* cache = nullptr);
 
   SSTable(SSTable&& other) noexcept;
@@ -105,8 +106,9 @@ class SSTable {
  private:
   friend class Iterator;
 
-  static constexpr uint32_t kMagicV2 = 0x32545354;  // "TST2"
-  static constexpr std::size_t kBlockSize = 4096;   // Target block bytes.
+  static constexpr uint32_t kMagic = 0x32545354;   // "TST2"
+  static constexpr uint32_t kFormatVersion = 3;    // Footer layout version.
+  static constexpr std::size_t kBlockSize = 4096;  // Target block bytes.
 
   SSTable() = default;
 

@@ -179,9 +179,11 @@ Status AliHBase::OpenShardFiles(Shard& shard) {
     shard.next_sstable_id = std::max(shard.next_sstable_id, id + 1);
   }
 
-  // Replay the WAL into the memtable.
+  // Replay the WAL's intact records into the memtable. Open truncates a
+  // torn tail, so the puts acknowledged from now on replay after them.
   const std::string wal_path = shard.dir + "/wal.log";
-  TITANT_ASSIGN_OR_RETURN(std::vector<std::string> records, WriteAheadLog::ReadAll(wal_path));
+  std::vector<std::string> records;
+  TITANT_ASSIGN_OR_RETURN(WriteAheadLog wal, WriteAheadLog::Open(wal_path, &records));
   for (const std::string& record : records) {
     std::size_t offset = 0;
     while (offset < record.size()) {
@@ -192,7 +194,6 @@ Status AliHBase::OpenShardFiles(Shard& shard) {
       shard.memtable->Insert(MemEntry{std::move(cell), shard.next_seq++});
     }
   }
-  TITANT_ASSIGN_OR_RETURN(WriteAheadLog wal, WriteAheadLog::Open(wal_path));
   shard.wal.emplace(std::move(wal));
   return Status::OK();
 }

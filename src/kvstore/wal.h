@@ -11,8 +11,8 @@
 
 namespace titant::kvstore {
 
-/// CRC32 (IEEE, reflected) over `data`; used to detect torn/corrupt WAL
-/// records on recovery.
+/// CRC32 (IEEE, reflected) over `data`: the checksum of every WAL record,
+/// SSTable block and SSTable region. Slicing-by-8, eight bytes per step.
 uint32_t Crc32(std::string_view data);
 
 /// Append-only write-ahead log. Record framing: u32 length, u32 crc32,
@@ -20,8 +20,12 @@ uint32_t Crc32(std::string_view data);
 /// record (a crash mid-append loses only the tail).
 class WriteAheadLog {
  public:
-  /// Opens (creating if needed) the log at `path` for appending.
-  static StatusOr<WriteAheadLog> Open(const std::string& path);
+  /// Opens (creating if needed) the log at `path` for appending. The
+  /// intact records already in it are returned through `recovered` (when
+  /// non-null), and a torn or corrupt tail after them is truncated first,
+  /// so records appended from now on replay after the intact ones.
+  static StatusOr<WriteAheadLog> Open(const std::string& path,
+                                      std::vector<std::string>* recovered = nullptr);
 
   WriteAheadLog(WriteAheadLog&& other) noexcept;
   WriteAheadLog& operator=(WriteAheadLog&& other) noexcept;

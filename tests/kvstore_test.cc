@@ -119,6 +119,50 @@ TEST(CellTest, KeyOrderingNewestVersionFirst) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC-32
+// ---------------------------------------------------------------------------
+
+// The bytewise table loop Crc32 used before its slicing-by-8 kernel, kept
+// verbatim as the reference the kernel must match.
+uint32_t ReferenceCrc32(std::string_view data) {
+  static uint32_t table[256];
+  static bool initialized = [] {
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      table[i] = c;
+    }
+    return true;
+  }();
+  (void)initialized;
+  uint32_t crc = 0xFFFFFFFFu;
+  for (unsigned char ch : data) crc = table[(crc ^ ch) & 0xFF] ^ (crc >> 8);
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32(""), 0x00000000u);
+  EXPECT_EQ(Crc32("a"), 0xE8B7BE43u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(std::string(4096, '\0')), 0xC71C0011u);
+}
+
+// Every length 0..4999 from every start offset 0..7, so each tail length
+// and each alignment of the 8-byte loads meets the reference.
+TEST(Crc32Test, MatchesTheBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(2019);
+  std::string bytes(5000 + 8, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Uniform(256));
+  const std::string_view all(bytes);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len < 5000; ++len) {
+      const std::string_view data = all.substr(offset, len);
+      ASSERT_EQ(Crc32(data), ReferenceCrc32(data)) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // WAL
 // ---------------------------------------------------------------------------
 
@@ -314,11 +358,12 @@ TEST(SSTableTest, DetectsCorruption) {
   EXPECT_NE(v1.status().message().find("bad SSTable magic"), std::string::npos);
 }
 
-// A damaged footer or block-offset array must never abort the process or
-// serve a wrong cell. Every single-bit flip of the 60-byte footer, and
-// every truncation of the file, opens as DataLoss or reads every cell
-// back unchanged. A flip in the offset array may also pass Open and then
-// stop the read with DataLoss when a block's CRC no longer matches.
+// A damaged SSTable must never abort the process or serve a wrong cell.
+// Every single-bit flip of the 64-byte footer, and every truncation of
+// the file, opens as DataLoss or reads every cell back unchanged. Every
+// single-bit flip of the metadata (index keys, block offsets, block CRCs,
+// both Bloom filters) fails Open as DataLoss: a flip there would
+// otherwise open cleanly and answer NotFound for present cells.
 TEST(SSTableTest, DamagedFooterOrOffsetsFailAsDataLoss) {
   const std::string dir = TempDir("sstdamage");
   fs::create_directories(dir);
@@ -330,24 +375,35 @@ TEST(SSTableTest, DamagedFooterOrOffsetsFailAsDataLoss) {
     std::ifstream in(path, std::ios::binary);
     file.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  constexpr std::size_t kFooter = 6 * sizeof(uint64_t) + 3 * sizeof(uint32_t);
+  constexpr std::size_t kFooter = 6 * sizeof(uint64_t) + 4 * sizeof(uint32_t);
   ASSERT_GT(file.size(), kFooter);
   const char* footer = file.data() + file.size() - kFooter;
-  uint64_t data_size = 0, index_size = 0, num_blocks = 0;
+  uint64_t data_size = 0, index_size = 0, num_blocks = 0, bloom_size = 0, row_bloom_size = 0;
+  uint32_t version = 0;
   std::memcpy(&data_size, footer, 8);
   std::memcpy(&index_size, footer + 8, 8);
   std::memcpy(&num_blocks, footer + 16, 8);
+  std::memcpy(&bloom_size, footer + 32, 8);
+  std::memcpy(&row_bloom_size, footer + 40, 8);
+  std::memcpy(&version, footer + 56, 4);
   ASSERT_EQ(num_blocks, 3u);
+  ASSERT_EQ(version, 3u);
+  const std::size_t offsets_at = data_size + index_size;
+  const std::size_t crcs_at = offsets_at + num_blocks * sizeof(uint64_t);
+  const std::size_t bloom_at = crcs_at + num_blocks * sizeof(uint32_t);
+  const std::size_t row_bloom_at = bloom_at + bloom_size;
+  ASSERT_EQ(row_bloom_at + row_bloom_size, file.size() - kFooter);
 
   // Each case damages the file in place, then opens and reads it back.
   const int fd = ::open(path.c_str(), O_RDWR);
   ASSERT_GE(fd, 0);
-  auto check = [&](bool may_fail_on_read, const std::string& what) {
+  auto check = [&](bool must_fail_open, const std::string& what) {
     StatusOr<SSTable> table = SSTable::Open(path);
     if (!table.ok()) {
       EXPECT_EQ(table.status().code(), StatusCode::kDataLoss) << what;
       return;
     }
+    EXPECT_FALSE(must_fail_open) << what << " opened";
     SSTable::Iterator it(&*table);
     std::size_t n = 0;
     for (it.SeekToFirst(); it.Valid(); it.Next(), ++n) {
@@ -355,30 +411,60 @@ TEST(SSTableTest, DamagedFooterOrOffsetsFailAsDataLoss) {
       ASSERT_EQ(it.cell().key, cells[n].key) << what;
       ASSERT_EQ(it.cell().value, cells[n].value) << what;
     }
-    if (may_fail_on_read && !it.status().ok()) {
-      EXPECT_EQ(it.status().code(), StatusCode::kDataLoss) << what;
-    } else {
-      EXPECT_TRUE(it.status().ok()) << what;
-      EXPECT_EQ(n, cells.size()) << what;
-    }
+    EXPECT_TRUE(it.status().ok()) << what;
+    EXPECT_EQ(n, cells.size()) << what;
   };
-  auto check_flips = [&](std::size_t first_byte, std::size_t bytes, bool may_fail_on_read,
+  auto check_flips = [&](std::size_t first_byte, std::size_t bytes, bool must_fail_open,
                          const std::string& region) {
+    ASSERT_GT(bytes, 0u) << region;
     for (std::size_t bit = 0; bit < bytes * 8; ++bit) {
       const std::size_t pos = first_byte + bit / 8;
       const char damaged = static_cast<char>(file[pos] ^ (1 << (bit % 8)));
       ASSERT_EQ(::pwrite(fd, &damaged, 1, static_cast<off_t>(pos)), 1);
-      check(may_fail_on_read, region + " bit " + std::to_string(bit));
+      check(must_fail_open, region + " bit " + std::to_string(bit));
       ASSERT_EQ(::pwrite(fd, &file[pos], 1, static_cast<off_t>(pos)), 1);
     }
   };
   check_flips(file.size() - kFooter, kFooter, false, "footer");
-  check_flips(data_size + index_size, num_blocks * sizeof(uint64_t), true, "offset");
+  check_flips(data_size, index_size, true, "index key");
+  check_flips(offsets_at, crcs_at - offsets_at, true, "offset");
+  check_flips(crcs_at, bloom_at - crcs_at, true, "block crc");
+  check_flips(bloom_at, bloom_size, true, "column bloom");
+  check_flips(row_bloom_at, row_bloom_size, true, "row bloom");
   for (std::size_t cut = file.size(); cut-- > 0;) {
     ASSERT_EQ(::ftruncate(fd, static_cast<off_t>(cut)), 0);
     check(false, "prefix " + std::to_string(cut));
   }
   ::close(fd);
+}
+
+// A table written with the version-2 footer (60 bytes, no metadata CRC)
+// is named as an older layout, not misread.
+TEST(SSTableTest, VersionTwoFooterFailsAsUnsupported) {
+  const std::string dir = TempDir("sstv2");
+  fs::create_directories(dir);
+  const std::string path = dir + "/1.sst";
+  ASSERT_TRUE(SSTable::Write(path, MakeSortedCells(20, 1)).ok());
+  std::string file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // v2 footer: the same six sizes and data CRC, then version 2 and the
+  // magic; v3 adds the metadata CRC after the data CRC.
+  const std::size_t footer_at = file.size() - 64;
+  std::string v2 = file.substr(0, footer_at + 52);
+  const uint32_t two = 2;
+  v2.append(reinterpret_cast<const char*>(&two), sizeof(two));
+  v2.append(file, file.size() - 4, 4);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(v2.data(), static_cast<std::streamsize>(v2.size()));
+  }
+  const auto table = SSTable::Open(path);
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(table.status().message().find("unsupported SSTable version"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -649,6 +735,46 @@ TEST(StoreTest, RecoversFromWalAfterCrash) {
   EXPECT_EQ(*(*reopened)->Get("alice", "bf", "age"), "30");
   EXPECT_EQ(*(*reopened)->Get("bob", "emb", "vec"), "E");
   EXPECT_EQ((*reopened)->memtable_cells(), 2u);  // Replayed into memtable.
+}
+
+// A crash mid-append leaves a torn record at the WAL's end. Recovery must
+// truncate it before the reopened store appends, or the next replay stops
+// at the torn record and loses every put acknowledged after it.
+TEST(StoreTest, PutAcknowledgedAfterATornWalTailSurvivesTheNextRecovery) {
+  const std::string dir = TempDir("torn_wal_tail");
+  StoreOptions options = MemOptions();
+  options.durable = true;
+  options.dir = dir;
+  {
+    auto store = AliHBase::Open(options);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("a", "bf", "q", "A", 1).ok());
+  }
+  const std::string wal = dir + "/shard-0/wal.log";
+  const auto intact = fs::file_size(wal);
+  {
+    // A header that claims 100 payload bytes, then only 10 of them.
+    std::ofstream out(wal, std::ios::binary | std::ios::app);
+    const uint32_t len = 100, crc = 0;
+    out.write(reinterpret_cast<const char*>(&len), sizeof(len));
+    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    out.write("0123456789", 10);
+  }
+  ASSERT_EQ(fs::file_size(wal), intact + 18);
+  {
+    auto store = AliHBase::Open(options);
+    ASSERT_TRUE(store.ok());
+    EXPECT_EQ(*(*store)->Get("a", "bf", "q"), "A");
+    EXPECT_EQ(fs::file_size(wal), intact);  // The torn tail is gone.
+    ASSERT_TRUE((*store)->Put("b", "bf", "q", "B", 1).ok());
+  }
+  auto reopened = AliHBase::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(*(*reopened)->Get("a", "bf", "q"), "A");
+  const auto b = (*reopened)->Get("b", "bf", "q");
+  ASSERT_TRUE(b.ok()) << b.status().message();
+  EXPECT_EQ(*b, "B");
+  EXPECT_EQ((*reopened)->memtable_cells(), 2u);
 }
 
 TEST(StoreTest, RecoversFlushedAndUnflushedData) {
