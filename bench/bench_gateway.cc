@@ -3,7 +3,7 @@
 // reaches the MS fleet over the wire, not via a function call).
 //
 //   bench_gateway [client_threads] [seconds] [instances] [--faults]
-//                 [--batch N] [--no-coalesce] [--alloc-budget N]
+//                 [--batch N] [--alloc-budget N]
 //                 [--workers N] [--shards N] [--ingest] [--puts W]
 //                 [--replica] [--disk] [--cache-mb N] [--compact-storm]
 //
@@ -15,8 +15,8 @@
 //
 // --batch N sends explicit kScoreBatch frames of N rows per round trip
 // (qps is reported in rows/s; the latency histogram is per round trip).
-// --no-coalesce disables the gateway's server-side micro-batcher, so a
-// batch-1 run isolates what coalescing itself costs or saves.
+// Without it every round trip is one kScore frame, which the gateway
+// scores as one router dispatch on the reactor that read it.
 //
 // --faults arms a chaos schedule (TITANT_FAILPOINTS if set, else a stock
 // mix of KV outages, client write tears, and scoring latency) and reports
@@ -26,15 +26,16 @@
 //
 // The binary links titant_alloc_hook (counting operator new replacement),
 // so it also reports heap allocations per round trip across the whole
-// process — server and clients — during the timed window. The scoring hot
-// path itself is allocation-free (tests/zeroalloc_test.cc); what remains
-// is client-side response handling and transient frame payloads.
+// process — server and clients — during the timed window. The server's
+// wire path is allocation-free (tests/zeroalloc_test.cc); what remains is
+// the GatewayClient's response handling.
 // --alloc-budget N turns the report into a pass bar: the run fails when
 // allocs/request exceeds N (the CI bench-smoke lane pins the checked-in
 // budget so allocation regressions fail the build).
 //
-// --workers N overrides the gateway's handler thread count (default:
-// hardware_concurrency), useful for studying scheduling on small hosts.
+// --workers N overrides the gateway's reactor count (default:
+// hardware_concurrency). Each client connection belongs to one reactor,
+// handed out round-robin, so N below the client count shares reactors.
 //
 // --ingest attaches a streaming Ingestor: every scored transaction is
 // folded back into the sliding-window velocity counters and published to
@@ -200,7 +201,6 @@ Fixture BuildFixture(int instances, int shards, bool replica, bool disk,
 
 int main(int argc, char** argv) {
   bool faults = false;
-  bool coalesce = true;
   int batch = 1;
   int workers = 0;  // 0 = GatewayOptions default (hardware_concurrency).
   int shards = 0;  // 0 = FeatureTableOptions default (kFeatureTableShards).
@@ -216,8 +216,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--faults") == 0) {
       faults = true;
-    } else if (std::strcmp(argv[i], "--no-coalesce") == 0) {
-      coalesce = false;
     } else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc) {
       batch = std::atoi(argv[++i]);
       if (batch < 1) batch = 1;
@@ -255,9 +253,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "bench_gateway: %d closed-loop client threads, %.1fs, %d MS instances, "
-      "batch %d, coalescing %s%s\n",
-      threads, seconds, instances, batch, coalesce ? "on" : "off",
-      faults ? ", fault injection ON" : "");
+      "batch %d%s\n",
+      threads, seconds, instances, batch, faults ? ", fault injection ON" : "");
   if (shards > 0) std::printf("feature store lock stripes: %d\n", shards);
   std::printf("setting up world + model + feature store...\n");
   if (disk) {
@@ -274,7 +271,6 @@ int main(int argc, char** argv) {
 
   titant::serving::GatewayOptions gateway_options;
   if (workers > 0) gateway_options.worker_threads = static_cast<std::size_t>(workers);
-  if (!coalesce) gateway_options.coalesce_max_batch = 1;
   std::unique_ptr<titant::streaming::Ingestor> ingestor;
   if (ingest) {
     ingestor = CheckOk(titant::streaming::Ingestor::Open(fixture.serving_store(),
@@ -509,15 +505,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(kv.compactions - kv_before.compactions),
                 static_cast<double>(kv.maintenance_bytes_written - kv_before.maintenance_bytes_written) /
                     (1024.0 * 1024.0));
-  }
-
-  const auto snapshot = gateway.StatsSnapshot();
-  if (snapshot.coalesced_batches > 0) {
-    std::printf("  coalescer: %llu rows over %llu dispatches (avg batch %.2f)\n",
-                static_cast<unsigned long long>(snapshot.coalesced_rows),
-                static_cast<unsigned long long>(snapshot.coalesced_batches),
-                static_cast<double>(snapshot.coalesced_rows) /
-                    static_cast<double>(snapshot.coalesced_batches));
   }
 
   if (faults) {

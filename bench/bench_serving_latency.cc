@@ -108,8 +108,8 @@ void BM_GbdtScoreOnly(benchmark::State& state) {
 BENCHMARK(BM_GbdtScoreOnly)->Unit(benchmark::kMicrosecond);
 
 // The same end-to-end request over the TCP gateway on loopback: what
-// BM_ModelServerScore costs once a real socket, framing, epoll dispatch,
-// and the handler thread pool sit between caller and model.
+// BM_ModelServerScore costs once a real socket, framing and an epoll
+// reactor sit between caller and model.
 void BM_GatewayScoreOverLoopback(benchmark::State& state) {
   auto& fixture = ServingFixture::Get();
   static auto* router = [] {

@@ -295,13 +295,34 @@ std::size_t SSTable::BlockSizeOf(std::size_t b) const {
   return static_cast<std::size_t>(end - start);
 }
 
+namespace {
+
+/// Without a block cache nothing keeps a block past its reader's pin, so
+/// reads reuse per-thread buffers instead of allocating one per block.
+/// Two cover every reader: AliHBase::FindViewLocked keeps the winning
+/// table's block pinned while it reads the older tables' blocks. A buffer
+/// is free when this thread holds its only reference; should both be
+/// pinned, a fresh one is made.
+std::shared_ptr<std::string> UncachedBlockBuffer() {
+  thread_local std::shared_ptr<std::string> buffers[2] = {std::make_shared<std::string>(),
+                                                          std::make_shared<std::string>()};
+  for (const auto& buffer : buffers) {
+    if (buffer.use_count() == 1) return buffer;
+  }
+  return std::make_shared<std::string>();
+}
+
+}  // namespace
+
 bool SSTable::ReadBlockView(std::size_t b, BlockCache::Block* pin, std::string_view* out,
                             Status* io_status) const {
   if (cache_ != nullptr && cache_->Get(table_id_, static_cast<uint32_t>(b), pin)) {
     *out = **pin;
     return true;
   }
-  auto block = std::make_shared<std::string>();
+  // A cached block outlives this read, so it gets its own buffer.
+  std::shared_ptr<std::string> block =
+      cache_ != nullptr ? std::make_shared<std::string>() : UncachedBlockBuffer();
   block->resize(BlockSizeOf(b));
   if (!ReadFull(fd_, block->data(), block->size(), index_offsets_[b])) {
     if (io_status != nullptr) *io_status = Status::DataLoss("SSTable block read failed: " + path_);

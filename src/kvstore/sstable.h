@@ -112,7 +112,9 @@ class SSTable {
 
   SSTable() = default;
 
-  /// Returns a view of block `b`, cache-first, pinned by `pin`.
+  /// Returns a view of block `b`, cache-first, pinned by `pin`. Without a
+  /// cache the bytes sit in a reused per-thread buffer, valid while `pin`
+  /// holds it.
   bool ReadBlockView(std::size_t b, BlockCache::Block* pin, std::string_view* out,
                      Status* io_status) const;
   /// Size in bytes of block `b`.

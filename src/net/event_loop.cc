@@ -30,10 +30,13 @@ Status EventLoop::Init() {
     epoll_fd_ = -1;
     return Errno("eventfd");
   }
+  // Posted tasks run when the eventfd fires, so an iteration that only
+  // carries socket events never touches the pending queue's mutex.
   return Add(wake_fd_, EPOLLIN, [this](uint32_t) {
     uint64_t drained = 0;
     while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
     }
+    RunPending();
   });
 }
 
@@ -42,7 +45,7 @@ Status EventLoop::Add(int fd, uint32_t events, FdCallback callback) {
   ev.events = events;
   ev.data.fd = fd;
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return Errno("epoll_ctl(ADD)");
-  callbacks_[fd] = std::move(callback);
+  callbacks_[fd] = std::make_unique<FdCallback>(std::move(callback));
   return Status::OK();
 }
 
@@ -56,7 +59,11 @@ Status EventLoop::Modify(int fd, uint32_t events) {
 
 Status EventLoop::Remove(int fd) {
   if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) != 0) return Errno("epoll_ctl(DEL)");
-  callbacks_.erase(fd);
+  auto it = callbacks_.find(fd);
+  if (it != callbacks_.end()) {
+    retired_.push_back(std::move(it->second));  // It may be the one running.
+    callbacks_.erase(it);
+  }
   return Status::OK();
 }
 
@@ -73,13 +80,11 @@ void EventLoop::Run() {
       // Look up per event: an earlier callback may have removed this fd.
       auto it = callbacks_.find(events[i].data.fd);
       if (it == callbacks_.end()) continue;
-      // Copy so a callback erasing its own registration stays valid.
-      FdCallback callback = it->second;
-      callback(events[i].events);
+      (*it->second)(events[i].events);
     }
-    RunPending();
+    retired_.clear();
   }
-  RunPending();  // Final drain so posted completions are not lost.
+  RunPending();  // Final drain so no posted task is lost.
   running_.store(false);
 }
 

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -13,14 +13,16 @@
 
 namespace titant::net {
 
-/// Single-threaded epoll readiness loop: the serving gateway's I/O core.
+/// Single-threaded epoll readiness loop: one per server reactor, plus the
+/// listener's.
 ///
 /// One thread calls Run(); it dispatches fd readiness to registered
 /// callbacks and executes closures posted from other threads (Post wakes
 /// the loop through an eventfd). Add/Modify/Remove must be called from the
 /// loop thread once Run() has started — cross-thread mutation goes through
-/// Post. Callbacks may remove their own fd (the loop tolerates
-/// registrations disappearing mid-dispatch).
+/// Post. Callbacks may remove their own fd or another one: a removed
+/// callback is retired, not destroyed, until the current batch of events
+/// has been dispatched, and later events for a removed fd are skipped.
 class EventLoop {
  public:
   using FdCallback = std::function<void(uint32_t epoll_events)>;
@@ -53,7 +55,9 @@ class EventLoop {
 
   /// Queues `task` for execution on the loop thread. Thread-safe; may be
   /// called before Run. Tasks posted after Run() has returned never
-  /// execute (Run drains the queue once on its way out).
+  /// execute (Run drains the queue once on its way out). Meant for
+  /// control traffic (handing over a connection, shutdown), not for
+  /// per-request work: each call allocates and writes the eventfd.
   void Post(std::function<void()> task);
 
   bool running() const { return running_.load(); }
@@ -65,7 +69,10 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::atomic<bool> running_{false};
-  std::unordered_map<int, FdCallback> callbacks_;  // Loop thread only.
+  // Loop thread only. Callbacks live behind a pointer so a running one
+  // stays put while Remove retires it.
+  std::unordered_map<int, std::unique_ptr<FdCallback>> callbacks_;
+  std::vector<std::unique_ptr<FdCallback>> retired_;
   std::mutex pending_mu_;
   std::vector<std::function<void()>> pending_;
 };

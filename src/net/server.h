@@ -7,16 +7,15 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <vector>
 
 #include "common/statusor.h"
-#include "common/thread_pool.h"
 #include "net/event_loop.h"
 #include "net/wire.h"
 
 namespace titant::net {
 
-/// Default handler-thread count: one per hardware thread, never zero
+/// Default reactor count: one per hardware thread, never zero
 /// (hardware_concurrency() may return 0 on exotic platforms).
 inline std::size_t DefaultWorkerThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -31,39 +30,45 @@ struct ServerOptions {
   uint16_t port = 0;
   /// listen(2) backlog.
   int backlog = 128;
-  /// Handler threads (the common::ThreadPool the loop dispatches to).
+  /// Reactors: event loops, each on its own thread, that own the
+  /// connections handed to them round-robin at accept and run every
+  /// request of those connections to completion. 0 counts as 1.
   std::size_t worker_threads = DefaultWorkerThreads();
   /// Per-frame payload cap enforced by the decoder.
   std::size_t max_payload_bytes = kMaxPayloadBytes;
-  /// Admission control: requests dispatched-but-not-completed (running or
-  /// queued for the pool) beyond this are refused immediately with a
-  /// ResourceExhausted reply instead of queueing unboundedly. 0 disables.
+  /// Admission control: request frames admitted and not yet answered,
+  /// counted across every reactor. A reactor admits or sheds each frame
+  /// of a read burst before any of them runs; a frame beyond this many,
+  /// and the rest of its burst, is refused at once with ResourceExhausted
+  /// instead of waiting its turn. 0 disables.
   std::size_t max_in_flight = 0;
 };
 
-/// Single-threaded epoll accept/read/write loop with per-connection
-/// buffers, dispatching each decoded request frame to a handler on a
-/// common::ThreadPool (§4.4: the MS must absorb heavy concurrent traffic
-/// without the I/O thread blocking on model work).
+/// Epoll reactors, each running the requests of its own connections to
+/// completion (§4.4: the MS must absorb heavy concurrent traffic). A
+/// listener thread accepts and hands each connection to the next reactor;
+/// from then on the connection's reads, handler calls and writes all
+/// happen on that reactor's thread, so no request changes thread and no
+/// connection state is shared.
 ///
-/// The handler fills the response *body* into a server-owned (thread_local,
-/// reused) buffer; the server wraps it — or the error status — into a
-/// response frame encoded directly into the connection's outbox, so the
-/// steady-state reply path performs no per-frame allocation. The outbox is
-/// the one piece of connection state workers touch; a per-connection mutex
-/// guards it, everything else stays loop-thread-only. Responses may
-/// complete out of order across connections; within one connection they
-/// land in handler-completion order.
+/// A reactor reads what the socket holds, decodes the frames, admits or
+/// sheds each (max_in_flight), runs the handler inline for every admitted
+/// frame whose deadline has not passed, encodes each reply straight into
+/// the connection's outbox, and sends the burst's replies with one send.
+/// The handler fills the response *body* into a reactor-owned, reused
+/// buffer, and decoded frames reuse their payload capacity, so the warm
+/// reply path performs no allocation. Replies on one connection go out
+/// in request order; a slow handler delays only its own reactor.
 ///
-/// Shutdown() is graceful: stop accepting, pull already-received bytes
-/// from every connection, finish every dispatched request, flush the
-/// replies, then close. No exception crosses this API; all failures are
-/// titant::Status.
+/// Shutdown() is graceful: stop accepting, run what every connection has
+/// already received, flush the replies, then close. No exception crosses
+/// this API; all failures are titant::Status.
 class Server {
  public:
   /// Fills `*body` (cleared by the server before the call; reused across
-  /// requests on the same worker thread) and returns the handler Status.
-  /// On a non-OK return the body is not transmitted.
+  /// requests on the same reactor) and returns the handler Status. On a
+  /// non-OK return the body is not transmitted. Called concurrently from
+  /// every reactor.
   using Handler = std::function<Status(const Frame& request, std::string* body)>;
 
   Server(ServerOptions options, Handler handler);
@@ -72,19 +77,20 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and spawns the loop thread. InvalidArgument for a bad
-  /// host, IOError for socket failures.
+  /// Binds, listens, and spawns the listener and reactor threads.
+  /// InvalidArgument for a bad host, IOError for socket failures.
   Status Start();
 
-  /// Graceful shutdown: stops accepting, drains in-flight requests, writes
-  /// out their replies, closes every connection, joins the loop thread.
+  /// Graceful shutdown: stops accepting, answers what was received, writes
+  /// out the replies, closes every connection, joins every thread.
   /// Idempotent; OK when the server was never started.
   Status Shutdown();
 
   /// The bound port (useful with options.port == 0).
   uint16_t port() const { return port_; }
 
-  /// Request frames dispatched to the handler since Start().
+  /// Request frames admitted since Start() (including those answered
+  /// Timeout because their deadline passed before the handler ran).
   uint64_t frames_dispatched() const { return frames_dispatched_.load(); }
 
   /// Connections torn down for malformed framing (bad magic/version/cap).
@@ -93,45 +99,34 @@ class Server {
   /// Requests refused with ResourceExhausted by admission control.
   uint64_t requests_shed() const { return requests_shed_.load(); }
 
-  /// Requests refused with Timeout because their propagated deadline had
-  /// already expired (at dispatch or after waiting in the pool queue).
+  /// Admitted requests answered Timeout without running the handler: the
+  /// propagated deadline, anchored at the kernel's receive time, had
+  /// passed by the time the frame's turn came.
   uint64_t requests_expired() const { return requests_expired_.load(); }
 
  private:
-  struct Connection;
+  class Reactor;
 
   void AcceptReady();
-  void ConnectionReady(const std::shared_ptr<Connection>& conn, uint32_t events);
-  void ReadReady(const std::shared_ptr<Connection>& conn);
-  void WriteReady(const std::shared_ptr<Connection>& conn);
-  void Dispatch(const std::shared_ptr<Connection>& conn, Frame frame);
-  /// Fast reply from the loop thread (shed / expired), bypassing the pool.
-  void RespondDirect(const std::shared_ptr<Connection>& conn, const Frame& frame,
-                     const Status& status);
-  void Complete(const std::shared_ptr<Connection>& conn);
-  void UpdateInterest(const std::shared_ptr<Connection>& conn);
-  void CloseConnection(const std::shared_ptr<Connection>& conn);
-  void BeginDrain();
-  void MaybeFinishDrain();
+  /// Takes an admission slot; false when max_in_flight are taken.
+  bool Admit();
+  void Release();
 
   ServerOptions options_;
   Handler handler_;
-  EventLoop loop_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread loop_thread_;
+  EventLoop accept_loop_;
+  std::vector<std::unique_ptr<Reactor>> reactors_;
+  std::size_t next_reactor_ = 0;  // Listener thread only.
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   bool started_ = false;
 
-  // Loop-thread-only state.
-  std::unordered_map<int, std::shared_ptr<Connection>> connections_;
-  std::size_t in_flight_total_ = 0;
-  bool draining_ = false;
-
+  std::atomic<std::size_t> in_flight_{0};  // Counted only with max_in_flight.
   std::atomic<uint64_t> frames_dispatched_{0};
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> requests_shed_{0};
   std::atomic<uint64_t> requests_expired_{0};
+  std::thread accept_thread_;  // Last: the listener uses the members above.
 };
 
 }  // namespace titant::net

@@ -199,6 +199,26 @@ Status DecodeResponsePayload(const Frame& frame, std::string* body) {
 }
 
 Status FrameDecoder::Feed(const char* data, std::size_t size, std::vector<Frame>* out) {
+  return Decode(data, size, [out]() -> Frame& {
+    Frame& frame = out->emplace_back();
+    frame.received_at_us = MonotonicMicros();
+    return frame;
+  });
+}
+
+Status FrameDecoder::FeedInto(const char* data, std::size_t size, int64_t received_at_us,
+                              std::vector<Frame>* frames, std::size_t* count) {
+  *count = 0;
+  return Decode(data, size, [&]() -> Frame& {
+    if (*count == frames->size()) frames->emplace_back();
+    Frame& frame = (*frames)[(*count)++];
+    frame.received_at_us = received_at_us;
+    return frame;
+  });
+}
+
+template <typename NextFrame>
+Status FrameDecoder::Decode(const char* data, std::size_t size, NextFrame next_frame) {
   buffer_.append(data, size);
   std::size_t consumed = 0;
   while (buffer_.size() - consumed >= kHeaderBytes) {
@@ -223,14 +243,12 @@ Status FrameDecoder::Feed(const char* data, std::size_t size, std::vector<Frame>
     }
     if (buffer_.size() - consumed < kHeaderBytes + payload_size) break;  // Torn: wait.
 
-    Frame frame;
+    Frame& frame = next_frame();
     frame.type = static_cast<FrameType>(type);
     frame.method = static_cast<uint16_t>(LoadLe(header + 6, 2));
     frame.request_id = LoadLe(header + 8, 8);
     frame.deadline_ms = static_cast<uint32_t>(LoadLe(header + 16, 4));
     frame.payload.assign(header + kHeaderBytes, payload_size);
-    frame.received_at_us = MonotonicMicros();
-    out->push_back(std::move(frame));
     consumed += kHeaderBytes + payload_size;
   }
   buffer_.erase(0, consumed);

@@ -103,8 +103,10 @@ struct Frame {
   /// Remaining caller budget when the frame was encoded (0 = none).
   uint32_t deadline_ms = 0;
   std::string payload;
-  /// Monotonic receive stamp (MonotonicMicros), set by the transport when
-  /// the frame is decoded; used for on-the-wire latency accounting.
+  /// Monotonic receive stamp (MonotonicMicros). The server sets the
+  /// kernel's receive time of the read that completed the frame, so a
+  /// wait in the socket buffer counts; FrameDecoder::Feed sets the decode
+  /// time. Anchors the deadline and the wire-latency histogram.
   int64_t received_at_us = 0;
 
   bool has_deadline() const { return deadline_ms != 0; }
@@ -225,7 +227,15 @@ class FrameDecoder {
   explicit FrameDecoder(std::size_t max_payload_bytes = kMaxPayloadBytes)
       : max_payload_bytes_(max_payload_bytes) {}
 
+  /// Appends each completed frame to `out`, stamped with the decode time.
   Status Feed(const char* data, std::size_t size, std::vector<Frame>* out);
+
+  /// The server's form of Feed: completed frames overwrite
+  /// `(*frames)[0, *count)` and carry `received_at_us`. The vector only
+  /// grows and each slot keeps its payload capacity, so a warm decoder
+  /// allocates nothing.
+  Status FeedInto(const char* data, std::size_t size, int64_t received_at_us,
+                  std::vector<Frame>* frames, std::size_t* count);
 
   /// Bytes buffered but not yet forming a complete frame.
   std::size_t pending_bytes() const { return buffer_.size(); }
@@ -234,6 +244,11 @@ class FrameDecoder {
   void Reset() { buffer_.clear(); }
 
  private:
+  /// Shared body of Feed and FeedInto: `next_frame()` returns the slot the
+  /// next completed frame is decoded into.
+  template <typename NextFrame>
+  Status Decode(const char* data, std::size_t size, NextFrame next_frame);
+
   std::size_t max_payload_bytes_;
   std::string buffer_;
 };
@@ -358,8 +373,8 @@ struct GatewayStats {
   double inproc_p99_us = 0.0;
   /// Requests refused with ResourceExhausted by admission control.
   uint64_t requests_shed = 0;
-  /// Requests refused with Timeout because their budget expired before
-  /// the handler ran.
+  /// Requests answered Timeout because their budget, anchored at the
+  /// kernel's receive time, expired before the handler ran.
   uint64_t requests_expired = 0;
   /// Verdicts served from default features (degraded=true).
   uint64_t degraded_verdicts = 0;
@@ -367,9 +382,10 @@ struct GatewayStats {
   uint64_t breaker_trips = 0;
   /// Instances currently held out of rotation by an open breaker.
   uint64_t open_instances = 0;
-  /// Micro-batching: dispatches issued by the gateway's coalescer and the
-  /// rows they carried. rows/batches is the achieved coalescing factor;
-  /// both 0 when coalescing is disabled.
+  /// Router dispatches made for kScore frames and the rows they carried.
+  /// Each kScore frame is one single-row dispatch on the reactor that read
+  /// it, so rows/batches reads 1; explicit kScoreBatch frames are not
+  /// counted here. The names stay as they are on the wire and in readers.
   uint64_t coalesced_batches = 0;
   uint64_t coalesced_rows = 0;
   /// Streaming ingestion (version 4): cells written through kPut/kPutBatch.

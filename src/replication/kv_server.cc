@@ -59,11 +59,6 @@ Status KvStoreServer::Handle(const net::Frame& request, std::string* body) {
 }
 
 Status KvStoreServer::HandlePut(const net::Frame& request) {
-  // Same admission rule as the gateway: refuse work whose caller already
-  // gave up (the pool queue may have eaten the budget).
-  if (request.has_deadline() && net::MonotonicMicros() > request.deadline_us()) {
-    return Status::Timeout("deadline expired before put applied");
-  }
   std::vector<kvstore::Cell> cells;
   if (request.method == net::kPut) {
     cells.resize(1);

@@ -1,7 +1,5 @@
 #include "serving/gateway.h"
 
-#include <algorithm>
-
 namespace titant::serving {
 
 Gateway::Gateway(ModelServerRouter* router, GatewayOptions options)
@@ -33,10 +31,10 @@ Gateway::Gateway(ModelServerRouter* router, GatewayOptions options)
     stats->breaker_trips = router_->breaker_trips();
     stats->open_instances = static_cast<uint64_t>(router_->open_instances());
   });
-  metrics_.Register("coalescer", [this](net::GatewayStats* stats) {
-    if (coalescer_ == nullptr) return;
-    stats->coalesced_batches = coalescer_->batches();
-    stats->coalesced_rows = coalescer_->rows();
+  metrics_.Register("dispatch", [this](net::GatewayStats* stats) {
+    // A kScore frame is one single-row router dispatch.
+    stats->coalesced_batches = score_dispatches_.load();
+    stats->coalesced_rows = stats->coalesced_batches;
   });
   metrics_.Register("streaming", [this](net::GatewayStats* stats) {
     if (options_.ingestor == nullptr) return;
@@ -58,14 +56,6 @@ Gateway::~Gateway() {
 
 Status Gateway::Start() {
   if (server_ != nullptr) return Status::FailedPrecondition("gateway already started");
-  if (options_.coalesce_max_batch > 1) {
-    int concurrent = options_.coalesce_max_concurrent;
-    if (concurrent <= 0) {
-      concurrent = static_cast<int>(std::max<std::size_t>(1, options_.worker_threads));
-    }
-    coalescer_ =
-        std::make_unique<ScoreCoalescer>(router_, options_.coalesce_max_batch, concurrent);
-  }
   net::ServerOptions server_options;
   server_options.host = options_.host;
   server_options.port = options_.port;
@@ -113,12 +103,10 @@ Status Gateway::Handle(const net::Frame& frame, std::string* body) {
         break;
       }
       // Propagate the caller's remaining budget so the instance can shed
-      // fetch work (degraded mode) instead of blowing the deadline. With
-      // coalescing on, concurrent singles share one batched dispatch.
-      const int64_t deadline_us = frame.has_deadline() ? frame.deadline_us() : 0;
-      StatusOr<Verdict> verdict = coalescer_ != nullptr
-                                      ? coalescer_->Score(request, deadline_us)
-                                      : router_->Score(request, deadline_us);
+      // fetch work (degraded mode) instead of blowing the deadline.
+      StatusOr<Verdict> verdict =
+          router_->Score(request, frame.has_deadline() ? frame.deadline_us() : 0);
+      score_dispatches_.fetch_add(1);
       if (verdict.ok()) {
         net::EncodeVerdictTo(body, *verdict);
         // Close the loop: the scored transaction feeds the streaming
@@ -130,7 +118,7 @@ Status Gateway::Handle(const net::Frame& frame, std::string* body) {
       break;
     }
     case net::kScoreBatch: {
-      // Decode/result scratch reused across requests on this worker
+      // Decode/result scratch reused across requests on this reactor
       // thread; the router's ScoreSpan writes into it directly and the
       // response encodes from it, so a warm batch allocates nothing.
       thread_local std::vector<TransferRequest> requests;
@@ -140,8 +128,8 @@ Status Gateway::Handle(const net::Frame& frame, std::string* body) {
         status = decoded;
         break;
       }
-      // An explicit batch is already coalesced — it goes straight to the
-      // router as one dispatch under the frame's single deadline.
+      // An explicit batch goes to the router as one dispatch under the
+      // frame's single deadline.
       items.assign(requests.size(), StatusOr<Verdict>(Status::Internal("unscored")));
       const Status scored =
           router_->ScoreSpan(requests.data(), requests.size(),
@@ -172,12 +160,6 @@ Status Gateway::Handle(const net::Frame& frame, std::string* body) {
         status = Status::FailedPrecondition("gateway has no ingestor (streaming writes disabled)");
         break;
       }
-      // Same rule as kPutBatch: a store write is heavier than a deadline
-      // read, so re-check the budget the server checked at dispatch.
-      if (frame.has_deadline() && net::MonotonicMicros() > frame.deadline_us()) {
-        status = Status::Timeout("put deadline expired before the store write");
-        break;
-      }
       thread_local std::vector<kvstore::Cell> one;
       one.clear();
       one.push_back(std::move(cell));
@@ -193,13 +175,6 @@ Status Gateway::Handle(const net::Frame& frame, std::string* body) {
       }
       if (options_.ingestor == nullptr) {
         status = Status::FailedPrecondition("gateway has no ingestor (streaming writes disabled)");
-        break;
-      }
-      // The server already refused frames whose budget expired before
-      // dispatch; re-check here because a store write is heavier than a
-      // deadline read (same rule the scoring path applies up front).
-      if (frame.has_deadline() && net::MonotonicMicros() > frame.deadline_us()) {
-        status = Status::Timeout("put batch deadline expired before the store write");
         break;
       }
       status = options_.ingestor->PutCells(cells);

@@ -11,7 +11,6 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
-#include "serving/coalescer.h"
 #include "serving/metrics.h"
 #include "serving/router.h"
 #include "streaming/ingestor.h"
@@ -24,19 +23,14 @@ struct GatewayOptions {
   std::string host = "127.0.0.1";
   /// Port; 0 picks an ephemeral port (read back via port()).
   uint16_t port = 0;
-  /// Handler threads scoring requests off the I/O loop. Defaults to one
+  /// Reactors (net::ServerOptions::worker_threads): event loops that each
+  /// score their own connections' requests to completion. Defaults to one
   /// per hardware thread (never zero).
   std::size_t worker_threads = net::DefaultWorkerThreads();
   /// Admission control (net::ServerOptions::max_in_flight): requests
-  /// beyond this many in flight are shed with ResourceExhausted instead
-  /// of queueing unboundedly. 0 disables.
+  /// beyond this many admitted and unanswered are shed with
+  /// ResourceExhausted instead of waiting their turn. 0 disables.
   std::size_t max_in_flight = 0;
-  /// Server-side micro-batching: concurrent kScore requests are coalesced
-  /// (group-commit, no timer) into one batched dispatch of at most this
-  /// many rows. <= 1 disables coalescing and dispatches singles directly.
-  /// Explicit kScoreBatch frames always bypass the coalescer — they are
-  /// already batches.
-  int coalesce_max_batch = 16;
   /// Streaming ingestion engine (not owned; must outlive the gateway).
   /// When set, every successfully scored transaction is submitted to it
   /// after the verdict is produced (closing the feature loop), and the
@@ -44,21 +38,17 @@ struct GatewayOptions {
   /// default — keeps the gateway read-only: puts are refused with
   /// FailedPrecondition and scored events are not folded back.
   streaming::Ingestor* ingestor = nullptr;
-  /// Coalesced dispatches allowed in flight at once: with a sharded store
-  /// underneath, independent batches score concurrently on independent
-  /// worker threads (each with its own thread-local scratch tier) instead
-  /// of serializing behind one leader. 0 (the default) derives the cap
-  /// from worker_threads; 1 reproduces the single-leader group commit.
-  int coalesce_max_concurrent = 0;
 };
 
 /// The TCP front door of the Model Server fleet (§4.4, Fig. 5: the Alipay
 /// server reaches the distributed MS over the network). Maps wire methods
 /// onto a ModelServerRouter — kScore -> Score, kLoadModel -> broadcast
 /// rollout, kHealth/kStats -> fleet introspection — and tracks a gateway
-/// histogram of on-the-wire latency (frame decoded -> response encoded,
-/// including handler-queue wait) alongside the router's in-process one, so
-/// the network tax is measured, not guessed.
+/// histogram of on-the-wire latency (kernel receive -> response encoded,
+/// including the wait behind earlier requests on the same reactor)
+/// alongside the router's in-process one, so the network tax is measured,
+/// not guessed. Each kScore frame is one router dispatch, scored on the
+/// reactor that read it.
 class Gateway {
  public:
   /// `router` must outlive the gateway.
@@ -81,8 +71,8 @@ class Gateway {
   /// Requests dispatched to a handler since Start().
   uint64_t requests_served() const;
 
-  /// On-the-wire latency distribution (microseconds): frame decode to
-  /// response encode, including thread-pool queueing.
+  /// On-the-wire latency distribution (microseconds): kernel receive to
+  /// response encode, including the wait behind earlier requests.
   Histogram WireLatencySnapshot() const;
 
   /// The current stats payload (same data kStats serves remotely):
@@ -90,7 +80,7 @@ class Gateway {
   net::GatewayStats StatsSnapshot() const;
 
   /// The stats registry behind StatsSnapshot/kStats. The gateway
-  /// registers its built-in sources (server, wire, router, coalescer,
+  /// registers its built-in sources (server, wire, router, dispatch,
   /// streaming) at construction; embedders may Register more.
   MetricsRegistry& metrics() { return metrics_; }
 
@@ -103,8 +93,8 @@ class Gateway {
   ModelServerRouter* router_;
   GatewayOptions options_;
   std::unique_ptr<net::Server> server_;
-  /// Micro-batcher behind kScore (null when coalesce_max_batch <= 1).
-  std::unique_ptr<ScoreCoalescer> coalescer_;
+  /// Router dispatches made for kScore frames, one row each.
+  std::atomic<uint64_t> score_dispatches_{0};
   // Final tallies once server_ is gone.
   uint64_t served_before_shutdown_ = 0;
   uint64_t shed_before_shutdown_ = 0;

@@ -14,7 +14,7 @@ namespace titant::serving {
 /// One registry for every stats source behind the gateway's kStats frame.
 ///
 /// The serving stack grew observability piecemeal — server admission
-/// counters, the wire histogram, router breaker stats, coalescer tallies,
+/// counters, the wire histogram, router breaker stats, dispatch tallies,
 /// and now the streaming ingestor — each read by hand in one ever-growing
 /// snapshot function. The registry inverts that: each subsystem registers
 /// a named provider that fills its own slice of net::GatewayStats, and

@@ -79,7 +79,8 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
   if (n == 0) return Status::OK();
   if (scratch == nullptr) {
     // Callers without their own buffers share a per-thread scratch: the
-    // worker-pool threads each warm one up and then run allocation-free.
+    // gateway's reactor threads each warm one up and then run
+    // allocation-free.
     thread_local ScoreScratch tls_scratch;
     scratch = &tls_scratch;
   }
@@ -103,7 +104,7 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
   // snapshot, transferor aux, city stats, and (optionally) transferee
   // embedding. Inside that one call the store groups the probes by shard
   // and takes each shard's read lock once, so concurrent ScoreSpans on
-  // other worker threads only contend where their rows actually collide.
+  // other threads only contend where their rows actually collide.
   // The probe keys are formatted into the scratch key block (sized up
   // front — the probe views point into it, so it must never reallocate
   // underneath them), and the fetched values live in the scratch pin's

@@ -22,8 +22,8 @@ namespace titant::serving {
 /// grows to its high-water capacity during warm-up and is then reused
 /// verbatim; the pin's arena recycles the fetched value bytes the same
 /// way. One scratch serves one caller at a time (not thread-safe) — the
-/// typical owners are a thread_local (default), a coalescer leader, or a
-/// bench loop. After warm-up, ModelServer::ScoreSpan with a reused
+/// typical owners are a thread_local (default, one per gateway reactor) or
+/// a bench loop. After warm-up, ModelServer::ScoreSpan with a reused
 /// scratch performs zero heap allocations on the all-hits path (proven by
 /// tests/zeroalloc_test.cc against the counting allocator).
 class ScoreScratch {

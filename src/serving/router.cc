@@ -78,7 +78,9 @@ Status ModelServerRouter::ScoreSpan(const TransferRequest* requests, std::size_t
                                     ScoreScratch* scratch) {
   const std::size_t fleet = instances_.size();
   const uint64_t start = cursor_.fetch_add(1);
-  Status last_unavailable = Status::Unavailable("no healthy Model Server instance");
+  // The no-instance status is built only when it is returned: its message
+  // is past the small-string size, so building it per dispatch allocated.
+  Status last_unavailable = Status::OK();
   for (std::size_t attempt = 0; attempt < fleet; ++attempt) {
     const std::size_t i = static_cast<std::size_t>((start + attempt) % fleet);
     if (!healthy_[i].load() || rollout_held_[i].load()) continue;
@@ -120,7 +122,8 @@ Status ModelServerRouter::ScoreSpan(const TransferRequest* requests, std::size_t
                   << " consecutive failures: " << status.ToString();
     }
   }
-  return last_unavailable;
+  return last_unavailable.ok() ? Status::Unavailable("no healthy Model Server instance")
+                               : last_unavailable;
 }
 
 Status ModelServerRouter::SetInstanceHealthy(int instance, bool healthy) {

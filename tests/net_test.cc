@@ -1,7 +1,7 @@
 // Tests for the src/net serving transport: wire framing (round trips, torn
 // and oversized frames), the epoll event loop, server/client request flow
-// (echo, status transport, deadlines, graceful-shutdown drain), and a live
-// serving::Gateway under concurrent clients.
+// (echo, status transport, deadlines, graceful-shutdown drain), reactor
+// isolation, and a live serving::Gateway under concurrent clients.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +11,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -671,6 +673,195 @@ TEST(ServerTest, DeadlineExpiredInQueueIsRejectedWithoutRunning) {
   EXPECT_EQ(fixture.server->requests_expired(), 1u);
   EXPECT_EQ(fixture.server->frames_dispatched(), 2u);
   ASSERT_TRUE(fixture.server->Shutdown().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Reactors: each connection's requests run on the reactor that owns it.
+
+constexpr uint16_t kBlock = 13;
+
+/// Holds the kBlock handler running until the test opens it, so a test
+/// controls exactly how long a reactor stays busy.
+struct Gate {
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    ++waiting;
+    cv.wait(lock, [this] { return open; });
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    cv.notify_all();
+  }
+  int Waiting() {
+    std::lock_guard<std::mutex> lock(mu);
+    return waiting;
+  }
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int waiting = 0;
+};
+
+/// An echo server whose kBlock requests wait on `gate` before echoing.
+std::unique_ptr<Server> GatedEchoServer(Gate* gate, std::size_t reactors) {
+  ServerOptions options;
+  options.worker_threads = reactors;
+  return std::make_unique<Server>(options, [gate](const Frame& frame, std::string* body) {
+    if (frame.method == kBlock) gate->Wait();
+    body->append(frame.payload);
+    return Status::OK();
+  });
+}
+
+/// True once `n` kBlock handlers are waiting at the gate; false after 10 s
+/// (the requests never reached `n` different reactors at once).
+bool AwaitWaiting(Gate& gate, int n) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (gate.Waiting() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+int ConnectTo(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(ReactorTest, AcceptIsNeverBlockedByARunningHandler) {
+  Gate gate;
+  auto server = GatedEchoServer(&gate, /*reactors=*/2);
+  ASSERT_TRUE(server->Start().ok());
+  const uint16_t port = server->port();
+
+  // The first connection's handler holds its reactor until the gate opens.
+  std::thread holder([port] {
+    Client client("127.0.0.1", port);
+    EXPECT_TRUE(client.Call(kBlock, "held", /*timeout_ms=*/10000).ok());
+  });
+  EXPECT_TRUE(AwaitWaiting(gate, 1));
+
+  // A client that connects now is accepted and served by the other
+  // reactor while that handler is still running.
+  Client client("127.0.0.1", port);
+  const auto body = client.Call(kEcho, "accepted", /*timeout_ms=*/5000);
+  gate.Open();
+  holder.join();
+  ASSERT_TRUE(body.ok()) << body.status().ToString();
+  EXPECT_EQ(*body, "accepted");
+  ASSERT_TRUE(server->Shutdown().ok());
+}
+
+TEST(ReactorTest, SlowHandlerDelaysOnlyItsOwnReactor) {
+  Gate gate;
+  auto server = GatedEchoServer(&gate, /*reactors=*/2);
+  ASSERT_TRUE(server->Start().ok());
+  const uint16_t port = server->port();
+
+  // Connections go to reactors round-robin: this one to the first...
+  Client quick("127.0.0.1", port);
+  ASSERT_TRUE(quick.Call(kEcho, "warm").ok());
+  // ...and the blocked one to the second.
+  std::thread holder([port] {
+    Client client("127.0.0.1", port);
+    EXPECT_TRUE(client.Call(kBlock, "held", /*timeout_ms=*/10000).ok());
+  });
+  EXPECT_TRUE(AwaitWaiting(gate, 1));
+
+  int answered = 0;
+  for (int i = 0; i < 50; ++i) {
+    const std::string payload = "quick-" + std::to_string(i);
+    const auto body = quick.Call(kEcho, payload, /*timeout_ms=*/5000);
+    if (!body.ok() || *body != payload) break;
+    ++answered;
+  }
+  gate.Open();
+  holder.join();
+  EXPECT_EQ(answered, 50) << "a blocked handler on one reactor stalled another's connection";
+  ASSERT_TRUE(server->Shutdown().ok());
+}
+
+TEST(ReactorTest, ShutdownAnswersSlowRequestsOnEveryReactor) {
+  constexpr int kReactors = 3;
+  constexpr int kConns = 2 * kReactors;  // Round-robin: two per reactor.
+  Gate gate;
+  auto server = GatedEchoServer(&gate, kReactors);
+  ASSERT_TRUE(server->Start().ok());
+  const uint16_t port = server->port();
+
+  int fds[kConns];
+  for (int c = 0; c < kConns; ++c) {
+    fds[c] = ConnectTo(port);
+    ASSERT_GE(fds[c], 0);
+  }
+  // One blocked request per reactor, on its first connection.
+  for (int c = 0; c < kReactors; ++c) {
+    const std::string first = EncodeRequestFrame(kBlock, 1, "first-" + std::to_string(c));
+    ASSERT_EQ(::send(fds[c], first.data(), first.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(first.size()));
+  }
+  EXPECT_TRUE(AwaitWaiting(gate, kReactors));
+
+  // Shutdown starts while every reactor is inside a handler: the listener
+  // closes at once, and each reactor's drain waits behind its handler.
+  Status stopped = Status::Internal("not stopped");
+  std::thread stopper([&] { stopped = server->Shutdown(); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (int probe = ConnectTo(port); probe >= 0; probe = ConnectTo(port)) {
+    ::close(probe);
+    if (std::chrono::steady_clock::now() > deadline) break;
+    std::this_thread::yield();
+  }
+  EXPECT_LT(ConnectTo(port), 0) << "the listener still accepts during shutdown";
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // Drains posted.
+
+  // Every connection now sends a request that lands in its socket before
+  // its reactor gets to the drain: behind the blocked one on the first
+  // connections, alone on the idle second ones. The drain must read and
+  // answer each.
+  for (int c = 0; c < kConns; ++c) {
+    const std::string second = EncodeRequestFrame(kEcho, 2, "second-" + std::to_string(c));
+    ASSERT_EQ(::send(fds[c], second.data(), second.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(second.size()));
+  }
+  gate.Open();
+  stopper.join();
+  EXPECT_TRUE(stopped.ok()) << stopped.ToString();
+
+  for (int c = 0; c < kConns; ++c) {
+    FrameDecoder decoder;
+    std::vector<Frame> frames;
+    char buffer[4096];
+    ssize_t n = 0;
+    while ((n = ::read(fds[c], buffer, sizeof(buffer))) > 0) {
+      ASSERT_TRUE(decoder.Feed(buffer, static_cast<std::size_t>(n), &frames).ok());
+    }
+    EXPECT_EQ(n, 0) << "connection " << c << " was not closed cleanly";
+    ::close(fds[c]);
+    const bool blocked = c < kReactors;
+    ASSERT_EQ(frames.size(), blocked ? 2u : 1u)
+        << "connection " << c << " lost a reply in shutdown";
+    std::string body;
+    if (blocked) {
+      EXPECT_EQ(frames[0].request_id, 1u);
+      ASSERT_TRUE(DecodeResponsePayload(frames[0], &body).ok());
+      EXPECT_EQ(body, "first-" + std::to_string(c));
+    }
+    EXPECT_EQ(frames.back().request_id, 2u);
+    ASSERT_TRUE(DecodeResponsePayload(frames.back(), &body).ok());
+    EXPECT_EQ(body, "second-" + std::to_string(c));
+  }
 }
 
 // ---------------------------------------------------------------------------

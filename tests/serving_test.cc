@@ -17,7 +17,6 @@
 #include "core/experiment.h"
 #include "datagen/world.h"
 #include "ml/metrics.h"
-#include "serving/coalescer.h"
 #include "serving/feature_store.h"
 #include "serving/model_server.h"
 #include "serving/router.h"
@@ -749,81 +748,6 @@ TEST_F(ModelServerTest, RouterScoreBatchFailsOverAsAUnit) {
   for (const auto& item : *items) ASSERT_TRUE(item.ok());
   // One instance served all three rows; the failed dispatch served none.
   EXPECT_EQ(router.requests_served(0) + router.requests_served(1), 3u);
-}
-
-TEST_F(ModelServerTest, CoalescerGroupsConcurrentCallersWithoutChangingResults) {
-  ModelServerRouter router(store_, ModelServerOptions(), 2);
-  ASSERT_TRUE(router.LoadModel(ml::SerializeModel(*model_), 9).ok());
-  ScoreCoalescer coalescer(&router, /*max_batch=*/8);
-
-  // Single-caller traffic degenerates to batches of one.
-  const auto& sample = world_->log.records[window_->test_records.front()];
-  const auto alone = coalescer.Score(RequestOf(sample));
-  ASSERT_TRUE(alone.ok()) << alone.status().ToString();
-  EXPECT_EQ(coalescer.batches(), 1u);
-  EXPECT_EQ(coalescer.rows(), 1u);
-
-  // Concurrent callers ride shared dispatches; every caller still gets
-  // its own request's verdict (checked against the direct path).
-  constexpr int kThreads = 8;
-  constexpr int kCallsPerThread = 40;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kCallsPerThread; ++i) {
-        const auto& rec = world_->log.records
-                              [window_->test_records[(static_cast<std::size_t>(t) * kCallsPerThread +
-                                                      static_cast<std::size_t>(i)) %
-                                                     window_->test_records.size()]];
-        const auto via_coalescer = coalescer.Score(RequestOf(rec));
-        const auto direct = router.Score(RequestOf(rec));
-        if (!via_coalescer.ok() || !direct.ok() ||
-            via_coalescer->fraud_probability != direct->fraud_probability) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  // Every row was dispatched exactly once, in at most rows() batches.
-  EXPECT_EQ(coalescer.rows(), 1u + kThreads * kCallsPerThread);
-  EXPECT_LE(coalescer.batches(), coalescer.rows());
-}
-
-TEST_F(ModelServerTest, CoalescerConcurrentLeadersMatchDirectResults) {
-  // With multiple leader slots, independent batches dispatch in parallel
-  // (against independent store shards) — per-caller results must still
-  // match the direct path exactly, and no row may be lost or doubled.
-  ModelServerRouter router(store_, ModelServerOptions(), 2);
-  ASSERT_TRUE(router.LoadModel(ml::SerializeModel(*model_), 9).ok());
-  ScoreCoalescer coalescer(&router, /*max_batch=*/4, /*max_concurrent=*/4);
-
-  constexpr int kThreads = 8;
-  constexpr int kCallsPerThread = 40;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kCallsPerThread; ++i) {
-        const auto& rec = world_->log.records
-                              [window_->test_records[(static_cast<std::size_t>(t) * kCallsPerThread +
-                                                      static_cast<std::size_t>(i)) %
-                                                     window_->test_records.size()]];
-        const auto via_coalescer = coalescer.Score(RequestOf(rec));
-        const auto direct = router.Score(RequestOf(rec));
-        if (!via_coalescer.ok() || !direct.ok() ||
-            via_coalescer->fraud_probability != direct->fraud_probability) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(coalescer.rows(), static_cast<uint64_t>(kThreads) * kCallsPerThread);
-  EXPECT_LE(coalescer.batches(), coalescer.rows());
 }
 
 TEST_F(ModelServerTest, ParallelUploadMatchesSequentialUpload) {

@@ -1,12 +1,18 @@
 // Proves the zero-allocation invariant of the serving hot path: after a
 // warm-up pass has sized every scratch buffer and the pin arena,
 // ModelServer::ScoreSpan performs no heap allocations at all on the
-// all-hits path. The binary links titant_alloc_hook, which replaces the
-// global operator new/delete with counting versions, so the assertion is
-// exact — any std::string growth, vector reallocation, or stray `new`
-// anywhere under ScoreSpan trips it.
+// all-hits path, and neither does a live Gateway between a frame arriving
+// on its socket and the verdict leaving it. The binary links
+// titant_alloc_hook, which replaces the global operator new/delete with
+// counting versions, so the assertion is exact — any std::string growth,
+// vector reallocation, or stray `new` on the path trips it.
 
 #include <gtest/gtest.h>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -23,8 +29,11 @@
 #include "ml/gbdt.h"
 #include "ml/logistic_regression.h"
 #include "ml/model.h"
+#include "net/wire.h"
 #include "serving/feature_store.h"
+#include "serving/gateway.h"
 #include "serving/model_server.h"
+#include "serving/router.h"
 
 namespace titant::serving {
 namespace {
@@ -292,6 +301,91 @@ TEST(ZeroAllocTest, SingleRequestSteadyStateAllocatesNothing) {
   const uint64_t leaked = allochook::ThreadAllocs() - before;
   EXPECT_EQ(leaked, 0u) << leaked
                         << " heap allocations leaked into 100 steady-state batch-1 calls";
+}
+
+TEST(ZeroAllocTest, GatewayWireRoundTripAllocatesNothing) {
+  // Frame in, verdict out, over a real socket: once warm, a reactor
+  // receives, decodes, admits, scores, encodes and sends without touching
+  // the heap. The client here allocates nothing either (one pre-encoded
+  // frame, a fixed reply buffer), so the count is process-wide.
+  std::unique_ptr<kvstore::AliHBase> store = SeededStore();
+  ModelServerOptions options;
+  options.use_embeddings = false;
+  ModelServerRouter router(store.get(), options, /*num_instances=*/2);
+  ASSERT_TRUE(router.LoadModel(TinyModelBlob(), 1).ok());
+  GatewayOptions gateway_options;
+  gateway_options.worker_threads = 2;
+  Gateway gateway(&router, gateway_options);
+  ASSERT_TRUE(gateway.Start().ok());
+
+  TransferRequest request;
+  request.txn_id = 1;
+  request.from_user = 3;
+  request.to_user = 4;
+  request.amount = 99.5;
+  request.second_of_day = 43200;
+  request.trans_city = 2;
+  const std::string frame = net::EncodeRequestFrame(
+      net::kScore, 1, net::EncodeTransferRequest(request), /*deadline_ms=*/1000);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(gateway.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const int enable = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
+
+  // One round trip: send the frame, read exactly one reply frame.
+  char reply[256];
+  std::size_t reply_size = 0;
+  const auto round_trip = [&]() -> bool {
+    if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(frame.size())) {
+      return false;
+    }
+    reply_size = 0;
+    std::size_t want = net::kHeaderBytes;
+    while (reply_size < want) {
+      const ssize_t n = ::read(fd, reply + reply_size, sizeof(reply) - reply_size);
+      if (n <= 0) return false;
+      reply_size += static_cast<std::size_t>(n);
+      if (reply_size >= net::kHeaderBytes) {
+        const auto* size_le = reinterpret_cast<const unsigned char*>(reply + 20);
+        want = net::kHeaderBytes + (size_le[0] | size_le[1] << 8 | size_le[2] << 16 |
+                                    static_cast<std::size_t>(size_le[3]) << 24);
+        if (want > sizeof(reply)) return false;
+      }
+    }
+    return reply_size == want;
+  };
+
+  // Warm-up: both router instances, the reactor's decode slots, outbox and
+  // body buffer, and the scoring scratch reach their working sizes.
+  for (int warm = 0; warm < 100; ++warm) {
+    ASSERT_TRUE(round_trip());
+    net::FrameDecoder decoder;
+    std::vector<net::Frame> frames;
+    ASSERT_TRUE(decoder.Feed(reply, reply_size, &frames).ok());
+    ASSERT_EQ(frames.size(), 1u);
+    std::string body;
+    ASSERT_TRUE(net::DecodeResponsePayload(frames[0], &body).ok());
+    Verdict verdict;
+    ASSERT_TRUE(net::DecodeVerdict(body, &verdict).ok());
+    EXPECT_FALSE(verdict.degraded);
+  }
+
+  const uint64_t before = allochook::TotalAllocs();
+  for (int round = 0; round < 1000; ++round) {
+    ASSERT_TRUE(round_trip()) << "round trip " << round;
+  }
+  const uint64_t allocs = allochook::TotalAllocs() - before;
+  ::close(fd);
+  EXPECT_EQ(allocs, 0u) << allocs << " heap allocations in 1,000 warm gateway round trips";
+  EXPECT_EQ(gateway.StatsSnapshot().coalesced_batches, 1100u);
+  ASSERT_TRUE(gateway.Shutdown().ok());
 }
 
 TEST(ZeroAllocTest, GbdtScoreBatchOnAFreshThreadAllocatesNothing) {
