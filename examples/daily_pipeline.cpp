@@ -73,9 +73,7 @@ int main() {
       OrDie(logs.Append({maxcompute::Value(static_cast<int64_t>(rec.day)),
                          maxcompute::Value(rec.amount), maxcompute::Value(rec.is_fraud)}));
     }
-    OrDie(mc->CreateTable("txn_log", std::move(logs)).ok()
-              ? Status::OK()
-              : Status::Internal("create failed"));
+    OrDie(mc->CreateTable("txn_log", std::move(logs)));
   }
 
   // One durable feature table; every day uploads under a fresh version.
@@ -98,13 +96,11 @@ int main() {
     // Label feed via MaxCompute SQL.
     const maxcompute::Table* feed = nullptr;
     Timed("label feed", [&] {
-      OrDie(mc->SubmitSqlJob(
-                "SELECT COUNT(*) AS reports, SUM(amount) AS exposure FROM txn_log "
-                "WHERE is_fraud AND day >= " +
-                    std::to_string(test_day - 14) + " AND day < " + std::to_string(test_day),
-                "label_feed")
-                .status());
-      feed = OrDie(mc->GetTable("label_feed"));
+      feed = OrDie(mc->SubmitSqlJob(
+          "SELECT COUNT(*) AS reports, SUM(amount) AS exposure FROM txn_log "
+          "WHERE is_fraud AND day >= " +
+              std::to_string(test_day - 14) + " AND day < " + std::to_string(test_day),
+          "label_feed"));
     });
     std::printf("  label feed: %lld fraud reports, %.0f yuan exposure in the window\n",
                 static_cast<long long>(feed->row(0)[0].AsInt()),

@@ -1,21 +1,14 @@
 #ifndef TITANT_MAXCOMPUTE_ODPS_H_
 #define TITANT_MAXCOMPUTE_ODPS_H_
 
-#include <functional>
-#include <list>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include "common/statusor.h"
-#include "maxcompute/fuxi.h"
-#include "maxcompute/ots.h"
 #include "maxcompute/pangu.h"
-#include "maxcompute/sql.h"
 #include "maxcompute/table.h"
 
 namespace titant {
@@ -24,103 +17,69 @@ class ThreadPool;
 
 namespace titant::maxcompute {
 
-/// Map function: emits (key, row) pairs for one input row.
-using Mapper = std::function<void(
-    const Row& input, const std::function<void(std::string key, Row value)>& emit)>;
-
-/// Reduce function: folds all rows of one key into output rows.
-using Reducer = std::function<std::vector<Row>(const std::string& key,
-                                               const std::vector<Row>& values)>;
-
 /// Configuration of the embedded MaxCompute instance.
 struct MaxComputeOptions {
   std::string pangu_dir;  // Storage root.
-  int fuxi_slots = 4;     // Compute slots.
-  std::size_t rows_per_subtask = 50'000;  // Shard granularity for jobs.
-  std::size_t plan_cache_capacity = 256;  // Parsed-query cache entries.
 };
 
-/// Monotonic counters for the SQL path, exported through the serving
-/// metrics registry (kStats frame). Snapshot via MaxCompute::sql_stats().
+/// Monotonic counters for the SQL path. Snapshot via
+/// MaxCompute::sql_stats().
 struct MaxComputeSqlStats {
   uint64_t queries_executed = 0;  // Successfully executed SQL jobs.
-  uint64_t plan_cache_hits = 0;   // Jobs that reused a cached parse.
-  uint64_t plan_cache_evictions = 0;  // Parses dropped by LRU pressure.
   uint64_t parse_failures = 0;    // Jobs rejected by the lexer/parser.
   uint64_t rows_scanned = 0;      // Source rows fed through the executor.
   uint64_t batches_scanned = 0;   // Column batches evaluated.
 };
 
-/// The embedded MaxCompute/ODPS platform (§4.2): tables persisted in
-/// Pangu, SQL and MapReduce jobs split into subtasks scheduled on Fuxi
-/// slots, with instance status tracked in OTS. Thread-safe for concurrent
-/// job submission.
+/// The embedded MaxCompute/ODPS platform (§4.2), cut to what the T+1
+/// label feed uses: a table catalog persisted in Pangu, and SQL jobs over
+/// the vectorized engine (sql.h). A job parses, binds and executes on the
+/// calling thread; only its partitioned scan fans out, over a scan pool
+/// shared by every job of the instance. Thread-safe: jobs and table
+/// replacement may run concurrently.
 class MaxCompute {
  public:
   static StatusOr<std::unique_ptr<MaxCompute>> Open(MaxComputeOptions options);
   ~MaxCompute();
 
-  /// Creates (or replaces) a table and persists it to Pangu.
+  /// Creates (or replaces) a table and persists it to Pangu. A job that
+  /// already resolved the old version reads it until the job finishes.
   Status CreateTable(const std::string& name, Table table);
 
-  /// Reads a table (from cache or Pangu). NotFound if absent.
+  /// Reads a table (from the catalog or Pangu). NotFound if absent. The
+  /// pointer stays valid until `name` is next replaced, by CreateTable or
+  /// as a job's output.
   StatusOr<const Table*> GetTable(const std::string& name);
 
-  Status DropTable(const std::string& name);
-  std::vector<std::string> ListTables() const;
-
-  /// Submits a SQL job. The scheduler splits the scan into subtasks over
-  /// Fuxi slots, materializes the result as `output_table`, and returns
-  /// the instance id (already terminated — submission is synchronous in
-  /// the embedded platform, the instance record reflects the lifecycle).
-  StatusOr<std::string> SubmitSqlJob(const std::string& query,
-                                     const std::string& output_table,
-                                     const std::string& submitter = "");
-
-  /// Submits a MapReduce job over `input_table`; reducers' output rows
-  /// must match `output_schema`.
-  StatusOr<std::string> SubmitMapReduceJob(const std::string& input_table,
-                                           const Mapper& mapper, const Reducer& reducer,
-                                           Schema output_schema,
-                                           const std::string& output_table);
-
-  /// Instance status lookup (OTS).
-  StatusOr<InstanceRecord> GetInstance(const std::string& instance_id) const {
-    return ots_.Get(instance_id);
-  }
-
-  OpenTableService& ots() { return ots_; }
-  PanguStore& pangu() { return *pangu_; }
-  FuxiScheduler& fuxi() { return *fuxi_; }
+  /// Runs one SQL query and stores its result as `output_table`. Table
+  /// names in the query match stored tables case-insensitively. Returns
+  /// the output table, as GetTable would; a failed job returns its error
+  /// and writes no table.
+  StatusOr<const Table*> SubmitSqlJob(const std::string& query, const std::string& output_table);
 
   /// Snapshot of the SQL-path counters (thread-safe).
   MaxComputeSqlStats sql_stats() const;
 
  private:
-  explicit MaxCompute(MaxComputeOptions options);
+  MaxCompute();
 
   static std::string TableBlobName(const std::string& table) { return "table/" + table; }
 
-  /// Returns the parsed form of `query`, from the plan cache when the
-  /// exact query text was seen before. The parsed Query is
-  /// schema-independent, so cached entries survive table replacement;
-  /// binding happens per execution.
-  StatusOr<std::shared_ptr<const Query>> ParseCached(const std::string& query);
+  /// Persists `table` as `name` and swaps it into the catalog.
+  StatusOr<const Table*> StoreTable(const std::string& name, Table table);
 
-  MaxComputeOptions options_;
+  /// The catalog entry for `name`, loaded from Pangu on first use.
+  StatusOr<std::shared_ptr<const Table>> LoadTable(const std::string& name);
+
+  /// Resolves a query's table reference (upper-cased by the parser)
+  /// against the stored table names.
+  StatusOr<std::shared_ptr<const Table>> ResolveTable(const std::string& name);
+
   std::unique_ptr<PanguStore> pangu_;
-  std::unique_ptr<FuxiScheduler> fuxi_;
-  std::unique_ptr<ThreadPool> scan_pool_;  // Partitioned scans; null if 1 slot.
-  OpenTableService ots_;
+  std::unique_ptr<ThreadPool> scan_pool_;
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Table>> cache_;
-  // LRU plan cache: a hit splices its entry to the back of the recency
-  // list, so a repeating workload keeps its hot parses; eviction drops
-  // the front (least recently used).
-  using PlanCacheEntry =
-      std::pair<std::shared_ptr<const Query>, std::list<std::string>::iterator>;
-  std::unordered_map<std::string, PlanCacheEntry> plan_cache_;
-  std::list<std::string> plan_cache_lru_;  // Front = coldest, back = hottest.
+  // A replaced table lives on while a running job still holds it.
+  std::map<std::string, std::shared_ptr<const Table>> catalog_;
   MaxComputeSqlStats sql_stats_;
 };
 

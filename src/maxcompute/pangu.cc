@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 namespace titant::maxcompute {
 
@@ -60,22 +61,42 @@ Status PanguStore::DeleteBlob(const std::string& name) {
   return Status::OK();
 }
 
+namespace {
+
+int HexDigit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
+
+/// Reverses PathFor's escaping of a file stem. False when a '%' is not
+/// followed by two hex digits: such a file was not written by PutBlob.
+bool UnescapeStem(std::string_view stem, std::string* name) {
+  for (std::size_t i = 0; i < stem.size(); ++i) {
+    if (stem[i] != '%') {
+      name->push_back(stem[i]);
+      continue;
+    }
+    const int hi = i + 2 < stem.size() ? HexDigit(stem[i + 1]) : -1;
+    const int lo = hi >= 0 ? HexDigit(stem[i + 2]) : -1;
+    if (lo < 0) return false;
+    name->push_back(static_cast<char>(hi * 16 + lo));
+    i += 2;
+  }
+  return true;
+}
+
+}  // namespace
+
 std::vector<std::string> PanguStore::List() const {
   std::vector<std::string> names;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    std::string file = entry.path().filename().string();
-    if (file.size() > 5 && file.substr(file.size() - 5) == ".blob") {
-      std::string name;
-      const std::string stem = file.substr(0, file.size() - 5);
-      for (std::size_t i = 0; i < stem.size(); ++i) {
-        if (stem[i] == '%' && i + 2 < stem.size()) {
-          name.push_back(static_cast<char>(std::stoi(stem.substr(i + 1, 2), nullptr, 16)));
-          i += 2;
-        } else {
-          name.push_back(stem[i]);
-        }
-      }
+    const std::string file = entry.path().filename().string();
+    if (file.size() <= 5 || file.compare(file.size() - 5, 5, ".blob") != 0) continue;
+    std::string name;
+    if (UnescapeStem(std::string_view(file).substr(0, file.size() - 5), &name)) {
       names.push_back(std::move(name));
     }
   }

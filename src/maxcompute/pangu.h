@@ -29,7 +29,8 @@ class PanguStore {
   /// Deletes a blob (idempotent).
   Status DeleteBlob(const std::string& name);
 
-  /// Lists blob names (sorted).
+  /// Lists blob names (sorted). A file whose name PutBlob could not have
+  /// written (a '%' without two hex digits after it) is skipped.
   std::vector<std::string> List() const;
 
   /// Table convenience wrappers.

@@ -16,8 +16,8 @@ namespace titant::maxcompute {
 /// This is the one-shot convenience wrapper over the staged pipeline
 /// (sql_lexer.h → sql_parser.h → sql_plan.h → sql_exec.h): it parses,
 /// binds, and runs the query single-threaded with default batching.
-/// Callers that re-run the same query text (MaxCompute's job runner) keep
-/// the parsed Query and call BindSql/ExecutePlan themselves.
+/// Callers that need a scan pool or execution stats (MaxCompute's
+/// SubmitSqlJob) call ParseSql and ExecuteQuery themselves.
 ///
 /// Grammar (case-insensitive keywords):
 ///

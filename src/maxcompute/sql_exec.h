@@ -56,7 +56,7 @@ StatusOr<Table> ExecutePlan(const SqlPlan& plan, const SqlExecOptions& options =
                             SqlExecStats* stats = nullptr);
 
 /// Convenience: bind + execute a parsed query. This is what ExecuteSql
-/// and MaxCompute's plan cache call.
+/// and MaxCompute::SubmitSqlJob call.
 StatusOr<Table> ExecuteQuery(const Query& q, const TableResolver& resolver,
                              const SqlExecOptions& options = {},
                              SqlExecStats* stats = nullptr);

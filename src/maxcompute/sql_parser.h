@@ -60,8 +60,7 @@ struct OrderItem {
 };
 
 /// A parsed query. Schema-independent: the same Query may be bound and
-/// executed against different tables (MaxCompute's plan cache relies on
-/// this — see sql_plan.h).
+/// executed against different tables (see sql_plan.h).
 struct Query {
   std::vector<SelectItem> select;
   std::string from_table;

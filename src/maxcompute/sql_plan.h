@@ -69,8 +69,8 @@ struct BoundAggregate {
 
 /// A query bound to concrete tables: every column reference resolved to
 /// a row index, every expression flattened. Valid only while the tables
-/// it points at outlive it — MaxCompute's plan cache therefore caches
-/// the parsed Query (schema-independent) and re-binds per execution.
+/// it points at outlive it: MaxCompute pins every table a job resolves
+/// until the job ends.
 struct SqlPlan {
   const Table* base = nullptr;
   const Table* right = nullptr;      // Null without a join.

@@ -61,7 +61,7 @@ Status Client::Connect() {
   if (fd_ >= 0) return Status::OK();
   TITANT_FAILPOINT("net.client.connect");
   decoder_.Reset();
-  inbox_.clear();
+  decoded_frames_ = next_frame_ = 0;
 
   fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) return Errno("socket");
@@ -108,28 +108,35 @@ void Client::Close() {
     fd_ = -1;
   }
   decoder_.Reset();
-  inbox_.clear();
+  decoded_frames_ = next_frame_ = 0;
 }
 
 StatusOr<std::string> Client::Call(uint16_t method, std::string_view payload, int timeout_ms) {
-  TITANT_ASSIGN_OR_RETURN(Frame frame, CallFrame(method, payload, timeout_ms));
-  std::string body;
-  TITANT_RETURN_IF_ERROR(DecodeResponsePayload(frame, &body));
-  return body;
+  TITANT_ASSIGN_OR_RETURN(std::string_view body, CallView(method, payload, timeout_ms));
+  return std::string(body);
 }
 
 StatusOr<std::string> Client::CallRetrying(uint16_t method, std::string_view payload,
                                            int timeout_ms) {
+  TITANT_ASSIGN_OR_RETURN(std::string_view body, CallRetryingView(method, payload, timeout_ms));
+  return std::string(body);
+}
+
+StatusOr<std::string_view> Client::CallRetryingView(uint16_t method, std::string_view payload,
+                                                    int timeout_ms) {
   const RetryPolicy& policy = options_.retry;
   const int budget_ms = timeout_ms > 0 ? timeout_ms : options_.call_timeout_ms;
   const int64_t deadline_us = DeadlineFrom(budget_ms);
   int backoff_ms = std::max(1, policy.initial_backoff_ms);
-  StatusOr<std::string> result = Status::Timeout("retry budget exhausted before first attempt");
+  StatusOr<std::string_view> result = std::string_view();  // Set by the first attempt.
   for (int attempt = 0; attempt < std::max(1, policy.max_attempts); ++attempt) {
     const int remaining_ms = RemainingMs(deadline_us);
-    if (remaining_ms < 0) break;  // Budget gone: surface the last failure.
+    if (remaining_ms < 0) {
+      if (attempt == 0) return Status::Timeout("retry budget exhausted before first attempt");
+      break;  // Budget gone: surface the last failure.
+    }
     if (attempt > 0) ++retries_;
-    result = Call(method, payload, std::max(1, remaining_ms));
+    result = CallView(method, payload, std::max(1, remaining_ms));
     if (result.ok() || !result.status().IsRetryable()) return result;
     // Backoff with jitter in [backoff/2, backoff], clamped to the budget.
     const int pause_ms = std::min(
@@ -143,7 +150,8 @@ StatusOr<std::string> Client::CallRetrying(uint16_t method, std::string_view pay
   return result;
 }
 
-StatusOr<Frame> Client::CallFrame(uint16_t method, std::string_view payload, int timeout_ms) {
+StatusOr<std::string_view> Client::CallView(uint16_t method, std::string_view payload,
+                                            int timeout_ms) {
   TITANT_RETURN_IF_ERROR(Connect());
   const int budget_ms = timeout_ms > 0 ? timeout_ms : options_.call_timeout_ms;
   const int64_t deadline_us = DeadlineFrom(budget_ms);
@@ -160,13 +168,18 @@ StatusOr<Frame> Client::CallFrame(uint16_t method, std::string_view payload, int
     Close();
     return written;
   }
-  StatusOr<Frame> response = ReadResponse(request_id, deadline_us);
-  if (!response.ok()) Close();  // Stream state is unknown; start fresh.
-  return response;
+  StatusOr<const Frame*> response = ReadResponse(request_id, deadline_us);
+  if (!response.ok()) {
+    Close();  // Stream state is unknown; start fresh.
+    return response.status();
+  }
+  std::string_view body;
+  TITANT_RETURN_IF_ERROR(DecodeResponsePayload(**response, &body));
+  return body;
 }
 
 Status Client::WriteAll(std::string_view data, int64_t deadline_us) {
-  // Chaos hook: a torn outbound link. CallFrame closes the connection on
+  // Chaos hook: a torn outbound link. CallView closes the connection on
   // the injected failure, exactly as it would on a real EPIPE.
   TITANT_FAILPOINT("net.client.write");
   std::size_t offset = 0;
@@ -187,26 +200,24 @@ Status Client::WriteAll(std::string_view data, int64_t deadline_us) {
   return Status::OK();
 }
 
-StatusOr<Frame> Client::ReadResponse(uint64_t request_id, int64_t deadline_us) {
+StatusOr<const Frame*> Client::ReadResponse(uint64_t request_id, int64_t deadline_us) {
   // Chaos hook: the reply never arrives / the link drops mid-read.
   TITANT_FAILPOINT("net.client.read");
   char buffer[64 * 1024];
   while (true) {
-    // A matching frame may already be buffered from a previous read.
-    while (!inbox_.empty()) {
-      Frame frame = std::move(inbox_.front());
-      inbox_.pop_front();
+    // A matching frame may already be decoded from a previous read.
+    while (next_frame_ < decoded_frames_) {
+      const Frame& frame = frames_[next_frame_++];
       if (frame.type == FrameType::kResponse && frame.request_id == request_id) {
-        return frame;
+        return &frame;
       }
       // Stale reply (e.g. server answered after we abandoned the id): skip.
     }
     const ssize_t n = ::read(fd_, buffer, sizeof(buffer));
     if (n > 0) {
-      read_scratch_.clear();  // Reused scratch; capacity survives the clear.
-      TITANT_RETURN_IF_ERROR(
-          decoder_.Feed(buffer, static_cast<std::size_t>(n), &read_scratch_));
-      for (auto& frame : read_scratch_) inbox_.push_back(std::move(frame));
+      next_frame_ = 0;
+      TITANT_RETURN_IF_ERROR(decoder_.FeedInto(buffer, static_cast<std::size_t>(n),
+                                               MonotonicMicros(), &frames_, &decoded_frames_));
       continue;
     }
     if (n == 0) return Status::Unavailable("connection closed by server");

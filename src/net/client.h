@@ -2,7 +2,6 @@
 #define TITANT_NET_CLIENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,17 +83,23 @@ class Client {
   StatusOr<std::string> CallRetrying(uint16_t method, std::string_view payload,
                                      int timeout_ms = 0);
 
-  /// Like Call but returns the raw response frame without unwrapping the
-  /// in-band status (wire-level tooling and tests).
-  StatusOr<Frame> CallFrame(uint16_t method, std::string_view payload, int timeout_ms = 0);
+  /// CallRetrying without the copy: the body views the client's reused
+  /// response frame and stays valid until the next call on this client.
+  /// A warm client allocates nothing per call.
+  StatusOr<std::string_view> CallRetryingView(uint16_t method, std::string_view payload,
+                                              int timeout_ms = 0);
 
   /// Re-sent attempts across all CallRetrying calls (first attempts not
   /// counted).
   uint64_t retries() const { return retries_; }
 
  private:
+  /// One attempt; the body views the matching response frame.
+  StatusOr<std::string_view> CallView(uint16_t method, std::string_view payload, int timeout_ms);
   Status WriteAll(std::string_view data, int64_t deadline_us);
-  StatusOr<Frame> ReadResponse(uint64_t request_id, int64_t deadline_us);
+  /// Reads until the response to `request_id` is decoded and returns its
+  /// slot in frames_, valid until the next read.
+  StatusOr<const Frame*> ReadResponse(uint64_t request_id, int64_t deadline_us);
   /// Blocks until `events` is ready or the deadline passes.
   Status PollFd(short events, int64_t deadline_us, const char* what);
 
@@ -106,9 +111,12 @@ class Client {
   uint64_t retries_ = 0;
   Rng jitter_rng_;
   FrameDecoder decoder_;
-  std::deque<Frame> inbox_;  // Decoded frames not yet claimed by a call.
-  std::string send_scratch_;        // Reused request-frame encode buffer.
-  std::vector<Frame> read_scratch_; // Reused decode scratch for ReadResponse.
+  std::string send_scratch_;  // Reused request-frame encode buffer.
+  // Decode slots, reused across reads (each keeps its payload capacity):
+  // frames_[next_frame_, decoded_frames_) are decoded but not yet claimed.
+  std::vector<Frame> frames_;
+  std::size_t decoded_frames_ = 0;
+  std::size_t next_frame_ = 0;
 };
 
 }  // namespace titant::net

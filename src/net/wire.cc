@@ -181,6 +181,13 @@ std::string EncodeResponseFrame(uint16_t method, uint64_t request_id, const Stat
 }
 
 Status DecodeResponsePayload(const Frame& frame, std::string* body) {
+  std::string_view view;
+  TITANT_RETURN_IF_ERROR(DecodeResponsePayload(frame, &view));
+  body->assign(view);
+  return Status::OK();
+}
+
+Status DecodeResponsePayload(const Frame& frame, std::string_view* body) {
   if (frame.type != FrameType::kResponse) {
     return Status::InvalidArgument("frame is not a response");
   }
@@ -194,7 +201,7 @@ Status DecodeResponsePayload(const Frame& frame, std::string* body) {
   }
   const Status transported(static_cast<StatusCode>(code), std::move(message));
   if (!transported.ok()) return transported;
-  body->assign(r.Rest());
+  *body = r.Rest();
   return Status::OK();
 }
 
@@ -680,12 +687,6 @@ std::string EncodeGatewayStats(const GatewayStats& stats) {
   w.U64(stats.repl_failovers);
   w.U64(stats.repl_catchup_cells);
   w.U64(stats.repl_catchup_bytes);
-  w.U64(stats.mc_queries_executed);
-  w.U64(stats.mc_plan_cache_hits);
-  w.U64(stats.mc_parse_failures);
-  w.U64(stats.mc_rows_scanned);
-  w.U64(stats.mc_batches_scanned);
-  w.U64(stats.mc_plan_evictions);
   w.U64(stats.kv_cache_hits);
   w.U64(stats.kv_cache_misses);
   w.U64(stats.kv_cache_bytes);
@@ -727,12 +728,6 @@ Status DecodeGatewayStats(std::string_view payload, GatewayStats* stats) {
   TITANT_RETURN_IF_ERROR(r.U64(&stats->repl_failovers));
   TITANT_RETURN_IF_ERROR(r.U64(&stats->repl_catchup_cells));
   TITANT_RETURN_IF_ERROR(r.U64(&stats->repl_catchup_bytes));
-  TITANT_RETURN_IF_ERROR(r.U64(&stats->mc_queries_executed));
-  TITANT_RETURN_IF_ERROR(r.U64(&stats->mc_plan_cache_hits));
-  TITANT_RETURN_IF_ERROR(r.U64(&stats->mc_parse_failures));
-  TITANT_RETURN_IF_ERROR(r.U64(&stats->mc_rows_scanned));
-  TITANT_RETURN_IF_ERROR(r.U64(&stats->mc_batches_scanned));
-  TITANT_RETURN_IF_ERROR(r.U64(&stats->mc_plan_evictions));
   TITANT_RETURN_IF_ERROR(r.U64(&stats->kv_cache_hits));
   TITANT_RETURN_IF_ERROR(r.U64(&stats->kv_cache_misses));
   TITANT_RETURN_IF_ERROR(r.U64(&stats->kv_cache_bytes));

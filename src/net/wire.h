@@ -217,6 +217,8 @@ void EncodeResponseFrameTo(std::string* out, uint16_t method, uint64_t request_i
 /// body. Returns the transported status; `*body` is filled only when it
 /// is OK. Malformed payloads return InvalidArgument.
 Status DecodeResponsePayload(const Frame& frame, std::string* body);
+/// The same, with `*body` viewing `frame.payload`.
+Status DecodeResponsePayload(const Frame& frame, std::string_view* body);
 
 /// Incremental frame decoder: feed raw socket bytes in any fragmentation,
 /// complete frames are appended to `out`. A non-OK return (bad magic,
@@ -413,15 +415,6 @@ struct GatewayStats {
   /// Cells and bytes pushed through snapshot catch-up (gap recovery).
   uint64_t repl_catchup_cells = 0;
   uint64_t repl_catchup_bytes = 0;
-  /// Batch SQL engine (the "maxcompute" metrics provider): jobs executed,
-  /// parses served from the plan cache, parse rejections, and the source
-  /// rows / column batches fed through the vectorized executor.
-  uint64_t mc_queries_executed = 0;
-  uint64_t mc_plan_cache_hits = 0;
-  uint64_t mc_parse_failures = 0;
-  uint64_t mc_rows_scanned = 0;
-  uint64_t mc_batches_scanned = 0;
-  uint64_t mc_plan_evictions = 0;  // Cached parses dropped by LRU pressure.
   /// KV store engine (the "kvstore" metrics provider): block-cache
   /// traffic and the background maintenance loop. kv_stall_us is wall
   /// time writers spent in hard-cap inline flushes — the backpressure

@@ -226,8 +226,8 @@ GatewayClient::GatewayClient(std::string host, uint16_t port, net::ClientOptions
 StatusOr<Verdict> GatewayClient::Score(const TransferRequest& request, int timeout_ms) {
   payload_scratch_.clear();
   net::EncodeTransferRequestTo(&payload_scratch_, request);
-  TITANT_ASSIGN_OR_RETURN(std::string body,
-                          client_.CallRetrying(net::kScore, payload_scratch_, timeout_ms));
+  TITANT_ASSIGN_OR_RETURN(std::string_view body,
+                          client_.CallRetryingView(net::kScore, payload_scratch_, timeout_ms));
   Verdict verdict;
   TITANT_RETURN_IF_ERROR(net::DecodeVerdict(body, &verdict));
   return verdict;
@@ -237,8 +237,8 @@ StatusOr<std::vector<StatusOr<Verdict>>> GatewayClient::ScoreBatch(
     const std::vector<TransferRequest>& requests, int timeout_ms) {
   payload_scratch_.clear();
   net::EncodeScoreBatchRequestTo(&payload_scratch_, requests);
-  TITANT_ASSIGN_OR_RETURN(std::string body,
-                          client_.CallRetrying(net::kScoreBatch, payload_scratch_, timeout_ms));
+  TITANT_ASSIGN_OR_RETURN(std::string_view body,
+                          client_.CallRetryingView(net::kScoreBatch, payload_scratch_, timeout_ms));
   std::vector<StatusOr<Verdict>> items;
   TITANT_RETURN_IF_ERROR(net::DecodeScoreBatchResponse(body, &items));
   if (items.size() != requests.size()) {
@@ -251,13 +251,13 @@ StatusOr<std::vector<StatusOr<Verdict>>> GatewayClient::ScoreBatch(
 Status GatewayClient::Put(const kvstore::Cell& cell, int timeout_ms) {
   payload_scratch_.clear();
   net::EncodePutRequestTo(&payload_scratch_, cell);
-  return client_.CallRetrying(net::kPut, payload_scratch_, timeout_ms).status();
+  return client_.CallRetryingView(net::kPut, payload_scratch_, timeout_ms).status();
 }
 
 Status GatewayClient::PutBatch(const std::vector<kvstore::Cell>& cells, int timeout_ms) {
   payload_scratch_.clear();
   net::EncodePutBatchRequestTo(&payload_scratch_, cells);
-  return client_.CallRetrying(net::kPutBatch, payload_scratch_, timeout_ms).status();
+  return client_.CallRetryingView(net::kPutBatch, payload_scratch_, timeout_ms).status();
 }
 
 Status GatewayClient::LoadModel(const std::string& blob, uint64_t version, int timeout_ms) {
@@ -265,7 +265,8 @@ Status GatewayClient::LoadModel(const std::string& blob, uint64_t version, int t
 }
 
 StatusOr<net::HealthInfo> GatewayClient::Health(int timeout_ms) {
-  TITANT_ASSIGN_OR_RETURN(std::string body, client_.CallRetrying(net::kHealth, "", timeout_ms));
+  TITANT_ASSIGN_OR_RETURN(std::string_view body,
+                          client_.CallRetryingView(net::kHealth, "", timeout_ms));
   net::HealthInfo info;
   TITANT_RETURN_IF_ERROR(net::DecodeHealthInfo(body, &info));
   return info;

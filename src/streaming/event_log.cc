@@ -4,42 +4,50 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
+#include "kvstore/wal.h"
 #include "net/wire.h"
 
 namespace titant::streaming {
 
 namespace {
 
-/// On-disk record size: uint32 length prefix + the fixed-width wire
-/// TransferRequest encoding. Fixed, so the resume record count is just
-/// file size / kRecordBytes.
+/// On-disk record: the WAL's framing (kvstore/wal.h) — uint32 length,
+/// uint32 CRC32 of the payload, payload — around the fixed-width wire
+/// TransferRequest encoding. Fixed size, so the intact prefix of a
+/// segment is a whole number of records.
 constexpr std::size_t kPayloadBytes = 36;
-constexpr std::size_t kRecordBytes = 4 + kPayloadBytes;
+constexpr std::size_t kRecordBytes = 8 + kPayloadBytes;
 
-/// Replays one segment file; absent files are simply empty. Stops — OK,
-/// not an error — at the first torn or corrupt record: everything past a
-/// crash-truncated tail is unacknowledged by contract.
-Status ReplayFile(const std::string& path,
-                  const std::function<void(const serving::TransferRequest&)>& fn) {
+/// Reads a whole segment file; an absent file reads as empty.
+std::string ReadSegment(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::OK();
+  if (!in.is_open()) return std::string();
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string data = buffer.str();
+  return buffer.str();
+}
+
+/// Walks the records of a segment, invoking `fn` (when non-null) for each
+/// intact one, and returns the byte length of the intact prefix. Stops at
+/// the first torn record or the first one whose length, CRC or encoding
+/// is wrong: everything past it is unacknowledged or corrupt.
+std::size_t WalkIntactRecords(
+    std::string_view data, const std::function<void(const serving::TransferRequest&)>* fn) {
   std::size_t pos = 0;
-  while (data.size() - pos >= 4) {
-    uint32_t size = 0;
+  while (data.size() - pos >= kRecordBytes) {
+    uint32_t size = 0, crc = 0;
     std::memcpy(&size, data.data() + pos, 4);
-    if (size != kPayloadBytes || data.size() - pos - 4 < size) break;
+    std::memcpy(&crc, data.data() + pos + 4, 4);
+    const std::string_view payload = data.substr(pos + 8, kPayloadBytes);
+    if (size != kPayloadBytes || kvstore::Crc32(payload) != crc) break;
     serving::TransferRequest event;
-    if (!net::DecodeTransferRequest(std::string_view(data.data() + pos + 4, size), &event).ok()) {
-      break;
-    }
-    fn(event);
-    pos += 4 + size;
+    if (!net::DecodeTransferRequest(payload, &event).ok()) break;
+    if (fn != nullptr) (*fn)(event);
+    pos += kRecordBytes;
   }
-  return Status::OK();
+  return pos;
 }
 
 }  // namespace
@@ -50,31 +58,22 @@ StatusOr<std::unique_ptr<EventLog>> EventLog::Open(EventLogOptions options) {
   }
   std::unique_ptr<EventLog> log(new EventLog(std::move(options)));
   const std::string path = log->current_path();
-  log->out_ = std::fopen(path.c_str(), "ab");
-  if (log->out_ == nullptr) {
-    return Status::IOError("cannot open event log segment " + path);
-  }
-  // "ab" positions at the end only on write; seek explicitly so the
-  // resumed record count is read off the existing segment size.
-  std::fseek(log->out_, 0, SEEK_END);
-  const long size = std::ftell(log->out_);
-  log->current_records_ = size > 0 ? static_cast<uint64_t>(size) / kRecordBytes : 0;
-  const long intact = static_cast<long>(log->current_records_ * kRecordBytes);
-  if (size > intact) {
-    // A crash mid-append left a torn tail. Truncate it: replay stops at
-    // the first torn record, so appending after it would make every
-    // subsequently acknowledged event unreplayable on the next restart.
-    std::fclose(log->out_);
-    log->out_ = nullptr;
+  const std::string data = ReadSegment(path);
+  const std::size_t intact = WalkIntactRecords(data, nullptr);
+  if (data.size() > intact) {
+    // A crash mid-append left a torn tail, or a record went bad. Truncate
+    // there: replay stops at the first bad record, so appending after it
+    // would make every subsequently acknowledged event unreplayable.
     std::error_code ec;
     std::filesystem::resize_file(path, static_cast<std::uintmax_t>(intact), ec);
     if (ec) {
       return Status::IOError("cannot truncate torn event log tail in " + path);
     }
-    log->out_ = std::fopen(path.c_str(), "ab");
-    if (log->out_ == nullptr) {
-      return Status::IOError("cannot reopen event log segment " + path);
-    }
+  }
+  log->current_records_ = intact / kRecordBytes;
+  log->out_ = std::fopen(path.c_str(), "ab");
+  if (log->out_ == nullptr) {
+    return Status::IOError("cannot open event log segment " + path);
   }
   return log;
 }
@@ -84,8 +83,9 @@ EventLog::~EventLog() {
 }
 
 Status EventLog::Replay(const std::function<void(const serving::TransferRequest&)>& fn) const {
-  TITANT_RETURN_IF_ERROR(ReplayFile(previous_path(), fn));
-  return ReplayFile(current_path(), fn);
+  WalkIntactRecords(ReadSegment(previous_path()), &fn);
+  WalkIntactRecords(ReadSegment(current_path()), &fn);
+  return Status::OK();
 }
 
 Status EventLog::Append(const serving::TransferRequest& event) {
@@ -94,10 +94,12 @@ Status EventLog::Append(const serving::TransferRequest& event) {
     // dereferencing a null FILE* (matches Flush()).
     return Status::IOError("event log segment is not open");
   }
-  scratch_.clear();
-  const uint32_t size = static_cast<uint32_t>(kPayloadBytes);
-  scratch_.append(reinterpret_cast<const char*>(&size), 4);
+  scratch_.assign(8, '\0');
   net::EncodeTransferRequestTo(&scratch_, event);
+  const uint32_t size = static_cast<uint32_t>(kPayloadBytes);
+  const uint32_t crc = kvstore::Crc32(std::string_view(scratch_).substr(8));
+  std::memcpy(scratch_.data(), &size, 4);
+  std::memcpy(scratch_.data() + 4, &crc, 4);
   if (std::fwrite(scratch_.data(), 1, scratch_.size(), out_) != scratch_.size() ||
       (options_.flush_per_append && std::fflush(out_) != 0)) {
     return Status::IOError("event log append failed");

@@ -30,25 +30,27 @@ struct EventLogOptions {
 };
 
 /// Append-only durable log of scored transactions feeding the aggregator
-/// — the exactly-once-per-window commit point. Each record is a uint32
-/// length prefix plus the wire TransferRequest encoding (the same bytes
-/// a kScore frame carries), so the format is replayable by anything that
-/// links the wire codec.
+/// — the exactly-once-per-window commit point. Each record has the
+/// write-ahead log's framing (kvstore/wal.h): a uint32 length, a uint32
+/// CRC32 of the payload, and the payload, which is the wire
+/// TransferRequest encoding (the same bytes a kScore frame carries).
 ///
 /// Appends reach the OS at the commit point — per record by default,
 /// per explicit Flush() when `flush_per_append` is off — so a crashed
 /// process loses nothing it acknowledged (power loss is out of scope —
 /// there is no fsync, matching the kvstore WAL's contract). Replay walks
-/// .prev then .cur and stops at the first torn or corrupt record,
-/// tolerating a crash mid-append.
+/// .prev then .cur and stops each at its first torn record or record
+/// that fails its length or CRC check, so a crash mid-append or a
+/// flipped bit never replays a different transfer.
 ///
 /// Not thread-safe; owned and driven by the single ingest worker.
 class EventLog {
  public:
   /// Opens (creating if absent) the current segment for appending,
-  /// truncating any crash-torn tail first so new records start on an
-  /// intact record boundary (replay stops at the first torn record, so
-  /// appending after one would strand everything acknowledged later).
+  /// truncating it at its first torn or corrupt record first, so new
+  /// records follow the intact ones (replay stops at the first bad
+  /// record, so appending after one would strand everything acknowledged
+  /// later).
   static StatusOr<std::unique_ptr<EventLog>> Open(EventLogOptions options);
   ~EventLog();
 
@@ -57,7 +59,8 @@ class EventLog {
 
   /// Invokes `fn` for every intact logged event, oldest segment first.
   /// Call before the first Append: replay reads the same files the log
-  /// appends to. A torn tail (crash mid-append) ends replay cleanly.
+  /// appends to. A torn or corrupt record ends its segment's replay
+  /// cleanly.
   Status Replay(const std::function<void(const serving::TransferRequest&)>& fn) const;
 
   /// Appends one record (and flushes it when `flush_per_append`, the

@@ -9,10 +9,7 @@
 
 #include "core/experiment.h"
 #include "datagen/world.h"
-#include "maxcompute/metrics.h"
 #include "maxcompute/odps.h"
-#include "net/wire.h"
-#include "serving/metrics.h"
 #include "ml/metrics.h"
 #include "serving/feature_store.h"
 #include "serving/model_server.h"
@@ -146,47 +143,6 @@ TEST(IntegrationTest, FullTitAntLoop) {
 
   // 5. Serving latency is well under the paper's milliseconds budget.
   EXPECT_LT(server.LatencySnapshot().P99(), 50'000.0);
-}
-
-
-// The MaxCompute SQL counters ride the gateway's kStats frame: the
-// "maxcompute" provider fills its slice of net::GatewayStats through the
-// shared MetricsRegistry, and the snapshot survives the wire codec.
-TEST(IntegrationTest, MaxComputeStatsReachTheStatsFrame) {
-  maxcompute::MaxComputeOptions options;
-  options.pangu_dir = "/tmp/titant_integration_mc_stats";
-  std::filesystem::remove_all(options.pangu_dir);
-  auto mc = maxcompute::MaxCompute::Open(options);
-  ASSERT_TRUE(mc.ok());
-
-  maxcompute::Table t{maxcompute::Schema({{"v", maxcompute::ValueType::kInt}})};
-  for (int i = 0; i < 9; ++i) {
-    ASSERT_TRUE(t.Append({maxcompute::Value(static_cast<int64_t>(i))}).ok());
-  }
-  ASSERT_TRUE((*mc)->CreateTable("t", std::move(t)).ok());
-  const std::string query = "SELECT SUM(v) AS s FROM t";
-  ASSERT_TRUE((*mc)->SubmitSqlJob(query, "s1").ok());
-  ASSERT_TRUE((*mc)->SubmitSqlJob(query, "s2").ok());
-  EXPECT_FALSE((*mc)->SubmitSqlJob("SELECT (", "bad").ok());
-
-  serving::MetricsRegistry registry;
-  registry.Register("maxcompute", maxcompute::SqlStatsProvider(mc->get()));
-  const net::GatewayStats collected = registry.Collect();
-  EXPECT_EQ(collected.mc_queries_executed, 2u);
-  EXPECT_EQ(collected.mc_plan_cache_hits, 1u);
-  EXPECT_EQ(collected.mc_parse_failures, 1u);
-  EXPECT_EQ(collected.mc_rows_scanned, 18u);
-  EXPECT_EQ(collected.mc_batches_scanned, 2u);
-
-  // Round-trip through the gateway stats codec.
-  const std::string payload = net::EncodeGatewayStats(collected);
-  net::GatewayStats decoded;
-  ASSERT_TRUE(net::DecodeGatewayStats(payload, &decoded).ok());
-  EXPECT_EQ(decoded.mc_queries_executed, collected.mc_queries_executed);
-  EXPECT_EQ(decoded.mc_plan_cache_hits, collected.mc_plan_cache_hits);
-  EXPECT_EQ(decoded.mc_parse_failures, collected.mc_parse_failures);
-  EXPECT_EQ(decoded.mc_rows_scanned, collected.mc_rows_scanned);
-  EXPECT_EQ(decoded.mc_batches_scanned, collected.mc_batches_scanned);
 }
 
 }  // namespace

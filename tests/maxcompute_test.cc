@@ -1,15 +1,14 @@
-// Tests for the embedded MaxCompute platform: values, tables, Pangu, OTS,
-// Fuxi, the SQL subset, and MapReduce jobs.
+// Tests for the embedded MaxCompute platform: values, tables, Pangu, the
+// SQL subset, and SQL jobs over the table catalog.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
+#include <thread>
 
-#include "maxcompute/client.h"
-#include "maxcompute/fuxi.h"
 #include "maxcompute/odps.h"
-#include "maxcompute/ots.h"
 #include "maxcompute/pangu.h"
 #include "maxcompute/sql.h"
 #include "maxcompute/table.h"
@@ -184,7 +183,7 @@ TEST(TableTest, HostileBlobsAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Pangu / OTS / Fuxi
+// Pangu
 // ---------------------------------------------------------------------------
 
 TEST(PanguTest, BlobAndTableRoundTrip) {
@@ -201,49 +200,6 @@ TEST(PanguTest, BlobAndTableRoundTrip) {
   EXPECT_EQ(names.size(), 2u);
   ASSERT_TRUE(pangu->DeleteBlob("a/b c").ok());
   EXPECT_EQ(pangu->List().size(), 1u);
-}
-
-TEST(OtsTest, InstanceLifecycle) {
-  OpenTableService ots;
-  const std::string id = ots.RegisterInstance("test job");
-  const auto record = ots.Get(id);
-  ASSERT_TRUE(record.ok());
-  EXPECT_EQ(record->status, InstanceStatus::kWaiting);
-  ASSERT_TRUE(ots.UpdateStatus(id, InstanceStatus::kRunning).ok());
-  ASSERT_TRUE(ots.UpdateStatus(id, InstanceStatus::kTerminated).ok());
-  EXPECT_EQ(ots.Get(id)->status, InstanceStatus::kTerminated);
-  EXPECT_GT(ots.Get(id)->finished_at_us, 0);
-  EXPECT_TRUE(ots.UpdateStatus("bogus", InstanceStatus::kRunning).IsNotFound());
-  EXPECT_EQ(ots.List().size(), 1u);
-}
-
-TEST(FuxiTest, RunsAllSubtasks) {
-  FuxiScheduler fuxi(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) fuxi.Submit(1, [&done] { done.fetch_add(1); });
-  fuxi.Wait();
-  EXPECT_EQ(done.load(), 64);
-  EXPECT_EQ(fuxi.completed_subtasks(), 64u);
-}
-
-TEST(FuxiTest, PriorityOrderWithSingleSlot) {
-  FuxiScheduler fuxi(1);
-  std::vector<int> order;
-  std::mutex mu;
-  // Block the slot so the queue builds up, then observe drain order.
-  std::atomic<bool> release{false};
-  fuxi.Submit(0, [&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  for (int priority : {5, 1, 3, 1, 5}) {
-    fuxi.Submit(priority, [priority, &order, &mu] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(priority);
-    });
-  }
-  release.store(true);
-  fuxi.Wait();
-  EXPECT_EQ(order, (std::vector<int>{1, 1, 3, 5, 5}));
 }
 
 // ---------------------------------------------------------------------------
@@ -396,34 +352,32 @@ TEST_F(SqlTest, ParseErrors) {
 TEST(MaxComputeTest, SqlJobEndToEnd) {
   MaxComputeOptions options;
   options.pangu_dir = TempDir("odps_sql");
-  options.fuxi_slots = 2;
   auto mc = MaxCompute::Open(options);
   ASSERT_TRUE(mc.ok());
   ASSERT_TRUE((*mc)->CreateTable("people", PeopleTable()).ok());
 
-  const auto instance =
+  const auto output =
       (*mc)->SubmitSqlJob("SELECT city, COUNT(*) AS n FROM people GROUP BY city", "by_city");
-  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
-  const auto record = (*mc)->GetInstance(*instance);
-  ASSERT_TRUE(record.ok());
-  EXPECT_EQ(record->status, InstanceStatus::kTerminated);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  EXPECT_EQ((*output)->num_rows(), 3u);
 
+  // The returned table is the stored output.
   const auto result = (*mc)->GetTable("by_city");
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->num_rows(), 3u);
+  EXPECT_EQ(*result, *output);
 }
 
-TEST(MaxComputeTest, FailedSqlJobIsRecordedInOts) {
+TEST(MaxComputeTest, FailedSqlJobWritesNoTable) {
   MaxComputeOptions options;
   options.pangu_dir = TempDir("odps_fail");
   auto mc = MaxCompute::Open(options);
   ASSERT_TRUE(mc.ok());
-  const auto instance = (*mc)->SubmitSqlJob("SELECT * FROM missing", "out");
-  EXPECT_FALSE(instance.ok());
-  // The OTS must show one failed instance.
-  const auto instances = (*mc)->ots().List();
-  ASSERT_EQ(instances.size(), 1u);
-  EXPECT_EQ(instances[0].status, InstanceStatus::kFailed);
+  const auto missing = (*mc)->SubmitSqlJob("SELECT * FROM missing", "out");
+  EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
+  const auto malformed = (*mc)->SubmitSqlJob("SELECT FROM", "out");
+  EXPECT_TRUE(malformed.status().IsInvalidArgument()) << malformed.status().ToString();
+  EXPECT_TRUE((*mc)->GetTable("out").status().IsNotFound());
+  EXPECT_EQ((*mc)->sql_stats().queries_executed, 0u);
 }
 
 TEST(MaxComputeTest, TablesPersistAcrossReopen) {
@@ -436,100 +390,16 @@ TEST(MaxComputeTest, TablesPersistAcrossReopen) {
   }
   auto reopened = MaxCompute::Open(options);
   ASSERT_TRUE(reopened.ok());
+  // A job resolves the persisted table by its name in any case.
+  const auto count = (*reopened)->SubmitSqlJob("SELECT COUNT(*) AS n FROM PEOPLE", "n");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ((*count)->row(0)[0].AsInt(), 5);
   const auto table = (*reopened)->GetTable("people");
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->num_rows(), 5u);
-  EXPECT_EQ((*reopened)->ListTables(), std::vector<std::string>{"people"});
 }
 
-TEST(MaxComputeTest, MapReduceWordCountStyle) {
-  MaxComputeOptions options;
-  options.pangu_dir = TempDir("odps_mr");
-  options.fuxi_slots = 3;
-  options.rows_per_subtask = 2;  // Force several map shards.
-  auto mc = MaxCompute::Open(options);
-  ASSERT_TRUE(mc.ok());
-  ASSERT_TRUE((*mc)->CreateTable("people", PeopleTable()).ok());
-
-  // Count people and sum amounts per city via MR.
-  const auto instance = (*mc)->SubmitMapReduceJob(
-      "people",
-      [](const Row& row, const std::function<void(std::string, Row)>& emit) {
-        emit(row[2].AsString(), {row[3]});
-      },
-      [](const std::string& key, const std::vector<Row>& values) -> std::vector<Row> {
-        double total = 0.0;
-        for (const Row& v : values) total += v[0].AsDouble();
-        return {{Value(key), Value(static_cast<int64_t>(values.size())), Value(total)}};
-      },
-      Schema({{"city", ValueType::kString},
-              {"n", ValueType::kInt},
-              {"total", ValueType::kDouble}}),
-      "mr_by_city");
-  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
-
-  const auto result = (*mc)->GetTable("mr_by_city");
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->num_rows(), 3u);
-  double hz_total = 0.0;
-  for (std::size_t r = 0; r < (*result)->num_rows(); ++r) {
-    const auto row = (*result)->row(r);
-    if (row[0].AsString() == "hz") hz_total = row[2].AsDouble();
-  }
-  EXPECT_DOUBLE_EQ(hz_total, 160.0);
-
-  // The MR result must agree with the SQL engine.
-  ASSERT_TRUE((*mc)
-                  ->SubmitSqlJob(
-                      "SELECT city, COUNT(*) AS n, SUM(amount) AS total FROM people "
-                      "GROUP BY city",
-                      "sql_by_city")
-                  .ok());
-  const auto sql_result = (*mc)->GetTable("sql_by_city");
-  ASSERT_TRUE(sql_result.ok());
-  EXPECT_EQ((*sql_result)->num_rows(), (*result)->num_rows());
-}
-
-
-TEST(ClientTest, AuthenticationGatesJobSubmission) {
-  MaxComputeOptions options;
-  options.pangu_dir = TempDir("odps_auth");
-  auto mc = MaxCompute::Open(options);
-  ASSERT_TRUE(mc.ok());
-  ASSERT_TRUE((*mc)->CreateTable("people", PeopleTable()).ok());
-
-  AccountRegistry registry;
-  registry.CreateAccount("risk_team", "s3cret");
-
-  EXPECT_FALSE(Client::Login(mc->get(), registry, "risk_team", "wrong").ok());
-  EXPECT_FALSE(Client::Login(mc->get(), registry, "nobody", "s3cret").ok());
-  EXPECT_FALSE(Client::Login(nullptr, registry, "risk_team", "s3cret").ok());
-
-  auto client = Client::Login(mc->get(), registry, "risk_team", "s3cret");
-  ASSERT_TRUE(client.ok());
-  const auto instance =
-      client->SubmitSql("SELECT COUNT(*) AS n FROM people", "people_count");
-  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
-  // OTS audit trail carries the account.
-  const auto record = (*mc)->GetInstance(*instance);
-  ASSERT_TRUE(record.ok());
-  EXPECT_NE(record->job_description.find("[risk_team]"), std::string::npos);
-  const auto table = (*mc)->GetTable("people_count");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->row(0)[0].AsInt(), 5);
-}
-
-TEST(MaxComputeTest, DropTable) {
-  MaxComputeOptions options;
-  options.pangu_dir = TempDir("odps_drop");
-  auto mc = MaxCompute::Open(options);
-  ASSERT_TRUE(mc.ok());
-  ASSERT_TRUE((*mc)->CreateTable("t", PeopleTable()).ok());
-  ASSERT_TRUE((*mc)->DropTable("t").ok());
-  EXPECT_TRUE((*mc)->GetTable("t").status().IsNotFound());
-}
-
-TEST(MaxComputeTest, PlanCacheAndSqlStats) {
+TEST(MaxComputeTest, RepeatedJobsAndSqlStats) {
   MaxComputeOptions options;
   options.pangu_dir = TempDir("odps_sqlstats");
   auto mc = MaxCompute::Open(options);
@@ -538,17 +408,16 @@ TEST(MaxComputeTest, PlanCacheAndSqlStats) {
 
   const std::string query = "SELECT COUNT(*) AS n FROM people WHERE age >= 30";
   ASSERT_TRUE((*mc)->SubmitSqlJob(query, "count1").ok());
-  ASSERT_TRUE((*mc)->SubmitSqlJob(query, "count2").ok());  // Cached parse.
+  ASSERT_TRUE((*mc)->SubmitSqlJob(query, "count2").ok());
   EXPECT_FALSE((*mc)->SubmitSqlJob("SELECT COUNT( FROM people", "bad").ok());
 
   const auto stats = (*mc)->sql_stats();
   EXPECT_EQ(stats.queries_executed, 2u);
-  EXPECT_EQ(stats.plan_cache_hits, 1u);
   EXPECT_EQ(stats.parse_failures, 1u);
   EXPECT_EQ(stats.rows_scanned, 2u * PeopleTable().num_rows());
   EXPECT_EQ(stats.batches_scanned, 2u);
 
-  // Both executions of the cached plan produced the same result.
+  // Both executions of the same text produced the same result.
   const auto first = (*mc)->GetTable("count1");
   const auto second = (*mc)->GetTable("count2");
   ASSERT_TRUE(first.ok());
@@ -556,32 +425,63 @@ TEST(MaxComputeTest, PlanCacheAndSqlStats) {
   EXPECT_EQ((*first)->row(0)[0].AsInt(), (*second)->row(0)[0].AsInt());
 }
 
-// LRU semantics: a cache hit refreshes the entry, so under a repeating
-// workload the hot query is never the eviction victim. (The old FIFO
-// policy evicted q1 here precisely because it was inserted first.)
-TEST(MaxComputeTest, PlanCacheEvictsLeastRecentlyUsed) {
+// A job reads each table it names at one version: a concurrent
+// CreateTable of the same name neither frees the rows under the scan
+// (large enough to fan out over the scan pool) nor mixes two versions.
+TEST(MaxComputeTest, ReplacingATableDuringAQueryKeepsTheQueryOnOneVersion) {
+  constexpr int64_t kRows = 200'000;
   MaxComputeOptions options;
-  options.pangu_dir = TempDir("odps_plancache_evict");
-  options.plan_cache_capacity = 2;
+  options.pangu_dir = TempDir("odps_replace");
+  auto mc = MaxCompute::Open(options);
+  ASSERT_TRUE(mc.ok());
+  std::vector<Table> versions;
+  for (int64_t v : {1, 2}) {
+    Table table{Schema({{"v", ValueType::kInt}})};
+    for (int64_t r = 0; r < kRows; ++r) ASSERT_TRUE(table.Append({Value(v)}).ok());
+    versions.push_back(std::move(table));
+  }
+  ASSERT_TRUE((*mc)->CreateTable("t", versions[0]).ok());
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 1; i <= 24; ++i) {
+      EXPECT_TRUE((*mc)->CreateTable("t", versions[i % 2]).ok());
+    }
+    done.store(true);
+  });
+  int queries = 0;
+  while (!done.load() || queries < 8) {
+    const auto out = (*mc)->SubmitSqlJob("SELECT SUM(v) AS s, COUNT(*) AS c FROM t", "out");
+    if (!out.ok()) {
+      ADD_FAILURE() << out.status().ToString();
+      break;  // Still joins the writer below.
+    }
+    const int64_t sum = (*out)->row(0)[0].AsInt();
+    EXPECT_EQ((*out)->row(0)[1].AsInt(), kRows);
+    EXPECT_TRUE(sum == kRows || sum == 2 * kRows) << "sum " << sum;
+    ++queries;
+  }
+  writer.join();
+}
+
+// A file that PutBlob could not have written, such as a name with a
+// malformed '%' escape, is not a table: listing skips it and jobs run.
+TEST(MaxComputeTest, StrayFileInThePanguDirIsIgnored) {
+  MaxComputeOptions options;
+  options.pangu_dir = TempDir("odps_stray");
   auto mc = MaxCompute::Open(options);
   ASSERT_TRUE(mc.ok());
   ASSERT_TRUE((*mc)->CreateTable("people", PeopleTable()).ok());
+  for (const char* stray : {"%zz.blob", "%4.blob", "%0g.blob", "table%2.blob"}) {
+    std::ofstream(options.pangu_dir + "/" + stray) << "not a table";
+  }
 
-  const std::string q1 = "SELECT name FROM people LIMIT 1";
-  const std::string q2 = "SELECT age FROM people LIMIT 1";
-  const std::string q3 = "SELECT city FROM people LIMIT 1";
-  ASSERT_TRUE((*mc)->SubmitSqlJob(q1, "o1").ok());
-  ASSERT_TRUE((*mc)->SubmitSqlJob(q2, "o2").ok());
-  ASSERT_TRUE((*mc)->SubmitSqlJob(q1, "o3").ok());  // Hit; q1 becomes hottest.
-  ASSERT_TRUE((*mc)->SubmitSqlJob(q3, "o4").ok());  // Evicts q2, NOT q1.
-  ASSERT_TRUE((*mc)->SubmitSqlJob(q1, "o5").ok());  // Hit again: q1 survived.
-  ASSERT_TRUE((*mc)->SubmitSqlJob(q2, "o6").ok());  // Re-parse; evicts q3.
-
-  const auto stats = (*mc)->sql_stats();
-  EXPECT_EQ(stats.queries_executed, 6u);
-  EXPECT_EQ(stats.plan_cache_hits, 2u);
-  EXPECT_EQ(stats.plan_cache_evictions, 2u);
-  EXPECT_EQ(stats.parse_failures, 0u);
+  const auto count = (*mc)->SubmitSqlJob("SELECT COUNT(*) AS n FROM people", "n");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ((*count)->row(0)[0].AsInt(), 5);
+  auto pangu = PanguStore::Open(options.pangu_dir);
+  ASSERT_TRUE(pangu.ok());
+  EXPECT_EQ(pangu->List(), (std::vector<std::string>{"table/n", "table/people"}));
 }
 
 }  // namespace

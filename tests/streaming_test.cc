@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -431,6 +433,52 @@ TEST(EventLogTest, AppendAfterTornTailStaysReplayable) {
       (*log)->Replay([&](const serving::TransferRequest& e) { amounts.push_back(e.amount); }).ok());
   ASSERT_EQ(amounts.size(), 4u);
   EXPECT_DOUBLE_EQ(amounts.back(), 50.0);
+  RemoveLog(prefix);
+}
+
+// Every single-bit flip of one record, in its length, CRC or payload,
+// ends replay before that record: a flipped transfer is never replayed as
+// a different one. Recovery truncates at the bad record, so an event
+// appended afterwards replays right after the intact prefix.
+TEST(EventLogTest, BitFlipInARecordReplaysOnlyTheIntactPrefix) {
+  const std::string prefix = TempPrefix("bitflip");
+  const std::string path = prefix + ".cur";
+  RemoveLog(prefix);
+  EventLogOptions options;
+  options.path_prefix = prefix;
+  constexpr std::size_t kEvents = 4;
+  constexpr std::size_t kFlipped = 2;  // Records 0 and 1 stay intact.
+  {
+    auto log = EventLog::Open(options);
+    ASSERT_TRUE(log.ok());
+    for (std::size_t i = 0; i < kEvents; ++i) {
+      ASSERT_TRUE((*log)->Append(Event(1, 2, 10.0 + i, 86400 + i)).ok());
+    }
+  }
+  std::string original;
+  {
+    std::ifstream in(path, std::ios::binary);
+    original.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(original.size() % kEvents, 0u);
+  const std::size_t record = original.size() / kEvents;
+  const auto replay_amounts = [&options] {
+    std::vector<double> amounts;
+    auto log = EventLog::Open(options);
+    EXPECT_TRUE(log.ok());
+    if (!log.ok()) return amounts;
+    const auto collect = [&](const serving::TransferRequest& e) { amounts.push_back(e.amount); };
+    EXPECT_TRUE((*log)->Replay(collect).ok());
+    EXPECT_TRUE((*log)->Append(Event(1, 2, 99.0, 86400 + 99)).ok());
+    return amounts;
+  };
+  for (std::size_t bit = 0; bit < record * 8; ++bit) {
+    std::string damaged = original;
+    damaged[kFlipped * record + bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << damaged;
+    ASSERT_EQ(replay_amounts(), (std::vector<double>{10.0, 11.0})) << "flipped bit " << bit;
+    ASSERT_EQ(replay_amounts(), (std::vector<double>{10.0, 11.0, 99.0})) << "flipped bit " << bit;
+  }
   RemoveLog(prefix);
 }
 
