@@ -7,8 +7,8 @@
 namespace titant {
 
 /// Monotonic wall-clock stopwatch for measuring real elapsed time
-/// (benchmark harness, serving latency). For the *simulated* cluster time
-/// used by Fig. 10 see `ps::SimClock`.
+/// (benchmark harness, serving latency). Fig. 10's cluster times are
+/// simulated instead: see `ps::SimulateDeepWalk` and `ps::SimulateGbdt`.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}

@@ -13,9 +13,11 @@ namespace titant {
 
 /// Fixed-size worker pool executing posted closures FIFO.
 ///
-/// Used by the parameter-server runtime and by the distributed training
-/// reimplementations. Destruction drains the queue (all posted work runs
-/// before the pool joins its threads).
+/// Used by the offline pipeline's parallel stages (walks, features, the
+/// GBDT fit, the daily upload), Hogwild word2vec, and the SQL executor's
+/// partitioned scans. The parameter server starts its own threads.
+/// Destruction drains the queue (all posted work runs before the pool
+/// joins its threads).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (minimum 1).

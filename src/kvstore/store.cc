@@ -293,6 +293,7 @@ Status AliHBase::WriteShardCells(Shard& shard, const Cell* const* cells, std::si
     std::string record;
     for (std::size_t i = 0; i < n; ++i) record += EncodeCell(*cells[i]);
     TITANT_RETURN_IF_ERROR(shard.wal->Append(record));
+    TITANT_RETURN_IF_ERROR(shard.wal->Flush());  // The shard commit point.
   }
   for (std::size_t i = 0; i < n; ++i) {
     shard.memtable_bytes += ApproxCellBytes(*cells[i]);

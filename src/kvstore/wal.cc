@@ -135,7 +135,13 @@ Status WriteAheadLog::Append(const std::string& payload) {
       (len > 0 && std::fwrite(payload.data(), 1, len, file_) != len)) {
     return Status::IOError("WAL append failed: " + path_);
   }
-  if (std::fflush(file_) != 0) return Status::IOError("WAL flush failed: " + path_);
+  return Status::OK();
+}
+
+Status WriteAheadLog::Flush() {
+  if (file_ == nullptr || std::fflush(file_) != 0) {
+    return Status::IOError("WAL flush failed: " + path_);
+  }
   return Status::OK();
 }
 

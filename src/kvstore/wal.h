@@ -33,8 +33,13 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
   ~WriteAheadLog();
 
-  /// Appends one record and flushes it to the OS.
+  /// Appends one record to the log's buffer. It reaches the OS at the
+  /// next Flush().
   Status Append(const std::string& payload);
+
+  /// Pushes the appended records to the OS: the commit point. A crashed
+  /// process loses nothing flushed (there is no fsync, so power loss can).
+  Status Flush();
 
   /// Closes, deletes and reopens the log file empty (after a memtable
   /// flush has made its contents durable elsewhere).

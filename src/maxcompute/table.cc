@@ -522,14 +522,9 @@ void Table::Truncate(std::size_t n) {
 }
 
 Row Table::MaterializeRow(std::size_t i) const {
-  Row out;
-  MaterializeRowInto(i, &out);
+  Row out(cols_.size());
+  for (std::size_t c = 0; c < cols_.size(); ++c) out[c] = cols_[c].ValueAt(i);
   return out;
-}
-
-void Table::MaterializeRowInto(std::size_t i, Row* out) const {
-  out->resize(cols_.size());
-  for (std::size_t c = 0; c < cols_.size(); ++c) (*out)[c] = cols_[c].ValueAt(i);
 }
 
 // ---------------------------------------------------------------------------

@@ -134,8 +134,6 @@ class Table {
 
   /// Boxes row `i` into a heap Row (schema-width vector of Values).
   Row MaterializeRow(std::size_t i) const;
-  /// Same, reusing `out`'s storage across calls.
-  void MaterializeRowInto(std::size_t i, Row* out) const;
 
   /// Serializes schema + columns to the columnar v2 binary blob (Pangu
   /// format; magic "TTC2", packed null bitmaps, flat typed payloads).

@@ -14,50 +14,6 @@ namespace titant::ml {
 
 namespace {
 
-/// The best split of one feature at one node: the highest gain above the
-/// 1e-10 floor, and how many of the node's rows go left.
-struct SplitCand {
-  double gain = 1e-10;
-  int bin = -1;  // -1: no split clears the floor and min_child_samples.
-  uint32_t left_count = 0;
-};
-
-/// One histogram bin: the residuals of its rows, added in row order, and
-/// how many rows there are. Both share a cache line.
-struct Bin {
-  double sum = 0.0;
-  uint32_t count = 0;
-};
-
-/// Scans one feature's histogram (`num_bins` bins) at a node of `rows`
-/// rows whose residuals sum to `sum`: bins [0, b] go left, for every b
-/// below the last bin, and the split maximizes the sum^2/count gain.
-SplitCand ScanHistogram(const Bin* hist, int num_bins, double sum, std::size_t rows,
-                        int min_child_samples) {
-  SplitCand cand;
-  const double parent_gain = sum * sum / static_cast<double>(rows);
-  double left_sum = 0.0;
-  uint32_t left_cnt = 0;
-  for (int b = 0; b + 1 < num_bins; ++b) {
-    left_sum += hist[b].sum;
-    left_cnt += hist[b].count;
-    const uint32_t right_cnt = static_cast<uint32_t>(rows) - left_cnt;
-    if (left_cnt < static_cast<uint32_t>(min_child_samples) ||
-        right_cnt < static_cast<uint32_t>(min_child_samples)) {
-      continue;
-    }
-    const double right_sum = sum - left_sum;
-    const double gain =
-        left_sum * left_sum / left_cnt + right_sum * right_sum / right_cnt - parent_gain;
-    if (gain > cand.gain) {
-      cand.gain = gain;
-      cand.bin = b;
-      cand.left_count = left_cnt;
-    }
-  }
-  return cand;
-}
-
 /// One node of a tree as TreeGrower grows it, in the order the levels
 /// create them. Its rows are [begin, end) of its level's block, in the
 /// order the tree drew them.
@@ -424,8 +380,7 @@ Status GbdtModel::Train(const DataMatrix& train) {
       const GrowNode& from = grown[static_cast<std::size_t>(visit.grown)];
       Node& node = tree.nodes[static_cast<std::size_t>(visit.index)];
       if (from.column < 0) {
-        node.value = static_cast<float>(options_.learning_rate * from.sum /
-                                        std::max(1.0, static_cast<double>(from.count())));
+        node.value = LeafValue(options_.learning_rate, from.sum, from.count());
         continue;
       }
       node.feature = all_features[static_cast<std::size_t>(from.column)];

@@ -1,6 +1,7 @@
 #ifndef TITANT_ML_GBDT_H_
 #define TITANT_ML_GBDT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -35,6 +36,61 @@ struct GbdtOptions {
   /// model is byte-for-byte the same for every thread count.
   int num_threads = 1;
 };
+
+/// The split rule every GBDT trainer shares: GbdtModel::Train's level-wise
+/// grower and ps::DistributedGbdtTrainer's coordinator.
+
+/// One histogram bin: the residuals of its rows, added in row order, and
+/// how many rows there are. Both share a cache line.
+struct Bin {
+  double sum = 0.0;
+  uint32_t count = 0;
+};
+
+/// The best split of one feature at one node: the highest gain above the
+/// 1e-10 floor, and how many of the node's rows go left.
+struct SplitCand {
+  double gain = 1e-10;
+  int bin = -1;  // -1: no split clears the floor and min_child_samples.
+  uint32_t left_count = 0;
+};
+
+/// Scans one feature's histogram (`num_bins` bins) at a node of `rows`
+/// rows whose residuals sum to `sum`: bins [0, b] go left, for every b
+/// below the last bin, and the split maximizes the sum^2/count gain. A
+/// node splits on the first feature, in sampled order, whose candidate has
+/// the highest gain.
+inline SplitCand ScanHistogram(const Bin* hist, int num_bins, double sum, std::size_t rows,
+                               int min_child_samples) {
+  SplitCand cand;
+  const double parent_gain = sum * sum / static_cast<double>(rows);
+  double left_sum = 0.0;
+  uint32_t left_cnt = 0;
+  for (int b = 0; b + 1 < num_bins; ++b) {
+    left_sum += hist[b].sum;
+    left_cnt += hist[b].count;
+    const uint32_t right_cnt = static_cast<uint32_t>(rows) - left_cnt;
+    if (left_cnt < static_cast<uint32_t>(min_child_samples) ||
+        right_cnt < static_cast<uint32_t>(min_child_samples)) {
+      continue;
+    }
+    const double right_sum = sum - left_sum;
+    const double gain =
+        left_sum * left_sum / left_cnt + right_sum * right_sum / right_cnt - parent_gain;
+    if (gain > cand.gain) {
+      cand.gain = gain;
+      cand.bin = b;
+      cand.left_count = left_cnt;
+    }
+  }
+  return cand;
+}
+
+/// A leaf's value: the mean residual of its `count` rows, which sum to
+/// `sum`, shrunk by the learning rate.
+inline float LeafValue(double learning_rate, double sum, std::size_t count) {
+  return static_cast<float>(learning_rate * sum / std::max(1.0, static_cast<double>(count)));
+}
 
 /// Histogram-based gradient-boosted regression trees on the 0/1 fraud
 /// label with a squared-error objective (gradient = residual), exactly the

@@ -1,23 +1,10 @@
 #include "nrl/line.h"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
-#include "common/alias_table.h"
-#include "common/random.h"
+#include "nrl/sgns.h"
 
 namespace titant::nrl {
-
-namespace {
-
-float FastSigmoid(float x) {
-  if (x > 6.0f) return 1.0f;
-  if (x < -6.0f) return 0.0f;
-  return 1.0f / (1.0f + std::exp(-x));
-}
-
-}  // namespace
 
 StatusOr<EmbeddingMatrix> TrainLine(const graph::TransactionNetwork& network,
                                     const LineOptions& options) {
@@ -28,6 +15,7 @@ StatusOr<EmbeddingMatrix> TrainLine(const graph::TransactionNetwork& network,
   if (options.samples_per_edge <= 0.0) {
     return Status::InvalidArgument("samples_per_edge must be positive");
   }
+  if (options.negatives < 0) return Status::InvalidArgument("negatives must be >= 0");
   if (network.num_edges() == 0) return Status::InvalidArgument("empty network");
 
   const std::size_t n = network.num_nodes();
@@ -49,58 +37,40 @@ StatusOr<EmbeddingMatrix> TrainLine(const graph::TransactionNetwork& network,
   AliasTable edge_table;
   if (!edge_table.Build(edge_weights)) return Status::InvalidArgument("degenerate weights");
 
-  // Negative table over weighted degrees^0.75.
-  std::vector<double> neg_weight(n, 0.0);
+  // Negative table over degrees^0.75.
+  std::vector<double> degrees(n, 0.0);
   for (graph::NodeId v : network.active_nodes()) {
-    const double degree = static_cast<double>(network.Degree(v));
-    if (degree > 0.0) neg_weight[v] = std::pow(degree, options.neg_power);
+    degrees[v] = static_cast<double>(network.Degree(v));
   }
   AliasTable neg_table;
-  if (!neg_table.Build(neg_weight)) return Status::InvalidArgument("degenerate degrees");
+  if (!sgns::BuildNegativeTable(degrees, options.neg_power, neg_table)) {
+    return Status::InvalidArgument("degenerate degrees");
+  }
 
   EmbeddingMatrix vertex(n, dim);
   EmbeddingMatrix context(n, dim);  // Used by second-order only.
   Rng rng(options.seed);
-  for (std::size_t v = 0; v < n; ++v) {
-    float* row = vertex.Row(v);
-    for (int j = 0; j < dim; ++j) {
-      row[j] = static_cast<float>((rng.NextDouble() - 0.5) / dim);
-    }
-  }
+  sgns::InitSyn0(vertex.Row(0), n * static_cast<std::size_t>(dim), dim, rng);
 
-  const uint64_t total_samples = static_cast<uint64_t>(
+  // First-order trains vertex·vertex; second-order vertex·context.
+  EmbeddingMatrix& targets = options.order == 1 ? vertex : context;
+  const auto total_samples = static_cast<uint64_t>(
       options.samples_per_edge * static_cast<double>(network.num_edges()));
-  std::vector<float> grad(static_cast<std::size_t>(dim));
+  const sgns::SigmoidTable& sigmoid = sgns::Sigmoid();
+  sgns::PairScratch scratch(options.negatives + 1);
   for (uint64_t step = 0; step < total_samples; ++step) {
-    const float progress = static_cast<float>(static_cast<double>(step) / (total_samples + 1.0));
-    const float alpha = std::max(options.min_alpha, options.alpha * (1.0f - progress));
-
+    const float alpha = sgns::DecayedAlpha(options.alpha, options.min_alpha, step,
+                                           static_cast<double>(total_samples));
     const auto [source, target] = edges[edge_table.Sample(rng)];
-    float* v_source = vertex.Row(source);
-    std::fill(grad.begin(), grad.end(), 0.0f);
-    for (int s = 0; s < options.negatives + 1; ++s) {
-      std::size_t other;
-      float label;
-      if (s == 0) {
-        other = target;
-        label = 1.0f;
-      } else {
-        other = neg_table.Sample(rng);
-        if (other == target || other == source) continue;
-        label = 0.0f;
-      }
-      // First-order trains vertex·vertex; second-order vertex·context.
-      float* v_other =
-          options.order == 1 ? vertex.Row(other) : context.Row(other);
-      float dot = 0.0f;
-      for (int d = 0; d < dim; ++d) dot += v_source[d] * v_other[d];
-      const float g = (label - FastSigmoid(dot)) * alpha;
-      for (int d = 0; d < dim; ++d) {
-        grad[d] += g * v_other[d];
-        v_other[d] += g * v_source[d];
-      }
+    // At first order a self-loop would make the center its own target.
+    if (options.order == 1 && source == target) continue;
+    scratch.rows[0] = targets.Row(target);
+    int num_targets = 1;
+    for (int s = 0; s < options.negatives; ++s) {
+      const std::size_t other = neg_table.Sample(rng);
+      if (other != target && other != source) scratch.rows[num_targets++] = targets.Row(other);
     }
-    for (int d = 0; d < dim; ++d) v_source[d] += grad[d];
+    sgns::TrainPair(vertex.Row(source), num_targets, dim, alpha, sigmoid, scratch);
   }
   return vertex;
 }

@@ -58,7 +58,8 @@ class KunPengCluster {
   void Restore(std::vector<std::unordered_map<Key, std::vector<float>>> state);
 
   /// Total floats moved through Push/Pull across shards (communication
-  /// volume diagnostics, feeds the Fig. 10 cost model calibration).
+  /// volume diagnostics; the Fig. 10 simulator is calibrated to §5.1 and
+  /// reads neither).
   uint64_t TotalPushedFloats() const;
   uint64_t TotalPulledFloats() const;
 

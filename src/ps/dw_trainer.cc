@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <unordered_map>
 
-#include "common/alias_table.h"
-#include "common/random.h"
+#include "nrl/sgns.h"
 
 namespace titant::ps {
 
@@ -16,12 +14,6 @@ namespace {
 // vectors) on odd keys.
 Key Syn0Key(std::size_t node) { return static_cast<Key>(node) * 2; }
 Key Syn1Key(std::size_t node) { return static_cast<Key>(node) * 2 + 1; }
-
-float FastSigmoid(float x) {
-  if (x > 6.0f) return 1.0f;
-  if (x < -6.0f) return 0.0f;
-  return 1.0f / (1.0f + std::exp(-x));
-}
 
 }  // namespace
 
@@ -49,30 +41,20 @@ StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,
     PsClient client = cluster.MakeClient();
     Rng init_rng(w2v.seed);
     std::vector<Key> keys;
-    std::vector<float> values;
-    for (std::size_t v = 0; v < num_nodes; ++v) {
-      keys.push_back(Syn0Key(v));
-      for (int j = 0; j < dim; ++j) {
-        values.push_back(static_cast<float>((init_rng.NextDouble() - 0.5) / dim));
-      }
-    }
+    for (std::size_t v = 0; v < num_nodes; ++v) keys.push_back(Syn0Key(v));
+    std::vector<float> values(num_nodes * static_cast<std::size_t>(dim));
+    nrl::sgns::InitSyn0(values.data(), values.size(), dim, init_rng);
     client.Push(keys, values, dim, PushOp::kAssign);
   }
 
   // Shared negative-sampling table (built once; read-only afterwards).
-  std::vector<double> freq(num_nodes, 0.0);
-  for (const auto& walk : corpus.walks) {
-    for (auto node : walk) freq[node] += 1.0;
-  }
-  std::vector<double> neg_weight(num_nodes, 0.0);
-  for (std::size_t v = 0; v < num_nodes; ++v) {
-    if (freq[v] > 0.0) neg_weight[v] = std::pow(freq[v], w2v.neg_power);
-  }
   AliasTable neg_table;
-  if (!neg_table.Build(neg_weight)) return Status::InvalidArgument("degenerate corpus");
+  if (!nrl::sgns::BuildNegativeTable(nrl::sgns::TokenCounts(corpus, num_nodes), w2v.neg_power,
+                                     neg_table)) {
+    return Status::InvalidArgument("degenerate corpus");
+  }
 
-  const double total_tokens =
-      static_cast<double>(corpus.TotalTokens()) * w2v.epochs + 1.0;
+  const double total_tokens = static_cast<double>(corpus.TotalTokens()) * w2v.epochs;
   std::atomic<uint64_t> tokens_done{0};
 
   const int workers = cluster.num_workers();
@@ -85,8 +67,7 @@ StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,
     const std::size_t end = std::min(corpus.walks.size(), begin + per_worker);
     if (begin >= end) return;
     Rng rng(w2v.seed + 0x9E37ULL * static_cast<uint64_t>(worker_id + 1));
-
-    std::vector<float> grad_center(static_cast<std::size_t>(dim));
+    nrl::sgns::PairScratch scratch(w2v.negatives + 1);
     for (int epoch = 0; epoch < w2v.epochs; ++epoch) {
       for (std::size_t batch_begin = begin; batch_begin < end;
            batch_begin += static_cast<std::size_t>(options.batch_walks)) {
@@ -123,45 +104,17 @@ StatusOr<nrl::EmbeddingMatrix> DistributedDeepWalkTrain(KunPengCluster& cluster,
         // 2. Pull the working set.
         std::vector<float> local = client.Pull(keys, dim);
 
-        // 3. Local SGNS updates.
+        // 3. Local SGNS updates on the pulled rows; the batch's negatives
+        // are drawn in order, wrapping around.
         const uint64_t done = tokens_done.fetch_add(batch_tokens);
-        const float progress = static_cast<float>(done / total_tokens);
-        const float alpha = std::max(w2v.min_alpha, w2v.alpha * (1.0f - progress));
+        const float alpha = nrl::sgns::DecayedAlpha(w2v.alpha, w2v.min_alpha, done, total_tokens);
+        auto row = [&](Key key) { return local.data() + slot[key] * dim; };
         std::size_t neg_cursor = 0;
         for (std::size_t wi = batch_begin; wi < batch_end; ++wi) {
-          const auto& walk = corpus.walks[wi];
-          for (std::size_t i = 0; i < walk.size(); ++i) {
-            const int reduced =
-                1 + static_cast<int>(rng.Uniform(static_cast<uint64_t>(w2v.window)));
-            const std::size_t lo = i >= static_cast<std::size_t>(reduced) ? i - reduced : 0;
-            const std::size_t hi = std::min(walk.size() - 1, i + reduced);
-            float* v_center = local.data() + slot[Syn0Key(walk[i])] * dim;
-            for (std::size_t j = lo; j <= hi; ++j) {
-              if (j == i) continue;
-              std::fill(grad_center.begin(), grad_center.end(), 0.0f);
-              for (int s = 0; s < w2v.negatives + 1; ++s) {
-                std::size_t target_node;
-                float label;
-                if (s == 0) {
-                  target_node = walk[j];
-                  label = 1.0f;
-                } else {
-                  target_node = negatives[neg_cursor++ % negatives.size()];
-                  if (target_node == walk[j]) continue;
-                  label = 0.0f;
-                }
-                float* v_target = local.data() + slot[Syn1Key(target_node)] * dim;
-                float dot = 0.0f;
-                for (int d = 0; d < dim; ++d) dot += v_center[d] * v_target[d];
-                const float g = (label - FastSigmoid(dot)) * alpha;
-                for (int d = 0; d < dim; ++d) {
-                  grad_center[d] += g * v_target[d];
-                  v_target[d] += g * v_center[d];
-                }
-              }
-              for (int d = 0; d < dim; ++d) v_center[d] += grad_center[d];
-            }
-          }
+          nrl::sgns::TrainWalk(
+              corpus.walks[wi], w2v, alpha, rng, [&](std::size_t v) { return row(Syn0Key(v)); },
+              [&](std::size_t v) { return row(Syn1Key(v)); },
+              [&] { return negatives[neg_cursor++ % negatives.size()]; }, scratch);
         }
 
         // 4. Push the batch's result back; the servers model-average it.

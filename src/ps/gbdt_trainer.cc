@@ -85,9 +85,9 @@ StatusOr<std::unique_ptr<ml::GbdtModel>> DistributedGbdtTrainer::Train(
     struct FrontierNode {
       std::size_t tree_node_idx;
       double sum = 0.0;
-      double count = 0.0;
+      std::size_t count = 0;
     };
-    std::vector<FrontierNode> level = {{0, 0.0, 0.0}};
+    std::vector<FrontierNode> level = {{0, 0.0, 0}};
 
     // Workers initialize their rows' node assignments.
     cluster_.RunWorkers([&](int w, PsClient&) {
@@ -104,8 +104,7 @@ StatusOr<std::unique_ptr<ml::GbdtModel>> DistributedGbdtTrainer::Train(
         for (const FrontierNode& fn : level) {
           Node& node = tree.nodes[fn.tree_node_idx];
           node.feature = -1;
-          node.value = static_cast<float>(options_.learning_rate * fn.sum /
-                                          std::max(1.0, fn.count));
+          node.value = ml::LeafValue(options_.learning_rate, fn.sum, fn.count);
         }
         level.clear();
         break;
@@ -173,60 +172,52 @@ StatusOr<std::unique_ptr<ml::GbdtModel>> DistributedGbdtTrainer::Train(
       std::vector<Split> splits(level.size());
       std::vector<FrontierNode> next_level;
 
+      std::vector<ml::Bin> node_hists(features.size() * static_cast<std::size_t>(max_bins));
       for (std::size_t ln = 0; ln < level.size(); ++ln) {
+        // The node's histograms as Bins; the float counts are exact below
+        // 2^24 rows.
+        const float* h = hists.data() + ln * features.size() * static_cast<std::size_t>(hist_dim);
+        for (std::size_t i = 0; i < node_hists.size(); ++i) {
+          node_hists[i] = {h[2 * i], static_cast<uint32_t>(h[2 * i + 1])};
+        }
         // Node totals from the first feature's histogram.
-        const float* first =
-            hists.data() + (ln * features.size()) * static_cast<std::size_t>(hist_dim);
-        double sum = 0.0, count = 0.0;
+        double sum = 0.0;
+        std::size_t count = 0;
         for (int b = 0; b < max_bins; ++b) {
-          sum += first[2 * b];
-          count += first[2 * b + 1];
+          sum += node_hists[static_cast<std::size_t>(b)].sum;
+          count += node_hists[static_cast<std::size_t>(b)].count;
         }
         auto make_leaf = [&] {
           Node& node = tree.nodes[level[ln].tree_node_idx];
           node.feature = -1;
-          node.value =
-              static_cast<float>(options_.learning_rate * sum / std::max(1.0, count));
+          node.value = ml::LeafValue(options_.learning_rate, sum, count);
         };
-        if (count < 2.0 * options_.min_child_samples) {
+        if (count < 2 * static_cast<std::size_t>(options_.min_child_samples)) {
           make_leaf();
           continue;
         }
 
-        const double parent_gain = count > 0 ? sum * sum / count : 0.0;
-        double best_gain = 1e-10;
-        int best_feature = -1, best_bin = -1;
-        double best_left_sum = 0.0, best_left_cnt = 0.0;
+        ml::SplitCand best;
+        const ml::Bin* best_hist = nullptr;
+        int best_feature = -1;
         for (std::size_t fi = 0; fi < features.size(); ++fi) {
-          const int nb = model->discretizer_.NumBins(features[fi]);
-          if (nb < 2) continue;
-          const float* h =
-              hists.data() + (ln * features.size() + fi) * static_cast<std::size_t>(hist_dim);
-          double left_sum = 0.0, left_cnt = 0.0;
-          for (int b = 0; b + 1 < nb; ++b) {
-            left_sum += h[2 * b];
-            left_cnt += h[2 * b + 1];
-            const double right_cnt = count - left_cnt;
-            if (left_cnt < options_.min_child_samples ||
-                right_cnt < options_.min_child_samples) {
-              continue;
-            }
-            const double right_sum = sum - left_sum;
-            const double gain = left_sum * left_sum / left_cnt +
-                                right_sum * right_sum / right_cnt - parent_gain;
-            if (gain > best_gain) {
-              best_gain = gain;
-              best_feature = features[fi];
-              best_bin = b;
-              best_left_sum = left_sum;
-              best_left_cnt = left_cnt;
-            }
+          const ml::Bin* hist = node_hists.data() + fi * static_cast<std::size_t>(max_bins);
+          const ml::SplitCand cand =
+              ml::ScanHistogram(hist, model->discretizer_.NumBins(features[fi]), sum, count,
+                                options_.min_child_samples);
+          if (cand.bin >= 0 && cand.gain > best.gain) {
+            best = cand;
+            best_hist = hist;
+            best_feature = features[fi];
           }
         }
         if (best_feature < 0) {
           make_leaf();
           continue;
         }
+        // The left child's residuals, added as the scan added them.
+        double best_left_sum = 0.0;
+        for (int b = 0; b <= best.bin; ++b) best_left_sum += best_hist[b].sum;
 
         const int32_t left_idx = static_cast<int32_t>(tree.nodes.size());
         tree.nodes.emplace_back();
@@ -234,17 +225,17 @@ StatusOr<std::unique_ptr<ml::GbdtModel>> DistributedGbdtTrainer::Train(
         tree.nodes.emplace_back();
         Node& parent = tree.nodes[level[ln].tree_node_idx];
         parent.feature = best_feature;
-        parent.bin_threshold = best_bin;
+        parent.bin_threshold = best.bin;
         parent.left = left_idx;
         parent.right = right_idx;
         splits[ln].feature = best_feature;
-        splits[ln].bin = best_bin;
+        splits[ln].bin = best.bin;
         splits[ln].left_child = static_cast<int32_t>(next_level.size());
         next_level.push_back(
-            {static_cast<std::size_t>(left_idx), best_left_sum, best_left_cnt});
+            {static_cast<std::size_t>(left_idx), best_left_sum, best.left_count});
         splits[ln].right_child = static_cast<int32_t>(next_level.size());
         next_level.push_back({static_cast<std::size_t>(right_idx), sum - best_left_sum,
-                              count - best_left_cnt});
+                              count - best.left_count});
       }
 
       // Workers re-partition their rows into next-level node ids.

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "kvstore/store.h"
 #include "net/wire.h"
 
 namespace titant::serving {
@@ -55,6 +56,29 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, Provider>> providers_;
 };
+
+/// Fills the kv_* slice of a GatewayStats snapshot from a store counter
+/// snapshot.
+inline void FillKvStats(const kvstore::KvStoreStats& s, net::GatewayStats* out) {
+  out->kv_cache_hits = s.cache_hits;
+  out->kv_cache_misses = s.cache_misses;
+  out->kv_cache_bytes = s.cache_bytes;
+  out->kv_flushes = s.flushes;
+  out->kv_compactions = s.compactions;
+  out->kv_compaction_backlog = s.compaction_backlog;
+  out->kv_maintenance_bytes_written = s.maintenance_bytes_written;
+  out->kv_stall_us = s.stall_us;
+}
+
+/// A provider bound to `store`, for registration under the conventional
+/// name "kvstore":
+///
+///   gateway.metrics().Register("kvstore", KvStatsProvider(&store));
+///
+/// `store` must outlive the registry (or at least every Collect call).
+inline MetricsRegistry::Provider KvStatsProvider(const kvstore::AliHBase* store) {
+  return [store](net::GatewayStats* out) { FillKvStats(store->kv_stats(), out); };
+}
 
 }  // namespace titant::serving
 

@@ -2,12 +2,13 @@
 #define TITANT_STREAMING_EVENT_LOG_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/statusor.h"
+#include "kvstore/wal.h"
 #include "serving/request.h"
 
 namespace titant::streaming {
@@ -22,26 +23,19 @@ struct EventLogOptions {
   /// older than every window fall out as late drops, so over-retention
   /// is merely replay time, while under-retention loses window state.
   uint64_t rotate_records = 0;
-  /// Flush to the OS after every Append. False buffers appends until an
-  /// explicit Flush(), which becomes the commit point instead — the
-  /// ingest worker uses this to pay one flush per drained batch rather
-  /// than one per event.
-  bool flush_per_append = true;
 };
 
 /// Append-only durable log of scored transactions feeding the aggregator
-/// — the exactly-once-per-window commit point. Each record has the
-/// write-ahead log's framing (kvstore/wal.h): a uint32 length, a uint32
-/// CRC32 of the payload, and the payload, which is the wire
-/// TransferRequest encoding (the same bytes a kScore frame carries).
+/// — the exactly-once-per-window commit point. Each segment is a
+/// kvstore::WriteAheadLog whose records are the wire TransferRequest
+/// encoding (the same bytes a kScore frame carries).
 ///
-/// Appends reach the OS at the commit point — per record by default,
-/// per explicit Flush() when `flush_per_append` is off — so a crashed
-/// process loses nothing it acknowledged (power loss is out of scope —
-/// there is no fsync, matching the kvstore WAL's contract). Replay walks
-/// .prev then .cur and stops each at its first torn record or record
-/// that fails its length or CRC check, so a crash mid-append or a
-/// flipped bit never replays a different transfer.
+/// Appends buffer until Flush(), the commit point: the ingest worker pays
+/// one flush per drained batch, and a crashed process loses nothing it
+/// flushed (power loss is out of scope — there is no fsync, matching the
+/// WAL's contract). Replay walks .prev then .cur and stops each at its
+/// first torn record or record that fails its length or CRC check, so a
+/// crash mid-append or a flipped bit never replays a different transfer.
 ///
 /// Not thread-safe; owned and driven by the single ingest worker.
 class EventLog {
@@ -52,7 +46,6 @@ class EventLog {
   /// record, so appending after one would strand everything acknowledged
   /// later).
   static StatusOr<std::unique_ptr<EventLog>> Open(EventLogOptions options);
-  ~EventLog();
 
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
@@ -63,14 +56,13 @@ class EventLog {
   /// cleanly.
   Status Replay(const std::function<void(const serving::TransferRequest&)>& fn) const;
 
-  /// Appends one record (and flushes it when `flush_per_append`, the
-  /// default). The flush is the commit point: an event is applied to the
-  /// aggregator only after its bytes reached the OS, so recovery-by-
-  /// replay reproduces exactly the applied event set.
+  /// Appends one record to the current segment's buffer, rotating after
+  /// `rotate_records` (the retiring segment is flushed as it closes).
   Status Append(const serving::TransferRequest& event);
 
-  /// Pushes buffered appends to the OS. The per-batch commit point when
-  /// `flush_per_append` is off; a no-op (beyond the syscall) otherwise.
+  /// Pushes buffered appends to the OS: the commit point. An event is
+  /// applied to the aggregator only after its bytes reached the OS, so
+  /// recovery-by-replay reproduces exactly the applied event set.
   Status Flush();
 
   /// Records appended to the current segment (resets on rotation).
@@ -85,7 +77,7 @@ class EventLog {
   Status Rotate();
 
   EventLogOptions options_;
-  std::FILE* out_ = nullptr;
+  std::optional<kvstore::WriteAheadLog> current_;  // Empty after a failed Rotate().
   uint64_t current_records_ = 0;
   std::string scratch_;
 };

@@ -48,10 +48,7 @@ StatusOr<std::unique_ptr<Ingestor>> Ingestor::Open(kvstore::KvTable* store,
   if (!ingestor->options_.event_log_path.empty()) {
     EventLogOptions log_options;
     log_options.path_prefix = ingestor->options_.event_log_path;
-    log_options.rotate_records = ingestor->options_.log_rotate_records;
-    // The worker flushes once per drained batch (ProcessBatch), not once
-    // per event — that batched flush is the commit point.
-    log_options.flush_per_append = false;
+    log_options.rotate_records = kLogRotateRecords;
     TITANT_ASSIGN_OR_RETURN(ingestor->log_, EventLog::Open(std::move(log_options)));
     // Recovery: replay acknowledged events into the fresh aggregator.
     // Events older than every window fall out as late drops, so replay
@@ -171,9 +168,8 @@ void Ingestor::WorkerLoop() {
       // keeps up with would otherwise deliver one event per wakeup, and
       // each drained "batch" of one pays a log flush and a publish
       // bookkeeping pass. Drain()/Shutdown() bypass the wait.
-      if (!stop_ && drain_waiters_ == 0 && options_.linger_ms > 0 &&
-          queue_.size() < options_.drain_batch) {
-        wake_cv_.wait_for(lock, std::chrono::milliseconds(options_.linger_ms), [&] {
+      if (!stop_ && drain_waiters_ == 0 && queue_.size() < options_.drain_batch) {
+        wake_cv_.wait_for(lock, kLinger, [&] {
           return stop_ || drain_waiters_ > 0 || queue_.size() >= options_.drain_batch;
         });
       }
@@ -259,7 +255,7 @@ void Ingestor::MaybePublish(bool force) {
 }
 
 void Ingestor::PublishCounters(std::vector<txn::UserId>& users, int64_t now_s) {
-  if (!options_.publish_counters || store_ == nullptr || users.empty()) return;
+  if (store_ == nullptr || users.empty()) return;
   std::sort(users.begin(), users.end());
   users.erase(std::unique(users.begin(), users.end()), users.end());
   cell_scratch_.clear();

@@ -28,14 +28,6 @@ struct IngestorOptions {
   std::size_t queue_capacity = 65536;
   /// Events the worker folds per wakeup before publishing counters.
   std::size_t drain_batch = 256;
-  /// How long the worker lingers after waking with fewer than
-  /// `drain_batch` events queued, accumulating a real batch before it
-  /// drains. Without it a closed-loop feed hands the worker one event
-  /// per wakeup, so every scored transaction pays a log flush and a
-  /// publish bookkeeping pass; the linger amortizes both across the
-  /// batch. Drain() and Shutdown() skip the wait, so tests stay fast
-  /// and exact. 0 disables.
-  int linger_ms = 5;
   /// Minimum spacing between counter publishes. Touched users accumulate
   /// (deduplicated) across drained batches and flush to the store once
   /// per interval, so a hot user costs one memtable insert per interval
@@ -43,14 +35,10 @@ struct IngestorOptions {
   /// between; Drain() and Shutdown() force an immediate flush. 0
   /// publishes after every batch.
   int publish_interval_ms = 25;
-  /// Path prefix for the durable event log; empty keeps the aggregator
+  /// Path prefix for the durable event log (segments of
+  /// Ingestor::kLogRotateRecords records); empty keeps the aggregator
   /// memory-only (no crash recovery).
   std::string event_log_path;
-  /// Records per event-log segment before rotation (see EventLogOptions).
-  uint64_t log_rotate_records = 1u << 20;
-  /// Publish each touched user's counters to the store ("rt"/"win" cells)
-  /// after every drained batch. False keeps counters query-only (tests).
-  bool publish_counters = true;
   /// Recent-txn dedup ring: Submit drops an event whose txn_id matches
   /// one of the last `dedup_capacity` accepted ids, so a replayed wire
   /// retry (the client re-sent a kScore whose ack was lost) folds into
@@ -106,6 +94,17 @@ class Ingestor {
 
   Ingestor(const Ingestor&) = delete;
   Ingestor& operator=(const Ingestor&) = delete;
+
+  /// How long the worker lingers after waking with fewer than
+  /// `drain_batch` events queued, accumulating a real batch before it
+  /// drains. Without it a closed-loop feed hands the worker one event
+  /// per wakeup, so every scored transaction pays a log flush and a
+  /// publish bookkeeping pass; the linger amortizes both across the
+  /// batch. Drain() and Shutdown() skip the wait, so tests stay fast
+  /// and exact.
+  static constexpr std::chrono::milliseconds kLinger{5};
+  /// Records per event-log segment before rotation (see EventLogOptions).
+  static constexpr uint64_t kLogRotateRecords = uint64_t{1} << 20;
 
   /// Enqueues one scored transaction. Never blocks and never fails:
   /// overflow sheds the oldest queued event instead.

@@ -377,6 +377,145 @@ TEST(LineTest, DeterministicForSeed) {
   }
 }
 
+// TrainLine's one-target-at-a-time loop from before it ran the pair
+// kernel, kept verbatim except that it reads the sigmoid table instead of
+// computing the exact sigmoid. TrainLine must match it bit for bit on a
+// network without self-loops.
+StatusOr<EmbeddingMatrix> ReferenceLine(const graph::TransactionNetwork& network,
+                                        const LineOptions& options) {
+  const std::size_t n = network.num_nodes();
+  const int dim = options.dim;
+
+  // Flatten the edge list (both directions) with weights for alias sampling.
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
+  std::vector<double> edge_weights;
+  edges.reserve(network.num_edges() * 2);
+  for (graph::NodeId v : network.active_nodes()) {
+    auto [begin, end] = network.OutNeighbors(v);
+    for (const auto* e = begin; e != end; ++e) {
+      edges.emplace_back(v, e->neighbor);
+      edge_weights.push_back(e->weight);
+      edges.emplace_back(e->neighbor, v);
+      edge_weights.push_back(e->weight);
+    }
+  }
+  AliasTable edge_table;
+  if (!edge_table.Build(edge_weights)) return Status::InvalidArgument("degenerate weights");
+
+  // Negative table over weighted degrees^0.75.
+  std::vector<double> neg_weight(n, 0.0);
+  for (graph::NodeId v : network.active_nodes()) {
+    const double degree = static_cast<double>(network.Degree(v));
+    if (degree > 0.0) neg_weight[v] = std::pow(degree, options.neg_power);
+  }
+  AliasTable neg_table;
+  if (!neg_table.Build(neg_weight)) return Status::InvalidArgument("degenerate degrees");
+
+  const ReferenceSigmoid sigmoid;
+  EmbeddingMatrix vertex(n, dim);
+  EmbeddingMatrix context(n, dim);  // Used by second-order only.
+  Rng rng(options.seed);
+  for (std::size_t v = 0; v < n; ++v) {
+    float* row = vertex.Row(v);
+    for (int j = 0; j < dim; ++j) {
+      row[j] = static_cast<float>((rng.NextDouble() - 0.5) / dim);
+    }
+  }
+
+  const uint64_t total_samples = static_cast<uint64_t>(
+      options.samples_per_edge * static_cast<double>(network.num_edges()));
+  std::vector<float> grad(static_cast<std::size_t>(dim));
+  for (uint64_t step = 0; step < total_samples; ++step) {
+    const float progress = static_cast<float>(static_cast<double>(step) / (total_samples + 1.0));
+    const float alpha = std::max(options.min_alpha, options.alpha * (1.0f - progress));
+
+    const auto [source, target] = edges[edge_table.Sample(rng)];
+    float* v_source = vertex.Row(source);
+    std::fill(grad.begin(), grad.end(), 0.0f);
+    for (int s = 0; s < options.negatives + 1; ++s) {
+      std::size_t other;
+      float label;
+      if (s == 0) {
+        other = target;
+        label = 1.0f;
+      } else {
+        other = neg_table.Sample(rng);
+        if (other == target || other == source) continue;
+        label = 0.0f;
+      }
+      // First-order trains vertex·vertex; second-order vertex·context.
+      float* v_other =
+          options.order == 1 ? vertex.Row(other) : context.Row(other);
+      float dot = 0.0f;
+      for (int d = 0; d < dim; ++d) dot += v_source[d] * v_other[d];
+      const float g = (label - sigmoid(dot)) * alpha;
+      for (int d = 0; d < dim; ++d) {
+        grad[d] += g * v_other[d];
+        v_other[d] += g * v_source[d];
+      }
+    }
+    for (int d = 0; d < dim; ++d) v_source[d] += grad[d];
+  }
+  return vertex;
+}
+
+// In a triangle one node is neither end of a sampled edge, so every kept
+// negative is that node and most pairs draw it more than once.
+graph::TransactionNetwork Triangle() {
+  return std::move(graph::TransactionNetwork::FromEdges({{0, 1}, {1, 2}, {2, 0}}, 3)).value();
+}
+
+TEST(LineTest, PairKernelMatchesScalarReferenceBitForBit) {
+  const auto communities = TwoCommunities(8, 2);
+  const auto triangle = Triangle();
+  for (const graph::TransactionNetwork* network : {&communities, &triangle}) {
+    for (int order : {1, 2}) {
+      for (int dim : {3, 8, 33}) {
+        for (int negatives : {0, 5, 9}) {
+          LineOptions options;
+          options.order = order;
+          options.dim = dim;
+          options.negatives = negatives;
+          options.samples_per_edge = 50.0;
+          const auto kernel = TrainLine(*network, options);
+          ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+          const auto reference = ReferenceLine(*network, options);
+          ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+          std::size_t differing_rows = 0;
+          for (std::size_t r = 0; r < network->num_nodes(); ++r) {
+            if (std::memcmp(kernel->Row(r), reference->Row(r), sizeof(float) * dim) != 0) {
+              ++differing_rows;
+            }
+          }
+          EXPECT_EQ(differing_rows, 0u) << network->num_nodes() << " nodes, order " << order
+                                        << " dim " << dim << " negatives " << negatives;
+        }
+      }
+    }
+  }
+}
+
+// At first order a sampled self-loop would make a node its own positive
+// target; TrainLine skips it, so a network of self-loops only trains
+// nothing and returns the initial vectors.
+TEST(LineTest, FirstOrderSkipsSelfLoops) {
+  const auto loops = graph::TransactionNetwork::FromEdges({{0, 0}, {1, 1}}, 2);
+  ASSERT_TRUE(loops.ok());
+  ASSERT_GT(loops->num_edges(), 0u);
+  LineOptions options;
+  options.order = 1;
+  options.dim = 4;
+  options.samples_per_edge = 10.0;
+  const auto trained = TrainLine(*loops, options);
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  Rng rng(options.seed);
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (int c = 0; c < options.dim; ++c) {
+      EXPECT_EQ(trained->Row(r)[c], static_cast<float>((rng.NextDouble() - 0.5) / options.dim));
+    }
+  }
+}
+
 TEST(Struct2VecTest, ProducesLiveEmbeddings) {
   const auto g = TwoCommunities(15, 8);
   NodeLabels labels;

@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <unordered_map>
 
+#include "common/alias_table.h"
 #include "common/random.h"
 #include "graph/random_walk.h"
 #include "ml/metrics.h"
+#include "nrl/sgns.h"
 #include "ps/cluster.h"
 #include "ps/dw_trainer.h"
 #include "ps/gbdt_trainer.h"
@@ -172,6 +178,227 @@ TEST(ClusterTest, TrainingSurvivesServerFailureViaCheckpoint) {
   const auto embeddings = DistributedDeepWalkTrain(cluster, second, g.num_nodes(), options);
   ASSERT_TRUE(embeddings.ok());
   EXPECT_GT(CommunityGap(*embeddings, half), 0.1);
+}
+
+// DistributedDeepWalkTrain's one-target-at-a-time loop from before it ran
+// the pair kernel, kept verbatim except that it reads the sigmoid table
+// instead of computing the exact sigmoid. At one worker the servers see
+// one push order, and the trainer must match it bit for bit.
+// syn0 (input vectors, the artifact) on even keys; syn1 (output/context
+// vectors) on odd keys.
+Key Syn0Key(std::size_t node) { return static_cast<Key>(node) * 2; }
+Key Syn1Key(std::size_t node) { return static_cast<Key>(node) * 2 + 1; }
+
+StatusOr<nrl::EmbeddingMatrix> ReferenceDistributedDeepWalk(KunPengCluster& cluster,
+                                                            const graph::WalkCorpus& corpus,
+                                                            std::size_t num_nodes,
+                                                            const DistributedDwOptions& options) {
+  const auto& w2v = options.w2v;
+  if (w2v.dim <= 0 || w2v.window <= 0 || w2v.epochs <= 0 || w2v.negatives < 0) {
+    return Status::InvalidArgument("bad word2vec options");
+  }
+  if (options.batch_walks <= 0) return Status::InvalidArgument("batch_walks must be positive");
+  if (corpus.walks.empty()) return Status::InvalidArgument("empty corpus");
+  for (const auto& walk : corpus.walks) {
+    for (auto node : walk) {
+      if (node >= num_nodes) return Status::OutOfRange("walk token beyond num_nodes");
+    }
+  }
+  const int dim = w2v.dim;
+
+  // Server-side init: random syn0, zero syn1 (pushed once by worker 0's
+  // coordinator-style client before training). Skipped when resuming from
+  // a checkpoint after a failure.
+  if (!options.resume) {
+    PsClient client = cluster.MakeClient();
+    Rng init_rng(w2v.seed);
+    std::vector<Key> keys;
+    std::vector<float> values;
+    for (std::size_t v = 0; v < num_nodes; ++v) {
+      keys.push_back(Syn0Key(v));
+      for (int j = 0; j < dim; ++j) {
+        values.push_back(static_cast<float>((init_rng.NextDouble() - 0.5) / dim));
+      }
+    }
+    client.Push(keys, values, dim, PushOp::kAssign);
+  }
+
+  // Shared negative-sampling table (built once; read-only afterwards).
+  std::vector<double> freq(num_nodes, 0.0);
+  for (const auto& walk : corpus.walks) {
+    for (auto node : walk) freq[node] += 1.0;
+  }
+  std::vector<double> neg_weight(num_nodes, 0.0);
+  for (std::size_t v = 0; v < num_nodes; ++v) {
+    if (freq[v] > 0.0) neg_weight[v] = std::pow(freq[v], w2v.neg_power);
+  }
+  AliasTable neg_table;
+  if (!neg_table.Build(neg_weight)) return Status::InvalidArgument("degenerate corpus");
+
+  const double total_tokens =
+      static_cast<double>(corpus.TotalTokens()) * w2v.epochs + 1.0;
+  std::atomic<uint64_t> tokens_done{0};
+
+  const int workers = cluster.num_workers();
+  const std::size_t per_worker =
+      (corpus.walks.size() + static_cast<std::size_t>(workers) - 1) /
+      static_cast<std::size_t>(workers);
+
+  cluster.RunWorkers([&](int worker_id, PsClient& client) {
+    const std::size_t begin = static_cast<std::size_t>(worker_id) * per_worker;
+    const std::size_t end = std::min(corpus.walks.size(), begin + per_worker);
+    if (begin >= end) return;
+    Rng rng(w2v.seed + 0x9E37ULL * static_cast<uint64_t>(worker_id + 1));
+
+    const nrl::sgns::SigmoidTable& sigmoid = nrl::sgns::Sigmoid();
+    std::vector<float> grad_center(static_cast<std::size_t>(dim));
+    for (int epoch = 0; epoch < w2v.epochs; ++epoch) {
+      for (std::size_t batch_begin = begin; batch_begin < end;
+           batch_begin += static_cast<std::size_t>(options.batch_walks)) {
+        const std::size_t batch_end =
+            std::min(end, batch_begin + static_cast<std::size_t>(options.batch_walks));
+
+        // 1. Generate this batch's negative list, then its vocabulary.
+        std::vector<std::size_t> negatives;
+        std::size_t batch_tokens = 0;
+        for (std::size_t wi = batch_begin; wi < batch_end; ++wi) {
+          batch_tokens += corpus.walks[wi].size();
+        }
+        negatives.reserve(batch_tokens * static_cast<std::size_t>(w2v.negatives));
+        for (std::size_t i = 0; i < batch_tokens * static_cast<std::size_t>(w2v.negatives);
+             ++i) {
+          negatives.push_back(neg_table.Sample(rng));
+        }
+
+        std::unordered_map<Key, std::size_t> slot;  // key -> local row.
+        std::vector<Key> keys;
+        auto intern = [&](Key key) {
+          auto [it, inserted] = slot.emplace(key, keys.size());
+          if (inserted) keys.push_back(key);
+          return it->second;
+        };
+        for (std::size_t wi = batch_begin; wi < batch_end; ++wi) {
+          for (auto node : corpus.walks[wi]) {
+            intern(Syn0Key(node));
+            intern(Syn1Key(node));
+          }
+        }
+        for (std::size_t neg : negatives) intern(Syn1Key(neg));
+
+        // 2. Pull the working set.
+        std::vector<float> local = client.Pull(keys, dim);
+
+        // 3. Local SGNS updates.
+        const uint64_t done = tokens_done.fetch_add(batch_tokens);
+        const float progress = static_cast<float>(done / total_tokens);
+        const float alpha = std::max(w2v.min_alpha, w2v.alpha * (1.0f - progress));
+        std::size_t neg_cursor = 0;
+        for (std::size_t wi = batch_begin; wi < batch_end; ++wi) {
+          const auto& walk = corpus.walks[wi];
+          for (std::size_t i = 0; i < walk.size(); ++i) {
+            const int reduced =
+                1 + static_cast<int>(rng.Uniform(static_cast<uint64_t>(w2v.window)));
+            const std::size_t lo = i >= static_cast<std::size_t>(reduced) ? i - reduced : 0;
+            const std::size_t hi = std::min(walk.size() - 1, i + reduced);
+            float* v_center = local.data() + slot[Syn0Key(walk[i])] * dim;
+            for (std::size_t j = lo; j <= hi; ++j) {
+              if (j == i) continue;
+              std::fill(grad_center.begin(), grad_center.end(), 0.0f);
+              for (int s = 0; s < w2v.negatives + 1; ++s) {
+                std::size_t target_node;
+                float label;
+                if (s == 0) {
+                  target_node = walk[j];
+                  label = 1.0f;
+                } else {
+                  target_node = negatives[neg_cursor++ % negatives.size()];
+                  if (target_node == walk[j]) continue;
+                  label = 0.0f;
+                }
+                float* v_target = local.data() + slot[Syn1Key(target_node)] * dim;
+                float dot = 0.0f;
+                for (int d = 0; d < dim; ++d) dot += v_center[d] * v_target[d];
+                const float g = (label - sigmoid(dot)) * alpha;
+                for (int d = 0; d < dim; ++d) {
+                  grad_center[d] += g * v_target[d];
+                  v_target[d] += g * v_center[d];
+                }
+              }
+              for (int d = 0; d < dim; ++d) v_center[d] += grad_center[d];
+            }
+          }
+        }
+
+        // 4. Push the batch's result back; the servers model-average it.
+        client.Push(keys, local, dim, PushOp::kAverage);
+      }
+    }
+  });
+
+  // Gather syn0 into the output matrix.
+  PsClient client = cluster.MakeClient();
+  nrl::EmbeddingMatrix result(num_nodes, dim);
+  std::vector<Key> keys;
+  keys.reserve(num_nodes);
+  for (std::size_t v = 0; v < num_nodes; ++v) keys.push_back(Syn0Key(v));
+  const std::vector<float> values = client.Pull(keys, dim);
+  for (std::size_t v = 0; v < num_nodes; ++v) {
+    std::copy(values.begin() + static_cast<std::ptrdiff_t>(v * dim),
+              values.begin() + static_cast<std::ptrdiff_t>((v + 1) * dim), result.Row(v));
+  }
+  return result;
+}
+
+void ExpectOneWorkerMatchesReference(const graph::WalkCorpus& corpus, std::size_t num_nodes) {
+  for (int dim : {3, 16, 33}) {
+    for (int negatives : {0, 5, 9}) {
+      for (int batch_walks : {7, 32}) {
+        DistributedDwOptions options;
+        options.w2v.dim = dim;
+        options.w2v.negatives = negatives;
+        options.w2v.epochs = 2;
+        options.batch_walks = batch_walks;
+        KunPengCluster trained_on(2, 1);
+        KunPengCluster reference_on(2, 1);
+        const auto trained = DistributedDeepWalkTrain(trained_on, corpus, num_nodes, options);
+        ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+        const auto reference =
+            ReferenceDistributedDeepWalk(reference_on, corpus, num_nodes, options);
+        ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+        std::size_t differing_rows = 0;
+        for (std::size_t r = 0; r < num_nodes; ++r) {
+          if (std::memcmp(trained->Row(r), reference->Row(r), sizeof(float) * dim) != 0) {
+            ++differing_rows;
+          }
+        }
+        EXPECT_EQ(differing_rows, 0u) << "dim " << dim << " negatives " << negatives
+                                      << " batch_walks " << batch_walks;
+      }
+    }
+  }
+}
+
+TEST(DistributedDwTest, OneWorkerMatchesScalarReferenceBitForBit) {
+  const auto g = TwoCommunities(8, 4);
+  graph::RandomWalkOptions walk_options;
+  walk_options.walk_length = 12;
+  walk_options.walks_per_node = 6;
+  const auto corpus = graph::GenerateWalks(g, walk_options);
+  ASSERT_TRUE(corpus.ok());
+  ExpectOneWorkerMatchesReference(*corpus, g.num_nodes());
+}
+
+// On three nodes many negatives equal the context (skipped) or repeat
+// within a pair (the second sees the first's update).
+TEST(DistributedDwTest, OneWorkerMatchesScalarReferenceOnThreeNodes) {
+  Rng rng(12);
+  graph::WalkCorpus corpus;
+  for (int w = 0; w < 30; ++w) {
+    std::vector<graph::NodeId> walk(1 + rng.Uniform(10));
+    for (auto& node : walk) node = static_cast<graph::NodeId>(rng.Uniform(3));
+    corpus.walks.push_back(std::move(walk));
+  }
+  ExpectOneWorkerMatchesReference(corpus, 3);
 }
 
 TEST(DistributedDwTest, ValidatesInputs) {

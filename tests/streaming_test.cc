@@ -493,6 +493,7 @@ TEST(EventLogTest, RotationKeepsTheLastTwoSegments) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE((*log)->Append(Event(1, 2, 100.0 + i, 86400 + i)).ok());
   }
+  ASSERT_TRUE((*log)->Flush().ok());  // Commits append 5, still buffered in .cur.
   // Appends 1,2 retired to .prev by append 3's rotation; 3,4 retired (and
   // 1,2 deleted) by append 5's. Replay = events 3,4 (prev) then 5 (cur).
   std::vector<double> amounts;

@@ -69,7 +69,6 @@
 
 #include "common/failpoint.h"
 #include "core/experiment.h"
-#include "kvstore/metrics.h"
 #include "replication/kv_server.h"
 #include "replication/shipper.h"
 #include "datagen/world.h"
@@ -78,6 +77,7 @@
 #include "nrl/embedding.h"
 #include "serving/feature_store.h"
 #include "serving/gateway.h"
+#include "serving/metrics.h"
 #include "serving/router.h"
 #include "streaming/ingestor.h"
 #include "txn/csv.h"
@@ -334,7 +334,7 @@ int CmdServe(int argc, char** argv) {
   gw_options.port = port;
   gw_options.ingestor = ingestor.get();
   titant::serving::Gateway gateway(&router, gw_options);
-  gateway.metrics().Register("kvstore", titant::kvstore::KvStatsProvider(store.get()));
+  gateway.metrics().Register("kvstore", titant::serving::KvStatsProvider(store.get()));
   OrDie(gateway.Start());
   std::printf("gateway serving on 127.0.0.1:%u  (%d MS instances, model v%llu, streaming on)\n",
               gateway.port(), instances, static_cast<unsigned long long>(version));
