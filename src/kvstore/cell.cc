@@ -1,103 +1,26 @@
 #include "kvstore/cell.h"
 
-#include <cstring>
-
 namespace titant::kvstore {
 
-namespace {
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+void EncodeCellTo(std::string* out, const CellKey& key, bool tombstone, std::string_view value) {
+  ByteWriter w(out);
+  w.Str(key.row);
+  w.Str(key.family);
+  w.Str(key.qualifier);
+  w.U64(key.version);
+  w.U8(tombstone ? 1 : 0);
+  w.Str(value);
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool GetU32(const std::string& data, std::size_t* offset, uint32_t* v) {
-  if (*offset + sizeof(*v) > data.size()) return false;
-  std::memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return true;
-}
-
-bool GetU64(const std::string& data, std::size_t* offset, uint64_t* v) {
-  if (*offset + sizeof(*v) > data.size()) return false;
-  std::memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return true;
-}
-
-bool GetString(const std::string& data, std::size_t* offset, std::string* out) {
-  uint32_t len = 0;
-  if (!GetU32(data, offset, &len)) return false;
-  if (*offset + len > data.size()) return false;
-  out->assign(data, *offset, len);
-  *offset += len;
-  return true;
-}
-
-bool GetU32View(std::string_view data, std::size_t* offset, uint32_t* v) {
-  if (*offset + sizeof(*v) > data.size()) return false;
-  std::memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return true;
-}
-
-bool GetU64View(std::string_view data, std::size_t* offset, uint64_t* v) {
-  if (*offset + sizeof(*v) > data.size()) return false;
-  std::memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return true;
-}
-
-bool GetStringView(std::string_view data, std::size_t* offset, std::string_view* out) {
-  uint32_t len = 0;
-  if (!GetU32View(data, offset, &len)) return false;
-  if (*offset + len > data.size()) return false;
-  *out = data.substr(*offset, len);
-  *offset += len;
-  return true;
-}
-
-}  // namespace
-
-std::string EncodeCell(const Cell& cell) {
-  std::string out;
-  out.reserve(32 + cell.key.row.size() + cell.key.family.size() + cell.key.qualifier.size() +
-              cell.value.size());
-  PutU32(&out, static_cast<uint32_t>(cell.key.row.size()));
-  out += cell.key.row;
-  PutU32(&out, static_cast<uint32_t>(cell.key.family.size()));
-  out += cell.key.family;
-  PutU32(&out, static_cast<uint32_t>(cell.key.qualifier.size()));
-  out += cell.key.qualifier;
-  PutU64(&out, cell.key.version);
-  out.push_back(cell.tombstone ? 1 : 0);
-  PutU32(&out, static_cast<uint32_t>(cell.value.size()));
-  out += cell.value;
-  return out;
-}
-
-bool DecodeCell(const std::string& data, std::size_t* offset, Cell* out) {
-  if (!GetString(data, offset, &out->key.row)) return false;
-  if (!GetString(data, offset, &out->key.family)) return false;
-  if (!GetString(data, offset, &out->key.qualifier)) return false;
-  if (!GetU64(data, offset, &out->key.version)) return false;
-  if (*offset >= data.size()) return false;
-  out->tombstone = data[(*offset)++] != 0;
-  if (!GetString(data, offset, &out->value)) return false;
-  return true;
-}
-
-bool DecodeCellView(std::string_view data, std::size_t* offset, CellViewRec* out) {
-  if (!GetStringView(data, offset, &out->row)) return false;
-  if (!GetStringView(data, offset, &out->family)) return false;
-  if (!GetStringView(data, offset, &out->qualifier)) return false;
-  if (!GetU64View(data, offset, &out->version)) return false;
-  if (*offset >= data.size()) return false;
-  out->tombstone = data[(*offset)++] != 0;
-  if (!GetStringView(data, offset, &out->value)) return false;
+bool DecodeCell(ByteReader* r, Cell* out) {
+  CellViewRec rec;
+  if (!DecodeCellView(r, &rec)) return false;
+  out->key.row.assign(rec.row);
+  out->key.family.assign(rec.family);
+  out->key.qualifier.assign(rec.qualifier);
+  out->key.version = rec.version;
+  out->tombstone = rec.tombstone;
+  out->value.assign(rec.value);
   return true;
 }
 

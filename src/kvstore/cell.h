@@ -6,6 +6,8 @@
 #include <string_view>
 #include <tuple>
 
+#include "common/bytes.h"
+
 namespace titant::kvstore {
 
 /// HBase-style cell coordinate: row key -> column family -> qualifier ->
@@ -38,14 +40,6 @@ struct Cell {
   bool tombstone = false;
 };
 
-/// Serializes a cell to a length-prefixed binary record (used by both the
-/// WAL and the SSTable format).
-std::string EncodeCell(const Cell& cell);
-
-/// Parses a record produced by EncodeCell starting at `data[*offset]`;
-/// advances *offset. Returns false on truncation/corruption.
-bool DecodeCell(const std::string& data, std::size_t* offset, Cell* out);
-
 /// A decoded cell whose strings alias the encoded record (no copies).
 /// Views are valid only while the backing buffer is: for an SSTable that
 /// is the table's lifetime, for a WAL record the record string. The
@@ -60,8 +54,30 @@ struct CellViewRec {
   std::string_view value;
 };
 
-/// View-returning twin of DecodeCell: same record format, no allocation.
-bool DecodeCellView(std::string_view data, std::size_t* offset, CellViewRec* out);
+// The cell record, the one encoding of a cell: WAL records, SSTable data
+// blocks and index keys, and the wire's kPutBatch, kReplAppend and
+// kReplCatchup payloads all carry it. Row, family and qualifier as
+// u32-length-prefixed strings, the u64 version, a u8 tombstone flag, and
+// the u32-length-prefixed value (common/bytes.h; little-endian).
+
+/// Size of the smallest record: three empty strings, the version, the
+/// flag and an empty value. Lets a decoder refuse a hostile record count
+/// before it sizes anything by it.
+inline constexpr std::size_t kCellMinBytes = 4 + 4 + 4 + 8 + 1 + 4;
+
+/// Appends the record of (key, tombstone, value) to `*out`.
+void EncodeCellTo(std::string* out, const CellKey& key, bool tombstone, std::string_view value);
+
+/// Reads one record from `r` as views of its bytes; false on a truncated
+/// record. Inline: SSTable::GetView runs it once per record it scans.
+inline bool DecodeCellView(ByteReader* r, CellViewRec* out) {
+  return r->Str(&out->row) && r->Str(&out->family) && r->Str(&out->qualifier) &&
+         r->U64(&out->version) && r->Bool(&out->tombstone) && r->Str(&out->value);
+}
+
+/// DecodeCellView plus a copy into `out`, whose strings keep their
+/// capacity across calls.
+bool DecodeCell(ByteReader* r, Cell* out);
 
 }  // namespace titant::kvstore
 

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <memory>
 
@@ -16,12 +15,6 @@
 namespace titant::kvstore {
 
 namespace {
-
-std::string EncodeKey(const CellKey& key) {
-  Cell cell;
-  cell.key = key;
-  return EncodeCell(cell);  // Value empty; fine for index entries.
-}
 
 // Three-way compare of (row, family, qualifier) coordinates; the callers
 // layer CellKey's descending-version rule on top.
@@ -65,14 +58,6 @@ Status WriteFileAtomic(const std::string& path, const std::string& file, RateLim
   return Status::OK();
 }
 
-void AppendU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
 /// Reads exactly `n` bytes at `offset` of `fd` into `out`; false on an
 /// I/O error or a short file.
 bool ReadFull(int fd, char* out, std::size_t n, uint64_t offset) {
@@ -112,11 +97,11 @@ Status SSTable::Write(const std::string& path, const std::vector<Cell>& cells,
     if (offsets.empty() || file.size() - block_start >= kBlockSize) {
       block_start = file.size();
       offsets.push_back(block_start);
-      index += EncodeKey(cell.key);
+      EncodeCellTo(&index, cell.key, /*tombstone=*/false, /*value=*/{});
     }
     bloom.Add(BloomKeyOf(cell.key.row, cell.key.family, cell.key.qualifier));
     row_bloom.AddHash(BloomHashOf(cell.key.row));
-    file += EncodeCell(cell);
+    EncodeCellTo(&file, cell.key, cell.tombstone, cell.value);
   }
   const std::size_t data_size = file.size();
   const uint32_t data_crc = Crc32(file);
@@ -132,23 +117,24 @@ Status SSTable::Write(const std::string& path, const std::vector<Cell>& cells,
   }
 
   // Metadata region, appended after the data and covered by its own CRC.
-  file += index;
-  for (uint64_t off : offsets) AppendU64(&file, off);
-  for (uint32_t crc : block_crcs) AppendU32(&file, crc);
-  file += bloom.payload();
-  file += row_bloom.payload();
+  ByteWriter w(&file);
+  w.Bytes(index);
+  w.Array(offsets.data(), offsets.size());
+  w.Array(block_crcs.data(), block_crcs.size());
+  w.Bytes(bloom.payload());
+  w.Bytes(row_bloom.payload());
   const uint32_t meta_crc = Crc32(std::string_view(file).substr(data_size));
 
-  AppendU64(&file, data_size);
-  AppendU64(&file, index.size());
-  AppendU64(&file, offsets.size());
-  AppendU64(&file, cells.size());
-  AppendU64(&file, bloom.payload().size());
-  AppendU64(&file, row_bloom.payload().size());
-  AppendU32(&file, data_crc);
-  AppendU32(&file, meta_crc);
-  AppendU32(&file, kFormatVersion);
-  AppendU32(&file, kMagic);
+  w.U64(data_size);
+  w.U64(index.size());
+  w.U64(offsets.size());
+  w.U64(cells.size());
+  w.U64(bloom.payload().size());
+  w.U64(row_bloom.payload().size());
+  w.U32(data_crc);
+  w.U32(meta_crc);
+  w.U32(kFormatVersion);
+  w.U32(kMagic);
 
   TITANT_RETURN_IF_ERROR(WriteFileAtomic(path, file, limiter));
   if (bytes_written != nullptr) *bytes_written = file.size();
@@ -176,23 +162,23 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
     return Status::DataLoss("SSTable too small (no magic): " + path);
   }
   uint32_t magic = 0;
-  std::memcpy(&magic, file.data() + file.size() - sizeof(uint32_t), sizeof(uint32_t));
+  ByteReader(file.substr(file.size() - sizeof(magic))).U32(&magic);
   if (magic != kMagic) return Status::DataLoss("bad SSTable magic: " + path);
 
   if (file.size() < kFooterSize) return Status::DataLoss("short SSTable footer: " + path);
-  const char* footer = file.data() + file.size() - kFooterSize;
+  ByteReader footer(file.substr(file.size() - kFooterSize));
   uint64_t data_size = 0, index_size = 0, num_blocks = 0, num_cells = 0;
   uint64_t bloom_size = 0, row_bloom_size = 0;
   uint32_t data_crc = 0, meta_crc = 0, version = 0;
-  std::memcpy(&data_size, footer, 8);
-  std::memcpy(&index_size, footer + 8, 8);
-  std::memcpy(&num_blocks, footer + 16, 8);
-  std::memcpy(&num_cells, footer + 24, 8);
-  std::memcpy(&bloom_size, footer + 32, 8);
-  std::memcpy(&row_bloom_size, footer + 40, 8);
-  std::memcpy(&data_crc, footer + 48, 4);
-  std::memcpy(&meta_crc, footer + 52, 4);
-  std::memcpy(&version, footer + 56, 4);
+  footer.U64(&data_size);
+  footer.U64(&index_size);
+  footer.U64(&num_blocks);
+  footer.U64(&num_cells);
+  footer.U64(&bloom_size);
+  footer.U64(&row_bloom_size);
+  footer.U32(&data_crc);
+  footer.U32(&meta_crc);
+  footer.U32(&version);
   // The version sits 8 bytes before the end in every footer layout, so a
   // table written by an older layout is named as such here.
   if (version != kFormatVersion) {
@@ -204,7 +190,7 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
   // the index reservation from the bogus count.
   const uint64_t body = file.size() - kFooterSize;
   if (data_size > body || index_size > body || bloom_size > body || row_bloom_size > body ||
-      num_blocks > body / (sizeof(uint64_t) + sizeof(uint32_t))) {
+      !CountFits(num_blocks, sizeof(uint64_t) + sizeof(uint32_t), body)) {
     return Status::DataLoss("bad SSTable geometry: " + path);
   }
   const uint64_t offsets_size = num_blocks * sizeof(uint64_t);
@@ -232,19 +218,18 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
   table.num_cells_ = static_cast<std::size_t>(num_cells);
   table.cache_ = cache;
 
-  const std::string_view index_blob = meta.substr(0, index_size);
-  std::size_t pos = 0;
+  ByteReader index(meta.substr(0, index_size));
   table.index_keys_.reserve(static_cast<std::size_t>(num_blocks));
   for (uint64_t i = 0; i < num_blocks; ++i) {
     CellViewRec key;
-    if (!DecodeCellView(index_blob, &pos, &key)) {
-      return Status::DataLoss("bad SSTable index: " + path);
-    }
+    if (!DecodeCellView(&index, &key)) return Status::DataLoss("bad SSTable index: " + path);
     table.index_keys_.push_back(CellKey{std::string(key.row), std::string(key.family),
                                         std::string(key.qualifier), key.version});
   }
-  table.index_offsets_.resize(static_cast<std::size_t>(num_blocks));
-  std::memcpy(table.index_offsets_.data(), meta.data() + index_size, offsets_size);
+  // Both arrays fit: the geometry check above bounded num_blocks.
+  ByteReader arrays(meta.substr(index_size, offsets_size + crcs_size));
+  arrays.Array(num_blocks, &table.index_offsets_);
+  arrays.Array(num_blocks, &table.block_crcs_);
   // Blocks tile the data region from offset 0 in increasing order, so
   // every block size the read paths derive from these is positive.
   const std::vector<uint64_t>& offsets = table.index_offsets_;
@@ -257,8 +242,6 @@ StatusOr<SSTable> SSTable::Open(const std::string& path, BlockCache* cache) {
   if (offsets.empty() && data_size != 0) {
     return Status::DataLoss("bad SSTable block offsets: " + path);
   }
-  table.block_crcs_.resize(static_cast<std::size_t>(num_blocks));
-  std::memcpy(table.block_crcs_.data(), meta.data() + index_size + offsets_size, crcs_size);
   const std::string_view blooms = meta.substr(index_size + offsets_size + crcs_size);
   table.bloom_ = BloomFilter::FromPayload(std::string(blooms.substr(0, bloom_size)));
   table.row_bloom_ = BloomFilter::FromPayload(std::string(blooms.substr(bloom_size)));
@@ -396,9 +379,9 @@ bool SSTable::GetView(std::string_view row, std::string_view family, std::string
        ++b) {
     std::string_view data;
     if (!ReadBlockView(b, pin, &data, io_status)) return false;
-    std::size_t pos = 0;
-    while (pos < data.size()) {
-      if (!DecodeCellView(data, &pos, &rec)) return false;
+    ByteReader records(data);
+    while (!records.done()) {
+      if (!DecodeCellView(&records, &rec)) return false;
       const int c = CompareRfq(rec.row, rec.family, rec.qualifier, row, family, qualifier);
       if (c < 0) continue;                   // Still before the column.
       if (c > 0) return false;               // Past it without a hit: absent.
@@ -457,7 +440,9 @@ void SSTable::Iterator::Next() {
   valid_ = false;
   while (true) {
     if (pos_ < buffer_.size()) {
-      valid_ = DecodeCell(buffer_, &pos_, &current_);
+      ByteReader records(std::string_view(buffer_).substr(pos_));
+      valid_ = DecodeCell(&records, &current_);
+      pos_ = buffer_.size() - records.remaining();
       return;
     }
     if (!LoadBlock(block_ + 1)) return;  // Cross the block boundary.

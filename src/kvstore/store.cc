@@ -185,10 +185,10 @@ Status AliHBase::OpenShardFiles(Shard& shard) {
   std::vector<std::string> records;
   TITANT_ASSIGN_OR_RETURN(WriteAheadLog wal, WriteAheadLog::Open(wal_path, &records));
   for (const std::string& record : records) {
-    std::size_t offset = 0;
-    while (offset < record.size()) {
+    ByteReader cells(record);
+    while (!cells.done()) {
       Cell cell;
-      if (!DecodeCell(record, &offset, &cell)) {
+      if (!DecodeCell(&cells, &cell)) {
         return Status::Corruption("corrupt WAL record in " + wal_path);
       }
       shard.memtable->Insert(MemEntry{std::move(cell), shard.next_seq++});
@@ -291,7 +291,9 @@ Status AliHBase::WriteShardCells(Shard& shard, const Cell* const* cells, std::si
   std::unique_lock lock(shard.mu);
   if (shard.wal) {
     std::string record;
-    for (std::size_t i = 0; i < n; ++i) record += EncodeCell(*cells[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      EncodeCellTo(&record, cells[i]->key, cells[i]->tombstone, cells[i]->value);
+    }
     TITANT_RETURN_IF_ERROR(shard.wal->Append(record));
     TITANT_RETURN_IF_ERROR(shard.wal->Flush());  // The shard commit point.
   }

@@ -1,6 +1,6 @@
 #include "maxcompute/table.h"
 
-#include <cstring>
+#include "common/bytes.h"
 
 namespace titant::maxcompute {
 
@@ -10,86 +10,55 @@ namespace {
 constexpr uint32_t kMagicV2 = 0x32435454u;
 constexpr uint32_t kMaxColumns = 1u << 16;
 
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool GetU32(const std::string& data, std::size_t* offset, uint32_t* v) {
-  if (*offset + sizeof(*v) > data.size()) return false;
-  std::memcpy(v, data.data() + *offset, sizeof(*v));
-  *offset += sizeof(*v);
-  return true;
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool GetString(const std::string& data, std::size_t* offset, std::string* out) {
-  uint32_t len = 0;
-  if (!GetU32(data, offset, &len) || len > data.size() - *offset) return false;
-  out->assign(data, *offset, len);
-  *offset += len;
-  return true;
-}
-
-void PutValue(std::string* out, const Value& v) {
-  out->push_back(static_cast<char>(v.type()));
+void WriteValue(ByteWriter& w, const Value& v) {
+  w.U8(static_cast<uint8_t>(v.type()));
   switch (v.type()) {
     case ValueType::kNull:
       break;
-    case ValueType::kInt: {
-      const int64_t x = v.AsInt();
-      out->append(reinterpret_cast<const char*>(&x), sizeof(x));
+    case ValueType::kInt:
+      w.I64(v.AsInt());
       break;
-    }
-    case ValueType::kDouble: {
-      const double x = v.AsDouble();
-      out->append(reinterpret_cast<const char*>(&x), sizeof(x));
+    case ValueType::kDouble:
+      w.F64(v.AsDouble());
       break;
-    }
     case ValueType::kBool:
-      out->push_back(v.AsBool() ? 1 : 0);
+      w.U8(v.AsBool() ? 1 : 0);
       break;
     case ValueType::kString:
-      PutString(out, v.AsString());
+      w.Str(v.AsString());
       break;
   }
 }
 
-bool GetValue(const std::string& data, std::size_t* offset, Value* out) {
-  if (*offset >= data.size()) return false;
-  const auto type = static_cast<ValueType>(data[(*offset)++]);
-  switch (type) {
+bool ReadValue(ByteReader& r, Value* out) {
+  uint8_t type = 0;
+  if (!r.U8(&type)) return false;
+  switch (static_cast<ValueType>(type)) {
     case ValueType::kNull:
       *out = Value::Null();
       return true;
     case ValueType::kInt: {
       int64_t x = 0;
-      if (*offset + sizeof(x) > data.size()) return false;
-      std::memcpy(&x, data.data() + *offset, sizeof(x));
-      *offset += sizeof(x);
+      if (!r.I64(&x)) return false;
       *out = Value(x);
       return true;
     }
     case ValueType::kDouble: {
       double x = 0.0;
-      if (*offset + sizeof(x) > data.size()) return false;
-      std::memcpy(&x, data.data() + *offset, sizeof(x));
-      *offset += sizeof(x);
+      if (!r.F64(&x)) return false;
       *out = Value(x);
       return true;
     }
     case ValueType::kBool: {
-      if (*offset >= data.size()) return false;
-      *out = Value(data[(*offset)++] != 0);
+      bool x = false;
+      if (!r.Bool(&x)) return false;
+      *out = Value(x);
       return true;
     }
     case ValueType::kString: {
-      std::string s;
-      if (!GetString(data, offset, &s)) return false;
-      *out = Value(std::move(s));
+      std::string_view x;
+      if (!r.Str(&x)) return false;
+      *out = Value(std::string(x));
       return true;
     }
   }
@@ -110,12 +79,6 @@ Table::Lane LaneForType(ValueType t) {
       break;
   }
   return Table::Lane::kEmpty;
-}
-
-// Reads `count * elem_size` raw bytes, refusing to allocate past the blob.
-bool FitsRemaining(const std::string& data, std::size_t offset, uint64_t count,
-                   uint64_t elem_size) {
-  return count <= (data.size() - offset) / (elem_size == 0 ? 1 : elem_size);
 }
 
 }  // namespace
@@ -543,49 +506,50 @@ Row Table::MaterializeRow(std::size_t i) const {
 
 std::string Table::Serialize() const {
   std::string out;
-  PutU32(&out, kMagicV2);
-  PutU32(&out, static_cast<uint32_t>(schema_.num_columns()));
+  ByteWriter w(&out);
+  w.U32(kMagicV2);
+  w.U32(static_cast<uint32_t>(schema_.num_columns()));
   for (const auto& col : schema_.columns()) {
-    PutString(&out, col.name);
-    out.push_back(static_cast<char>(col.type));
+    w.Str(col.name);
+    w.U8(static_cast<uint8_t>(col.type));
   }
-  PutU32(&out, static_cast<uint32_t>(num_rows_));
+  w.U32(static_cast<uint32_t>(num_rows_));
   const std::size_t n = num_rows_;
   for (const auto& col : cols_) {
-    out.push_back(static_cast<char>(col.lane));
-    out.push_back(col.any_null ? 1 : 0);
+    w.U8(static_cast<uint8_t>(col.lane));
+    w.U8(col.any_null ? 1 : 0);
     if (col.any_null) {
       std::string bitmap((n + 7) / 8, '\0');
       for (std::size_t i = 0; i < n; ++i) {
         if (col.nulls[i]) bitmap[i / 8] |= static_cast<char>(1u << (i % 8));
       }
-      out.append(bitmap);
+      w.Bytes(bitmap);
     }
     switch (col.lane) {
       case Lane::kEmpty:
         break;
       case Lane::kI64:
-        out.append(reinterpret_cast<const char*>(col.i64.data()), n * sizeof(int64_t));
+        w.Array(col.i64.data(), n);
         break;
       case Lane::kF64:
-        out.append(reinterpret_cast<const char*>(col.f64.data()), n * sizeof(double));
+        w.Array(col.f64.data(), n);
         break;
       case Lane::kBool:
-        out.append(reinterpret_cast<const char*>(col.b8.data()), n);
+        w.Array(col.b8.data(), n);
         break;
       case Lane::kStr: {
         uint32_t off = 0;
         for (std::size_t i = 0; i < n; ++i) {
           off += static_cast<uint32_t>(col.str[i].size());
-          PutU32(&out, off);
+          w.U32(off);
         }
-        PutU32(&out, off);
-        for (std::size_t i = 0; i < n; ++i) out.append(col.str[i]);
+        w.U32(off);
+        for (std::size_t i = 0; i < n; ++i) w.Bytes(col.str[i]);
         break;
       }
       case Lane::kMixed:
         for (std::size_t i = 0; i < n; ++i) {
-          PutValue(&out, col.nulls[i] ? Value::Null() : col.mixed[i]);
+          WriteValue(w, col.nulls[i] ? Value::Null() : col.mixed[i]);
         }
         break;
     }
@@ -595,33 +559,34 @@ std::string Table::Serialize() const {
 
 namespace {
 
-StatusOr<Schema> ParseSchema(const std::string& blob, std::size_t* offset,
-                             uint32_t num_columns) {
+/// Smallest schema entry: an empty name's length prefix and the type byte.
+constexpr std::size_t kMinColumnBytes = sizeof(uint32_t) + 1;
+
+StatusOr<Schema> ParseSchema(ByteReader& r, uint32_t num_columns) {
   std::vector<Column> columns(num_columns);
   for (auto& col : columns) {
-    if (!GetString(blob, offset, &col.name) || *offset >= blob.size()) {
-      return Status::DataLoss("table blob: truncated schema");
-    }
-    const uint8_t t = static_cast<uint8_t>(blob[(*offset)++]);
+    std::string_view name;
+    uint8_t t = 0;
+    if (!r.Str(&name) || !r.U8(&t)) return Status::DataLoss("table blob: truncated schema");
     if (t > static_cast<uint8_t>(ValueType::kBool)) {
       return Status::DataLoss("table blob: bad column type");
     }
+    col.name = name;
     col.type = static_cast<ValueType>(t);
   }
   return Schema(std::move(columns));
 }
 
-StatusOr<Table> DeserializeV2(const std::string& blob) {
-  std::size_t offset = sizeof(uint32_t);  // past the magic
+StatusOr<Table> DeserializeV2(ByteReader& r) {
   uint32_t num_columns = 0;
-  if (!GetU32(blob, &offset, &num_columns) || num_columns > kMaxColumns) {
+  if (!r.U32(&num_columns) || num_columns > kMaxColumns || !r.Fits(num_columns, kMinColumnBytes)) {
     return Status::DataLoss("table blob v2: bad column count");
   }
-  auto schema = ParseSchema(blob, &offset, num_columns);
+  auto schema = ParseSchema(r, num_columns);
   TITANT_RETURN_IF_ERROR(schema.status());
   Table table{std::move(*schema)};
   uint32_t num_rows = 0;
-  if (!GetU32(blob, &offset, &num_rows)) {
+  if (!r.U32(&num_rows)) {
     return Status::DataLoss("table blob v2: row count");
   }
   if (num_columns == 0 && num_rows > 0) {
@@ -630,16 +595,16 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
   // A populated column costs at least its null bitmap (the all-null kEmpty
   // lane carries no payload), so n/8 bytes per column bounds any honest row
   // count — refuse larger claims before allocating null masks.
-  if (num_columns > 0 && num_rows > 0 &&
-      !FitsRemaining(blob, offset, num_rows / 8, num_columns)) {
+  if (num_columns > 0 && num_rows > 0 && !r.Fits(num_rows / 8, num_columns)) {
     return Status::DataLoss("table blob v2: row count past buffer");
   }
   const std::size_t n = num_rows;
   std::vector<Table::ColumnData> cols(num_columns);
   for (auto& col : cols) {
-    if (offset + 2 > blob.size()) return Status::DataLoss("table blob v2: truncated column header");
-    const uint8_t lane_byte = static_cast<uint8_t>(blob[offset++]);
-    const uint8_t has_nulls = static_cast<uint8_t>(blob[offset++]);
+    uint8_t lane_byte = 0, has_nulls = 0;
+    if (!r.U8(&lane_byte) || !r.U8(&has_nulls)) {
+      return Status::DataLoss("table blob v2: truncated column header");
+    }
     if (lane_byte > static_cast<uint8_t>(Table::Lane::kMixed) || has_nulls > 1) {
       return Status::DataLoss("table blob v2: bad column header");
     }
@@ -647,80 +612,54 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
     col.nulls.assign(n, col.lane == Table::Lane::kEmpty ? 1 : 0);
     col.any_null = has_nulls != 0 || (col.lane == Table::Lane::kEmpty && n > 0);
     if (has_nulls) {
-      const std::size_t bitmap_bytes = (n + 7) / 8;
-      if (bitmap_bytes > blob.size() - offset) {
+      std::string_view bitmap;
+      if (!r.Bytes((n + 7) / 8, &bitmap)) {
         return Status::DataLoss("table blob v2: truncated null bitmap");
       }
       for (std::size_t i = 0; i < n; ++i) {
-        col.nulls[i] =
-            (static_cast<uint8_t>(blob[offset + i / 8]) >> (i % 8)) & 1u;
+        col.nulls[i] = (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1u;
       }
-      offset += bitmap_bytes;
     }
     switch (col.lane) {
       case Table::Lane::kEmpty:
         break;
-      case Table::Lane::kI64: {
-        if (!FitsRemaining(blob, offset, n, sizeof(int64_t))) {
-          return Status::DataLoss("table blob v2: truncated int64 lane");
-        }
-        col.i64.resize(n);
-        std::memcpy(col.i64.data(), blob.data() + offset, n * sizeof(int64_t));
-        offset += n * sizeof(int64_t);
+      case Table::Lane::kI64:
+        if (!r.Array(n, &col.i64)) return Status::DataLoss("table blob v2: truncated int64 lane");
         break;
-      }
-      case Table::Lane::kF64: {
-        if (!FitsRemaining(blob, offset, n, sizeof(double))) {
-          return Status::DataLoss("table blob v2: truncated double lane");
-        }
-        col.f64.resize(n);
-        std::memcpy(col.f64.data(), blob.data() + offset, n * sizeof(double));
-        offset += n * sizeof(double);
+      case Table::Lane::kF64:
+        if (!r.Array(n, &col.f64)) return Status::DataLoss("table blob v2: truncated double lane");
         break;
-      }
-      case Table::Lane::kBool: {
-        if (!FitsRemaining(blob, offset, n, 1)) {
-          return Status::DataLoss("table blob v2: truncated bool lane");
-        }
-        col.b8.resize(n);
-        std::memcpy(col.b8.data(), blob.data() + offset, n);
-        offset += n;
+      case Table::Lane::kBool:
+        if (!r.Array(n, &col.b8)) return Status::DataLoss("table blob v2: truncated bool lane");
         break;
-      }
       case Table::Lane::kStr: {
-        if (!FitsRemaining(blob, offset, n + 1, sizeof(uint32_t))) {
+        std::vector<uint32_t> ends;
+        uint32_t blob_size = 0;
+        if (!r.Array(n, &ends) || !r.U32(&blob_size)) {
           return Status::DataLoss("table blob v2: truncated string offsets");
         }
-        std::vector<uint32_t> ends(n);
         uint32_t prev = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          uint32_t end = 0;
-          (void)GetU32(blob, &offset, &end);
+        for (const uint32_t end : ends) {
           if (end < prev) return Status::DataLoss("table blob v2: string offsets not monotonic");
-          ends[i] = end;
           prev = end;
         }
-        uint32_t blob_size = 0;
-        (void)GetU32(blob, &offset, &blob_size);
-        if (blob_size != prev || blob_size > blob.size() - offset) {
+        std::string_view chars;
+        if (blob_size != prev || !r.Bytes(blob_size, &chars)) {
           return Status::DataLoss("table blob v2: string payload past buffer");
         }
         col.str.resize(n);
         uint32_t start = 0;
         for (std::size_t i = 0; i < n; ++i) {
-          col.str[i].assign(blob, offset + start, ends[i] - start);
+          col.str[i].assign(chars.substr(start, ends[i] - start));
           start = ends[i];
         }
-        offset += blob_size;
         break;
       }
       case Table::Lane::kMixed: {
-        if (!FitsRemaining(blob, offset, n, 1)) {
-          return Status::DataLoss("table blob v2: truncated mixed lane");
-        }
+        if (!r.Fits(n, 1)) return Status::DataLoss("table blob v2: truncated mixed lane");
         col.mixed.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
-          if (!GetValue(blob, &offset, &col.mixed[i])) {
+          if (!ReadValue(r, &col.mixed[i])) {
             return Status::DataLoss("table blob v2: truncated mixed value");
           }
           if (col.mixed[i].is_null() && !col.nulls[i]) {
@@ -731,7 +670,7 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
       }
     }
   }
-  if (offset != blob.size()) return Status::DataLoss("table blob v2: trailing bytes");
+  if (!r.done()) return Status::DataLoss("table blob v2: trailing bytes");
   TITANT_RETURN_IF_ERROR(table.AdoptColumns(std::move(cols)));
   return table;
 }
@@ -739,13 +678,11 @@ StatusOr<Table> DeserializeV2(const std::string& blob) {
 }  // namespace
 
 StatusOr<Table> Table::Deserialize(const std::string& blob) {
-  std::size_t probe = 0;
-  uint32_t head = 0;
-  if (!GetU32(blob, &probe, &head)) {
-    return Status::DataLoss("table blob: truncated header");
-  }
-  if (head != kMagicV2) return Status::DataLoss("table blob: bad magic");
-  return DeserializeV2(blob);
+  ByteReader r(blob);
+  uint32_t magic = 0;
+  if (!r.U32(&magic)) return Status::DataLoss("table blob: truncated header");
+  if (magic != kMagicV2) return Status::DataLoss("table blob: bad magic");
+  return DeserializeV2(r);
 }
 
 }  // namespace titant::maxcompute

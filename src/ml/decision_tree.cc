@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "common/string_util.h"
 
@@ -302,64 +302,51 @@ std::size_t DecisionTreeModel::TotalNodes() const {
 
 std::string DecisionTreeModel::SerializePayload() const {
   std::string blob;
-  auto put = [&](const void* p, std::size_t n) {
-    blob.append(reinterpret_cast<const char*>(p), n);
-  };
-  const int32_t opts[] = {options_.max_bins, options_.max_depth,
-                          static_cast<int32_t>(options_.criterion), options_.prune ? 1 : 0,
-                          options_.boosting_trials, num_features_};
-  put(opts, sizeof(opts));
-  put(&options_.min_split_weight, sizeof(options_.min_split_weight));
-  put(&options_.pruning_cf, sizeof(options_.pruning_cf));
+  ByteWriter w(&blob);
+  w.I32(options_.max_bins);
+  w.I32(options_.max_depth);
+  w.I32(static_cast<int32_t>(options_.criterion));
+  w.I32(options_.prune ? 1 : 0);
+  w.I32(options_.boosting_trials);
+  w.I32(num_features_);
+  w.F64(options_.min_split_weight);
+  w.F32(options_.pruning_cf);
 
   const std::string disc = discretizer_.Serialize();
-  const uint64_t disc_len = disc.size();
-  put(&disc_len, sizeof(disc_len));
-  blob += disc;
+  w.U64(disc.size());
+  w.Bytes(disc);
 
-  const uint32_t num_trees = static_cast<uint32_t>(trees_.size());
-  put(&num_trees, sizeof(num_trees));
+  w.U32(static_cast<uint32_t>(trees_.size()));
   for (const auto& tree : trees_) {
-    put(&tree.alpha, sizeof(tree.alpha));
-    const uint64_t num_nodes = tree.nodes.size();
-    put(&num_nodes, sizeof(num_nodes));
-    put(tree.nodes.data(), tree.nodes.size() * sizeof(Node));
+    w.F64(tree.alpha);
+    w.U64(tree.nodes.size());
+    w.Array(tree.nodes.data(), tree.nodes.size());
   }
   return blob;
 }
 
 StatusOr<std::unique_ptr<DecisionTreeModel>> DecisionTreeModel::FromPayload(
-    const std::string& payload) {
-  const char* p = payload.data();
-  const char* end = payload.data() + payload.size();
-  auto read = [&](void* dst, std::size_t n) -> bool {
-    if (n > static_cast<std::size_t>(end - p)) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    return true;
-  };
-  int32_t opts[6];
+    std::string_view payload) {
+  ByteReader r(payload);
   DecisionTreeOptions o;
-  if (!read(opts, sizeof(opts)) || !read(&o.min_split_weight, sizeof(o.min_split_weight)) ||
-      !read(&o.pruning_cf, sizeof(o.pruning_cf))) {
+  int32_t criterion = 0, prune = 0, num_features = 0;
+  if (!r.I32(&o.max_bins) || !r.I32(&o.max_depth) || !r.I32(&criterion) || !r.I32(&prune) ||
+      !r.I32(&o.boosting_trials) || !r.I32(&num_features) || !r.F64(&o.min_split_weight) ||
+      !r.F32(&o.pruning_cf)) {
     return Status::Corruption("dtree: truncated options");
   }
-  o.max_bins = opts[0];
-  o.max_depth = opts[1];
-  o.criterion = static_cast<DecisionTreeOptions::Criterion>(opts[2]);
-  o.prune = opts[3] != 0;
-  o.boosting_trials = opts[4];
+  o.criterion = static_cast<DecisionTreeOptions::Criterion>(criterion);
+  o.prune = prune != 0;
 
   auto model = std::make_unique<DecisionTreeModel>(o);
-  model->num_features_ = opts[5];
+  model->num_features_ = num_features;
 
   uint64_t disc_len = 0;
-  if (!read(&disc_len, sizeof(disc_len)) || disc_len > static_cast<uint64_t>(end - p)) {
+  std::string_view disc;
+  if (!r.U64(&disc_len) || !r.Bytes(disc_len, &disc)) {
     return Status::Corruption("dtree: truncated discretizer");
   }
-  TITANT_ASSIGN_OR_RETURN(model->discretizer_,
-                          Discretizer::Deserialize(std::string(p, disc_len)));
-  p += disc_len;
+  TITANT_ASSIGN_OR_RETURN(model->discretizer_, Discretizer::Deserialize(disc));
   // Score bins a row into num_features_ slots with the discretizer.
   if (model->discretizer_.num_features() != model->num_features_) {
     return Status::Corruption("dtree: discretizer width differs from the header's");
@@ -370,19 +357,16 @@ StatusOr<std::unique_ptr<DecisionTreeModel>> DecisionTreeModel::FromPayload(
   // A tree takes at least its 16-byte header and one node.
   constexpr std::size_t kMinTreeBytes = sizeof(double) + sizeof(uint64_t) + sizeof(Node);
   uint32_t num_trees = 0;
-  if (!read(&num_trees, sizeof(num_trees)) ||
-      num_trees > static_cast<std::size_t>(end - p) / kMinTreeBytes) {
+  if (!r.U32(&num_trees) || !r.Fits(num_trees, kMinTreeBytes)) {
     return Status::Corruption("dtree: bad tree count");
   }
   model->trees_.resize(num_trees);
   for (auto& tree : model->trees_) {
     uint64_t num_nodes = 0;
-    if (!read(&tree.alpha, sizeof(tree.alpha)) || !read(&num_nodes, sizeof(num_nodes)) ||
-        num_nodes == 0 || num_nodes > static_cast<uint64_t>(end - p) / sizeof(Node)) {
+    if (!r.F64(&tree.alpha) || !r.U64(&num_nodes) || num_nodes == 0 ||
+        !r.Array(num_nodes, &tree.nodes)) {
       return Status::Corruption("dtree: bad tree header");
     }
-    tree.nodes.resize(static_cast<std::size_t>(num_nodes));
-    read(tree.nodes.data(), tree.nodes.size() * sizeof(Node));  // Fits: checked above.
     const int64_t size = static_cast<int64_t>(num_nodes);
     for (int64_t i = 0; i < size; ++i) {
       const Node& node = tree.nodes[static_cast<std::size_t>(i)];
@@ -395,7 +379,7 @@ StatusOr<std::unique_ptr<DecisionTreeModel>> DecisionTreeModel::FromPayload(
       }
     }
   }
-  if (p != end) return Status::Corruption("dtree: trailing bytes");
+  if (!r.done()) return Status::Corruption("dtree: trailing bytes");
   return model;
 }
 

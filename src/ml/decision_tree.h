@@ -48,7 +48,7 @@ class DecisionTreeModel : public Model {
   std::string SerializePayload() const override;
 
   /// Registry hook.
-  static StatusOr<std::unique_ptr<DecisionTreeModel>> FromPayload(const std::string& payload);
+  static StatusOr<std::unique_ptr<DecisionTreeModel>> FromPayload(std::string_view payload);
 
   /// Number of boosted trees actually kept (<= boosting_trials).
   int num_trees() const { return static_cast<int>(trees_.size()); }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/thread_pool.h"
 
 namespace titant::ml {
@@ -102,52 +102,38 @@ void Discretizer::RebuildOffsets() {
 
 std::string Discretizer::Serialize() const {
   std::string blob;
-  const uint32_t num = static_cast<uint32_t>(boundaries_.size());
-  blob.append(reinterpret_cast<const char*>(&num), sizeof(num));
+  ByteWriter w(&blob);
+  w.U32(static_cast<uint32_t>(boundaries_.size()));
   for (const auto& cuts : boundaries_) {
-    const uint32_t k = static_cast<uint32_t>(cuts.size());
-    blob.append(reinterpret_cast<const char*>(&k), sizeof(k));
-    blob.append(reinterpret_cast<const char*>(cuts.data()), cuts.size() * sizeof(float));
+    w.U32(static_cast<uint32_t>(cuts.size()));
+    w.Array(cuts.data(), cuts.size());
   }
   return blob;
 }
 
-StatusOr<Discretizer> Discretizer::Deserialize(const std::string& blob) {
-  const char* p = blob.data();
-  const char* end = blob.data() + blob.size();
-  auto read = [&](void* dst, std::size_t n) -> bool {
-    if (n > static_cast<std::size_t>(end - p)) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    return true;
-  };
+StatusOr<Discretizer> Discretizer::Deserialize(std::string_view blob) {
+  ByteReader r(blob);
   uint32_t num = 0;
-  if (!read(&num, sizeof(num))) return Status::Corruption("discretizer: truncated header");
-  // Every feature takes 4 bytes of count and 4 per cut, so a count the
-  // blob cannot hold is rejected before anything is sized by it.
-  const auto fits = [&](uint32_t items) {
-    return items <= static_cast<std::size_t>(end - p) / sizeof(float);
-  };
-  if (num > (1u << 24) || !fits(num)) {
+  if (!r.U32(&num)) return Status::Corruption("discretizer: truncated header");
+  // Every feature takes at least its 4-byte cut count, so a count the blob
+  // cannot hold is rejected before anything is sized by it.
+  if (num > (1u << 24) || !r.Fits(num, sizeof(uint32_t))) {
     return Status::Corruption("discretizer: implausible feature count");
   }
   Discretizer disc;
   disc.boundaries_.resize(num);
-  for (uint32_t f = 0; f < num; ++f) {
+  for (std::vector<float>& cuts : disc.boundaries_) {
     uint32_t k = 0;
-    if (!read(&k, sizeof(k))) return Status::Corruption("discretizer: truncated bin count");
+    if (!r.U32(&k)) return Status::Corruption("discretizer: truncated bin count");
     if (k > (1u << 20)) return Status::Corruption("discretizer: implausible bin count");
-    if (!fits(k)) return Status::Corruption("discretizer: truncated boundaries");
-    std::vector<float>& cuts = disc.boundaries_[f];
-    cuts.resize(k);
-    if (k > 0) read(cuts.data(), k * sizeof(float));  // Fits: checked above.
+    if (!r.Array(k, &cuts)) return Status::Corruption("discretizer: truncated boundaries");
     for (uint32_t i = 0; i < k; ++i) {
       if (std::isnan(cuts[i]) || (i > 0 && !(cuts[i - 1] < cuts[i]))) {
         return Status::Corruption("discretizer: cuts do not strictly increase");
       }
     }
   }
-  if (p != end) return Status::Corruption("discretizer: trailing bytes");
+  if (!r.done()) return Status::Corruption("discretizer: trailing bytes");
   disc.RebuildOffsets();
   return disc;
 }

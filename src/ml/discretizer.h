@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/statusor.h"
@@ -67,7 +68,7 @@ class Discretizer {
   /// Serialization for model files. Deserialize rejects a cut list that
   /// does not strictly increase (a NaN cut included): Fit never writes one.
   std::string Serialize() const;
-  static StatusOr<Discretizer> Deserialize(const std::string& blob);
+  static StatusOr<Discretizer> Deserialize(std::string_view blob);
 
  private:
   // boundaries_[f] is a sorted list of right-exclusive cut points.

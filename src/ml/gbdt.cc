@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <numeric>
 
+#include "common/bytes.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 
@@ -520,65 +520,52 @@ std::vector<std::pair<int, double>> GbdtModel::FeatureImportance() const {
 
 std::string GbdtModel::SerializePayload() const {
   std::string blob;
-  auto put = [&](const void* p, std::size_t n) {
-    blob.append(reinterpret_cast<const char*>(p), n);
-  };
-  const int32_t header[] = {options_.num_trees, options_.max_depth, options_.max_bins,
-                            options_.min_child_samples, num_features_};
-  put(header, sizeof(header));
-  const double doubles[] = {options_.learning_rate, options_.row_subsample,
-                            options_.feature_subsample, base_score_, final_train_rmse_};
-  put(doubles, sizeof(doubles));
+  ByteWriter w(&blob);
+  w.I32(options_.num_trees);
+  w.I32(options_.max_depth);
+  w.I32(options_.max_bins);
+  w.I32(options_.min_child_samples);
+  w.I32(num_features_);
+  w.F64(options_.learning_rate);
+  w.F64(options_.row_subsample);
+  w.F64(options_.feature_subsample);
+  w.F64(base_score_);
+  w.F64(final_train_rmse_);
 
   const std::string disc = discretizer_.Serialize();
-  const uint64_t disc_len = disc.size();
-  put(&disc_len, sizeof(disc_len));
-  blob += disc;
+  w.U64(disc.size());
+  w.Bytes(disc);
 
-  const uint32_t num_trees = static_cast<uint32_t>(trees_.size());
-  put(&num_trees, sizeof(num_trees));
+  w.U32(static_cast<uint32_t>(trees_.size()));
   for (const auto& tree : trees_) {
-    const uint64_t num_nodes = tree.nodes.size();
-    put(&num_nodes, sizeof(num_nodes));
-    put(tree.nodes.data(), tree.nodes.size() * sizeof(Node));
+    w.U64(tree.nodes.size());
+    w.Array(tree.nodes.data(), tree.nodes.size());
   }
   return blob;
 }
 
-StatusOr<std::unique_ptr<GbdtModel>> GbdtModel::FromPayload(const std::string& payload) {
-  const char* p = payload.data();
-  const char* end = payload.data() + payload.size();
-  auto read = [&](void* dst, std::size_t n) -> bool {
-    if (n > static_cast<std::size_t>(end - p)) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    return true;
-  };
-  int32_t header[5];
-  double doubles[5];
-  if (!read(header, sizeof(header)) || !read(doubles, sizeof(doubles))) {
+StatusOr<std::unique_ptr<GbdtModel>> GbdtModel::FromPayload(std::string_view payload) {
+  ByteReader r(payload);
+  GbdtOptions o;
+  int32_t num_features = 0;
+  double base_score = 0.0, final_train_rmse = 0.0;
+  if (!r.I32(&o.num_trees) || !r.I32(&o.max_depth) || !r.I32(&o.max_bins) ||
+      !r.I32(&o.min_child_samples) || !r.I32(&num_features) || !r.F64(&o.learning_rate) ||
+      !r.F64(&o.row_subsample) || !r.F64(&o.feature_subsample) || !r.F64(&base_score) ||
+      !r.F64(&final_train_rmse)) {
     return Status::Corruption("gbdt: truncated header");
   }
-  GbdtOptions o;
-  o.num_trees = header[0];
-  o.max_depth = header[1];
-  o.max_bins = header[2];
-  o.min_child_samples = header[3];
-  o.learning_rate = doubles[0];
-  o.row_subsample = doubles[1];
-  o.feature_subsample = doubles[2];
   auto model = std::make_unique<GbdtModel>(o);
-  model->num_features_ = header[4];
-  model->base_score_ = doubles[3];
-  model->final_train_rmse_ = doubles[4];
+  model->num_features_ = num_features;
+  model->base_score_ = base_score;
+  model->final_train_rmse_ = final_train_rmse;
 
   uint64_t disc_len = 0;
-  if (!read(&disc_len, sizeof(disc_len)) || disc_len > static_cast<uint64_t>(end - p)) {
+  std::string_view disc;
+  if (!r.U64(&disc_len) || !r.Bytes(disc_len, &disc)) {
     return Status::Corruption("gbdt: truncated discretizer");
   }
-  TITANT_ASSIGN_OR_RETURN(model->discretizer_,
-                          Discretizer::Deserialize(std::string(p, disc_len)));
-  p += disc_len;
+  TITANT_ASSIGN_OR_RETURN(model->discretizer_, Discretizer::Deserialize(disc));
   if (model->discretizer_.num_features() != model->num_features_) {
     return Status::Corruption("gbdt: discretizer width differs from the header's");
   }
@@ -587,21 +574,19 @@ StatusOr<std::unique_ptr<GbdtModel>> GbdtModel::FromPayload(const std::string& p
   // must index a real feature, cut and node, and every walk must end
   // within max_depth steps.
   uint32_t num_trees = 0;
-  if (!read(&num_trees, sizeof(num_trees)) || num_trees > (1u << 22)) {
+  if (!r.U32(&num_trees) || num_trees > (1u << 22)) {
     return Status::Corruption("gbdt: bad tree count");
   }
   // The rest of the blob is trees, 20 bytes a node: sizes the layout once.
-  model->flat_nodes_.reserve(static_cast<std::size_t>(end - p) / sizeof(Node));
+  model->flat_nodes_.reserve(r.remaining() / sizeof(Node));
   for (uint32_t t = 0; t < num_trees; ++t) {
     uint64_t num_nodes = 0;
-    if (!read(&num_nodes, sizeof(num_nodes)) || num_nodes == 0 ||
-        num_nodes > static_cast<uint64_t>(end - p) / sizeof(Node) ||
-        num_nodes > uint64_t{INT32_MAX} - model->flat_nodes_.size()) {
+    Tree tree;
+    if (!r.U64(&num_nodes) || num_nodes == 0 ||
+        num_nodes > uint64_t{INT32_MAX} - model->flat_nodes_.size() ||
+        !r.Array(num_nodes, &tree.nodes)) {
       return Status::Corruption("gbdt: bad node count");
     }
-    Tree tree;
-    tree.nodes.resize(static_cast<std::size_t>(num_nodes));
-    read(tree.nodes.data(), tree.nodes.size() * sizeof(Node));  // Fits: checked above.
     const int64_t size = static_cast<int64_t>(num_nodes);
     for (int64_t i = 0; i < size; ++i) {
       const Node& node = tree.nodes[static_cast<std::size_t>(i)];
@@ -620,7 +605,7 @@ StatusOr<std::unique_ptr<GbdtModel>> GbdtModel::FromPayload(const std::string& p
     model->AddTree(std::move(tree));
   }
   if (model->steps_ > o.max_depth) return Status::Corruption("gbdt: tree deeper than max_depth");
-  if (p != end) return Status::Corruption("gbdt: trailing bytes");
+  if (!r.done()) return Status::Corruption("gbdt: trailing bytes");
   return model;
 }
 

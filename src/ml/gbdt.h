@@ -111,7 +111,7 @@ class GbdtModel : public Model {
   void ScoreBatch(const float* rows, int n, double* out) const override;
   std::string SerializePayload() const override;
 
-  static StatusOr<std::unique_ptr<GbdtModel>> FromPayload(const std::string& payload);
+  static StatusOr<std::unique_ptr<GbdtModel>> FromPayload(std::string_view payload);
 
   int num_trees() const { return static_cast<int>(trees_.size()); }
   const GbdtOptions& options() const { return options_; }

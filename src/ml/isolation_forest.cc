@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
+#include "common/bytes.h"
 #include "common/random.h"
 
 namespace titant::ml {
@@ -133,62 +133,46 @@ double IsolationForestModel::Score(const float* row) const {
 
 std::string IsolationForestModel::SerializePayload() const {
   std::string blob;
-  auto put = [&](const void* p, std::size_t n) {
-    blob.append(reinterpret_cast<const char*>(p), n);
-  };
-  const int32_t header[] = {options_.num_trees, options_.subsample_size, options_.max_height,
-                            num_features_};
-  put(header, sizeof(header));
-  put(&normalizer_, sizeof(normalizer_));
-  const uint32_t num_trees = static_cast<uint32_t>(trees_.size());
-  put(&num_trees, sizeof(num_trees));
+  ByteWriter w(&blob);
+  w.I32(options_.num_trees);
+  w.I32(options_.subsample_size);
+  w.I32(options_.max_height);
+  w.I32(num_features_);
+  w.F64(normalizer_);
+  w.U32(static_cast<uint32_t>(trees_.size()));
   for (const auto& tree : trees_) {
-    const uint64_t num_nodes = tree.nodes.size();
-    put(&num_nodes, sizeof(num_nodes));
-    put(tree.nodes.data(), tree.nodes.size() * sizeof(Node));
+    w.U64(tree.nodes.size());
+    w.Array(tree.nodes.data(), tree.nodes.size());
   }
   return blob;
 }
 
 StatusOr<std::unique_ptr<IsolationForestModel>> IsolationForestModel::FromPayload(
-    const std::string& payload) {
-  const char* p = payload.data();
-  const char* end = payload.data() + payload.size();
-  auto read = [&](void* dst, std::size_t n) -> bool {
-    if (n > static_cast<std::size_t>(end - p)) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    return true;
-  };
+    std::string_view payload) {
   // A model file may come off the wire (DESIGN.md §16): counts are checked
   // against the bytes left before anything is sized by them, and every
   // node a walk reaches must test a real feature and lead to a later node
   // of its tree. A tree takes at least its node count and one node.
   constexpr std::size_t kMinTreeBytes = sizeof(uint64_t) + sizeof(Node);
-  int32_t header[4];
+  ByteReader r(payload);
+  IsolationForestOptions o;
+  int32_t num_features = 0;
   double normalizer = 1.0;
   uint32_t num_trees = 0;
-  if (!read(header, sizeof(header)) || !read(&normalizer, sizeof(normalizer)) ||
-      !read(&num_trees, sizeof(num_trees)) ||
-      num_trees > static_cast<std::size_t>(end - p) / kMinTreeBytes) {
+  if (!r.I32(&o.num_trees) || !r.I32(&o.subsample_size) || !r.I32(&o.max_height) ||
+      !r.I32(&num_features) || !r.F64(&normalizer) || !r.U32(&num_trees) ||
+      !r.Fits(num_trees, kMinTreeBytes)) {
     return Status::Corruption("iforest: truncated header");
   }
-  IsolationForestOptions o;
-  o.num_trees = header[0];
-  o.subsample_size = header[1];
-  o.max_height = header[2];
   auto model = std::make_unique<IsolationForestModel>(o);
-  model->num_features_ = header[3];
+  model->num_features_ = num_features;
   model->normalizer_ = normalizer;
   model->trees_.resize(num_trees);
   for (auto& tree : model->trees_) {
     uint64_t num_nodes = 0;
-    if (!read(&num_nodes, sizeof(num_nodes)) || num_nodes == 0 ||
-        num_nodes > static_cast<uint64_t>(end - p) / sizeof(Node)) {
+    if (!r.U64(&num_nodes) || num_nodes == 0 || !r.Array(num_nodes, &tree.nodes)) {
       return Status::Corruption("iforest: bad node count");
     }
-    tree.nodes.resize(static_cast<std::size_t>(num_nodes));
-    read(tree.nodes.data(), tree.nodes.size() * sizeof(Node));  // Fits: checked above.
     const int64_t size = static_cast<int64_t>(num_nodes);
     for (int64_t i = 0; i < size; ++i) {
       const Node& node = tree.nodes[static_cast<std::size_t>(i)];
@@ -201,7 +185,7 @@ StatusOr<std::unique_ptr<IsolationForestModel>> IsolationForestModel::FromPayloa
       }
     }
   }
-  if (p != end) return Status::Corruption("iforest: trailing bytes");
+  if (!r.done()) return Status::Corruption("iforest: trailing bytes");
   return model;
 }
 

@@ -33,7 +33,7 @@ class IsolationForestModel : public Model {
   double Score(const float* row) const override;
   std::string SerializePayload() const override;
 
-  static StatusOr<std::unique_ptr<IsolationForestModel>> FromPayload(const std::string& payload);
+  static StatusOr<std::unique_ptr<IsolationForestModel>> FromPayload(std::string_view payload);
 
   int num_trees() const { return static_cast<int>(trees_.size()); }
 

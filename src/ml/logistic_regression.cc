@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
+#include "common/bytes.h"
 #include "common/random.h"
 
 namespace titant::ml {
@@ -192,77 +192,54 @@ std::size_t LogisticRegressionModel::ZeroWeights() const {
 
 std::string LogisticRegressionModel::SerializePayload() const {
   std::string blob;
-  auto put = [&](const void* p, std::size_t n) {
-    blob.append(reinterpret_cast<const char*>(p), n);
-  };
-  const int32_t header[] = {options_.discretize ? 1 : 0, options_.bins, options_.iterations,
-                            num_features_};
-  put(header, sizeof(header));
-  put(&options_.l1, sizeof(options_.l1));
-  put(&bias_, sizeof(bias_));
+  ByteWriter w(&blob);
+  w.I32(options_.discretize ? 1 : 0);
+  w.I32(options_.bins);
+  w.I32(options_.iterations);
+  w.I32(num_features_);
+  w.F64(options_.l1);
+  w.F64(bias_);
 
   const std::string disc = options_.discretize ? discretizer_.Serialize() : std::string();
-  const uint64_t disc_len = disc.size();
-  put(&disc_len, sizeof(disc_len));
-  blob += disc;
+  w.U64(disc.size());
+  w.Bytes(disc);
 
-  auto put_vec = [&](const std::vector<double>& v) {
-    const uint64_t len = v.size();
-    put(&len, sizeof(len));
-    put(v.data(), v.size() * sizeof(double));
-  };
-  put_vec(weights_);
-  put_vec(mean_);
-  put_vec(inv_std_);
+  for (const std::vector<double>* v : {&weights_, &mean_, &inv_std_}) {
+    w.U64(v->size());
+    w.Array(v->data(), v->size());
+  }
   return blob;
 }
 
 StatusOr<std::unique_ptr<LogisticRegressionModel>> LogisticRegressionModel::FromPayload(
-    const std::string& payload) {
-  const char* p = payload.data();
-  const char* end = payload.data() + payload.size();
-  auto read = [&](void* dst, std::size_t n) -> bool {
-    if (n > static_cast<std::size_t>(end - p)) return false;
-    if (n > 0) std::memcpy(dst, p, n);
-    p += n;
-    return true;
-  };
-  int32_t header[4];
+    std::string_view payload) {
+  ByteReader r(payload);
   LogisticRegressionOptions o;
+  int32_t discretize = 0, num_features = 0;
   double bias = 0.0;
-  if (!read(header, sizeof(header)) || !read(&o.l1, sizeof(o.l1)) ||
-      !read(&bias, sizeof(bias))) {
+  if (!r.I32(&discretize) || !r.I32(&o.bins) || !r.I32(&o.iterations) ||
+      !r.I32(&num_features) || !r.F64(&o.l1) || !r.F64(&bias)) {
     return Status::Corruption("lr: truncated header");
   }
-  o.discretize = header[0] != 0;
-  o.bins = header[1];
-  o.iterations = header[2];
+  o.discretize = discretize != 0;
   auto model = std::make_unique<LogisticRegressionModel>(o);
-  model->num_features_ = header[3];
+  model->num_features_ = num_features;
   model->bias_ = bias;
 
   uint64_t disc_len = 0;
-  if (!read(&disc_len, sizeof(disc_len)) || disc_len > static_cast<uint64_t>(end - p)) {
+  std::string_view disc;
+  if (!r.U64(&disc_len) || !r.Bytes(disc_len, &disc)) {
     return Status::Corruption("lr: truncated discretizer");
   }
   if (o.discretize) {
-    TITANT_ASSIGN_OR_RETURN(model->discretizer_,
-                            Discretizer::Deserialize(std::string(p, disc_len)));
+    TITANT_ASSIGN_OR_RETURN(model->discretizer_, Discretizer::Deserialize(disc));
   }
-  p += disc_len;
 
-  auto read_vec = [&](std::vector<double>& v) -> bool {
+  for (std::vector<double>* v : {&model->weights_, &model->mean_, &model->inv_std_}) {
     uint64_t len = 0;
-    if (!read(&len, sizeof(len)) || len > static_cast<uint64_t>(end - p) / sizeof(double)) {
-      return false;
-    }
-    v.resize(static_cast<std::size_t>(len));
-    return read(v.data(), v.size() * sizeof(double));
-  };
-  if (!read_vec(model->weights_) || !read_vec(model->mean_) || !read_vec(model->inv_std_)) {
-    return Status::Corruption("lr: truncated vectors");
+    if (!r.U64(&len) || !r.Array(len, v)) return Status::Corruption("lr: truncated vectors");
   }
-  if (p != end) return Status::Corruption("lr: trailing bytes");
+  if (!r.done()) return Status::Corruption("lr: trailing bytes");
   return model;
 }
 

@@ -48,7 +48,7 @@ class LogisticRegressionModel : public Model {
   std::string SerializePayload() const override;
 
   static StatusOr<std::unique_ptr<LogisticRegressionModel>> FromPayload(
-      const std::string& payload);
+      std::string_view payload);
 
   /// Number of exactly-zero weights (L1 sparsity diagnostic).
   std::size_t ZeroWeights() const;

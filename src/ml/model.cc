@@ -1,7 +1,6 @@
 #include "ml/model.h"
 
-#include <cstring>
-
+#include "common/bytes.h"
 #include "ml/decision_tree.h"
 #include "ml/gbdt.h"
 #include "ml/isolation_forest.h"
@@ -30,24 +29,17 @@ StatusOr<std::vector<double>> Model::ScoreAll(const DataMatrix& data) const {
 }
 
 std::string SerializeModel(const Model& model) {
-  const std::string_view tag = model.type_name();
   std::string blob;
-  const uint32_t tag_len = static_cast<uint32_t>(tag.size());
-  blob.append(reinterpret_cast<const char*>(&tag_len), sizeof(tag_len));
-  blob.append(tag);
+  ByteWriter(&blob).Str(model.type_name());
   blob += model.SerializePayload();
   return blob;
 }
 
 StatusOr<std::unique_ptr<Model>> DeserializeModel(const std::string& blob) {
-  if (blob.size() < sizeof(uint32_t)) return Status::Corruption("model blob too short");
-  uint32_t tag_len = 0;
-  std::memcpy(&tag_len, blob.data(), sizeof(tag_len));
-  if (tag_len > 64 || sizeof(uint32_t) + tag_len > blob.size()) {
-    return Status::Corruption("model blob: bad tag length");
-  }
-  const std::string tag = blob.substr(sizeof(uint32_t), tag_len);
-  const std::string payload = blob.substr(sizeof(uint32_t) + tag_len);
+  ByteReader r(blob);
+  std::string_view tag;
+  if (!r.Str(&tag) || tag.size() > 64) return Status::Corruption("model blob: bad type tag");
+  const std::string_view payload = r.Rest();
 
   if (tag == "dtree") {
     TITANT_ASSIGN_OR_RETURN(auto m, DecisionTreeModel::FromPayload(payload));
@@ -65,7 +57,7 @@ StatusOr<std::unique_ptr<Model>> DeserializeModel(const std::string& blob) {
     TITANT_ASSIGN_OR_RETURN(auto m, GbdtModel::FromPayload(payload));
     return std::unique_ptr<Model>(std::move(m));
   }
-  return Status::Corruption("unknown model type tag: " + tag);
+  return Status::Corruption("unknown model type tag: " + std::string(tag));
 }
 
 }  // namespace titant::ml

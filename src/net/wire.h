@@ -37,24 +37,29 @@ namespace titant::net {
 /// (status, Verdict) pairs, all under the same single deadline header —
 /// one budget for the batch, one degraded/failed outcome per item.
 ///
-/// Version 4 adds the streaming write path: kPut carries one feature cell
-/// and kPutBatch a count-capped vector of them, turning the protocol from
-/// read-only into a closed loop (scored transactions fold their counters
-/// back into the feature store). Both share kScoreBatch's hostile-count
-/// validation and the same deadline/admission semantics.
+/// Version 4 adds the streaming write path: kPutBatch carries a count-
+/// capped vector of feature cells, turning the protocol from read-only
+/// into a closed loop (scored transactions fold their counters back into
+/// the feature store). It shares kScoreBatch's hostile-count validation
+/// and the same deadline/admission semantics. A single put is a kPutBatch
+/// of one cell.
 ///
 /// Version 5 adds the replication plane between kvstore nodes: a primary
 /// streams committed writes to a warm standby as kReplAppend frames (a
 /// contiguous run of commit records, ack'd with the standby's replicated-
 /// seq watermark) and pushes a full store snapshot as chunked kReplCatchup
 /// frames when the standby reports a sequence gap (fresh join, restart,
-/// or shipper overflow). Both reuse kPutBatch's cell codec and hostile-
-/// count validation.
+/// or shipper overflow). Both carry kvstore's cell record (the one the WAL
+/// and SSTables hold) and reuse kPutBatch's hostile-count validation.
 ///
 /// Response payloads additionally carry the handler's Status ahead of the
 /// body: int32 code, uint32 message length, message bytes, body bytes.
 /// Oversized or malformed frames decode to InvalidArgument; torn frames
 /// (header or payload split across reads) simply wait for more bytes.
+///
+/// Every field is written and read with common/bytes.h. Each encoder
+/// appends to a caller-owned buffer (a reused send buffer, outbox or
+/// handler body), so a warm encode allocates nothing.
 
 inline constexpr uint32_t kWireMagic = 0x54695431;  // "TiT1"
 inline constexpr uint8_t kWireVersion = 5;
@@ -74,7 +79,7 @@ enum Method : uint16_t {
   kHealth = 3,      // empty -> HealthInfo.
   kStats = 4,       // empty -> GatewayStats.
   kScoreBatch = 5,  // vector<TransferRequest> -> vector<(Status, Verdict)>.
-  kPut = 6,         // One kvstore::Cell -> empty (streaming feature write).
+  // 6 is reserved (it was the single-cell put) and answered Unimplemented.
   kPutBatch = 7,    // vector<kvstore::Cell> -> empty.
   kReplAppend = 8,  // Contiguous commit records -> replicated watermark.
   kReplCatchup = 9, // Snapshot chunk (+ final watermark) -> watermark.
@@ -126,90 +131,18 @@ inline int64_t MonotonicMicros() {
 }
 
 // ---------------------------------------------------------------------------
-// Field codec: explicit little-endian writes/reads, independent of host
-// byte order.
-
-/// Appends little-endian primitive fields to a byte string. Two modes:
-/// the default constructor owns its buffer (retrieve with Take()); the
-/// pointer constructor appends to a caller-owned string, which the hot
-/// path reuses across frames so steady-state encoding never allocates.
-class WireWriter {
- public:
-  WireWriter() : out_(&own_) {}
-  /// Appending mode: all writes append to `*out` (not cleared first).
-  /// Take() is only meaningful in owning mode.
-  explicit WireWriter(std::string* out) : out_(out) {}
-
-  void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void U16(uint16_t v);
-  void U32(uint32_t v);
-  void U64(uint64_t v);
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v);
-  /// uint32 length prefix + raw bytes.
-  void Str(std::string_view s);
-  /// Raw bytes, no length prefix (trailing blob).
-  void Bytes(std::string_view s) { out_->append(s); }
-
-  std::string Take() { return std::move(own_); }
-  std::size_t size() const { return out_->size(); }
-
- private:
-  std::string own_;
-  std::string* out_;
-};
-
-/// Bounds-checked little-endian reads over a payload view. Every read
-/// returns InvalidArgument on underflow (a truncated payload).
-class WireReader {
- public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  Status U8(uint8_t* v);
-  Status U16(uint16_t* v);
-  Status U32(uint32_t* v);
-  Status U64(uint64_t* v);
-  Status I32(int32_t* v);
-  Status I64(int64_t* v);
-  Status F64(double* v);
-  /// Reads a uint32-length-prefixed string.
-  Status Str(std::string* v);
-  /// Consumes and returns all remaining bytes.
-  std::string_view Rest();
-
-  std::size_t remaining() const { return data_.size() - pos_; }
-  /// InvalidArgument unless every byte was consumed (catches trailing junk).
-  Status ExpectDone() const;
-
- private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Framing.
 
-/// Encodes a request frame carrying `payload`. `deadline_ms` is the
-/// caller's remaining budget (0 = no deadline propagated).
-std::string EncodeRequestFrame(uint16_t method, uint64_t request_id, std::string_view payload,
-                               uint32_t deadline_ms = 0);
-
-/// Appending variant: the frame is appended to `*out` (a caller-owned,
-/// reused buffer — the client's per-connection send buffer). All To-
-/// variants below share this contract; with warm capacity they allocate
-/// nothing.
+/// Appends a request frame carrying `payload` to `*out` (the client's
+/// per-connection send buffer). `deadline_ms` is the caller's remaining
+/// budget (0 = no deadline propagated).
 void EncodeRequestFrameTo(std::string* out, uint16_t method, uint64_t request_id,
                           std::string_view payload, uint32_t deadline_ms = 0);
 
-/// Encodes a response frame: `status` travels in-band ahead of `body`
-/// (which is empty for error responses).
-std::string EncodeResponseFrame(uint16_t method, uint64_t request_id, const Status& status,
-                                std::string_view body);
-
-/// Appending variant (the server's per-connection outbox). The payload
-/// size is computed up front, so the frame is written in one pass with no
-/// intermediate payload string.
+/// Appends a response frame to `*out` (the server's per-connection
+/// outbox): `status` travels in-band ahead of `body` (which is dropped for
+/// error responses). The payload size is computed up front, so the frame
+/// is written in one pass with no intermediate payload string.
 void EncodeResponseFrameTo(std::string* out, uint16_t method, uint64_t request_id,
                            const Status& status, std::string_view body);
 
@@ -259,20 +192,17 @@ class FrameDecoder {
 // Method payload serializers.
 
 /// kScore request payload.
-std::string EncodeTransferRequest(const serving::TransferRequest& request);
 void EncodeTransferRequestTo(std::string* out, const serving::TransferRequest& request);
 Status DecodeTransferRequest(std::string_view payload, serving::TransferRequest* request);
 
 /// kScore response body.
-std::string EncodeVerdict(const serving::Verdict& verdict);
 void EncodeVerdictTo(std::string* out, const serving::Verdict& verdict);
 Status DecodeVerdict(std::string_view payload, serving::Verdict* verdict);
 
 /// kScoreBatch request payload: uint32 item count + that many fixed-width
 /// TransferRequest records. Decode validates the declared count against
 /// the actual payload size (and the kMaxBatchItems cap) before touching
-/// any item.
-std::string EncodeScoreBatchRequest(const std::vector<serving::TransferRequest>& requests);
+/// any item; it decodes into the vector's existing slots.
 void EncodeScoreBatchRequestTo(std::string* out,
                                const std::vector<serving::TransferRequest>& requests);
 Status DecodeScoreBatchRequest(std::string_view payload,
@@ -280,31 +210,20 @@ Status DecodeScoreBatchRequest(std::string_view payload,
 
 /// kScoreBatch response body: uint32 item count, then per item the
 /// transported Status (int32 code + length-prefixed message) followed by
-/// the Verdict fields when — and only when — the status is OK.
-std::string EncodeScoreBatchResponse(const std::vector<StatusOr<serving::Verdict>>& items);
-/// Span form so handlers can encode straight from their result scratch.
+/// the Verdict fields when — and only when — the status is OK. A span, so
+/// handlers encode straight from their result scratch.
 void EncodeScoreBatchResponseTo(std::string* out, const StatusOr<serving::Verdict>* items,
                                 std::size_t count);
 Status DecodeScoreBatchResponse(std::string_view payload,
                                 std::vector<StatusOr<serving::Verdict>>* items);
 
-/// Minimum encoded size of one cell in a kPut/kPutBatch payload: three
-/// empty length-prefixed strings (row/family/qualifier), the u64 version,
-/// the tombstone byte, and an empty length-prefixed value. Lets the batch
-/// decoder reject a hostile count before touching any item.
-inline constexpr std::size_t kPutCellMinBytes = 4 + 4 + 4 + 8 + 1 + 4;
-
-/// kPut request payload: one feature cell (row, family, qualifier,
-/// version, tombstone flag, value) bound for AliHBase::PutBatch.
-std::string EncodePutRequest(const kvstore::Cell& cell);
-void EncodePutRequestTo(std::string* out, const kvstore::Cell& cell);
-Status DecodePutRequest(std::string_view payload, kvstore::Cell* cell);
-
-/// kPutBatch request payload: uint32 item count + that many cells. Decode
+/// kPutBatch request payload: uint32 item count + that many kvstore cell
+/// records (kvstore::EncodeCellTo), bound for AliHBase::PutBatch. Decode
 /// validates the declared count against the payload's minimum possible
-/// size (and the kMaxBatchItems cap) before touching any item; both puts
-/// have empty response bodies — the transported Status is the outcome.
-std::string EncodePutBatchRequest(const std::vector<kvstore::Cell>& cells);
+/// size (and the kMaxBatchItems cap) before touching any item, decodes
+/// into the vector's existing slots, and rejects a cell with an empty row
+/// or family. The response body is empty — the transported Status is the
+/// outcome.
 void EncodePutBatchRequestTo(std::string* out, const std::vector<kvstore::Cell>& cells);
 Status DecodePutBatchRequest(std::string_view payload, std::vector<kvstore::Cell>* cells);
 
@@ -317,11 +236,11 @@ struct ReplRecord {
 
 /// Minimum encoded size of one replication record: the u32 cell count
 /// plus at least one minimum-size cell (empty commits are never shipped).
-inline constexpr std::size_t kReplRecordMinBytes = 4 + kPutCellMinBytes;
+inline constexpr std::size_t kReplRecordMinBytes = 4 + kvstore::kCellMinBytes;
 
-/// Appends one commit record (u32 cell count + cells in the kPut cell
-/// codec) to `*out` — called from the primary's commit sink, so it
-/// appends to a reused buffer and allocates nothing once warm.
+/// Appends one commit record (u32 cell count + cell records) to `*out` —
+/// called from the primary's commit sink, so it appends to a reused
+/// buffer and allocates nothing once warm.
 void EncodeReplRecordTo(std::string* out, const kvstore::Cell* const* cells, std::size_t n);
 
 /// kReplAppend request payload: u64 first_seq, u32 record count, then the
@@ -333,7 +252,7 @@ Status DecodeReplAppend(std::string_view payload, uint64_t* first_seq,
 
 /// kReplAppend/kReplCatchup response body: the replica's watermark — the
 /// highest commit seq it has durably applied.
-std::string EncodeReplAck(uint64_t watermark);
+void EncodeReplAckTo(std::string* out, uint64_t watermark);
 Status DecodeReplAck(std::string_view payload, uint64_t* watermark);
 
 /// kReplCatchup request payload: u64 watermark (the commit seq the full
@@ -348,7 +267,7 @@ Status DecodeReplCatchup(std::string_view payload, uint64_t* watermark, bool* do
                          std::vector<kvstore::Cell>* cells);
 
 /// kLoadModel request payload: version + the serialized model blob.
-std::string EncodeLoadModel(uint64_t version, std::string_view blob);
+void EncodeLoadModelTo(std::string* out, uint64_t version, std::string_view blob);
 Status DecodeLoadModel(std::string_view payload, uint64_t* version, std::string* blob);
 
 /// kHealth response body.
@@ -357,7 +276,7 @@ struct HealthInfo {
   uint32_t healthy_instances = 0;
   uint64_t model_version = 0;
 };
-std::string EncodeHealthInfo(const HealthInfo& info);
+void EncodeHealthInfoTo(std::string* out, const HealthInfo& info);
 Status DecodeHealthInfo(std::string_view payload, HealthInfo* info);
 
 /// kStats response body: the gateway's wire-latency histogram next to the
@@ -390,7 +309,7 @@ struct GatewayStats {
   /// counted here. The names stay as they are on the wire and in readers.
   uint64_t coalesced_batches = 0;
   uint64_t coalesced_rows = 0;
-  /// Streaming ingestion (version 4): cells written through kPut/kPutBatch.
+  /// Streaming ingestion (version 4): cells written through kPutBatch.
   uint64_t puts_applied = 0;
   /// Scored events accepted into the ingest queue, shed from it under
   /// backpressure (shed-oldest), folded into the aggregator, and dropped
@@ -428,7 +347,7 @@ struct GatewayStats {
   uint64_t kv_maintenance_bytes_written = 0;
   uint64_t kv_stall_us = 0;
 };
-std::string EncodeGatewayStats(const GatewayStats& stats);
+void EncodeGatewayStatsTo(std::string* out, const GatewayStats& stats);
 Status DecodeGatewayStats(std::string_view payload, GatewayStats* stats);
 
 }  // namespace titant::net

@@ -1,8 +1,9 @@
 #include "nrl/embedding.h"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
+
+#include "common/bytes.h"
 
 namespace titant::nrl {
 
@@ -36,41 +37,35 @@ float EmbeddingMatrix::Cosine(std::size_t a, std::size_t b) const {
 
 std::string EmbeddingMatrix::Serialize() const {
   std::string blob;
-  blob.resize(sizeof(uint32_t) + sizeof(uint64_t) + sizeof(int32_t) +
-              data_.size() * sizeof(float));
-  char* p = blob.data();
-  const uint32_t magic = kMagic;
-  std::memcpy(p, &magic, sizeof(magic));
-  p += sizeof(magic);
-  const uint64_t rows = rows_;
-  std::memcpy(p, &rows, sizeof(rows));
-  p += sizeof(rows);
-  const int32_t dim = dim_;
-  std::memcpy(p, &dim, sizeof(dim));
-  p += sizeof(dim);
-  std::memcpy(p, data_.data(), data_.size() * sizeof(float));
+  ByteWriter w(&blob);
+  w.U32(kMagic);
+  w.U64(rows_);
+  w.I32(dim_);
+  w.Array(data_.data(), data_.size());
   return blob;
 }
 
-StatusOr<EmbeddingMatrix> EmbeddingMatrix::Deserialize(const std::string& blob) {
-  const std::size_t header = sizeof(uint32_t) + sizeof(uint64_t) + sizeof(int32_t);
-  if (blob.size() < header) return Status::Corruption("embedding blob too short");
-  const char* p = blob.data();
+StatusOr<EmbeddingMatrix> EmbeddingMatrix::Deserialize(std::string_view blob) {
+  ByteReader r(blob);
   uint32_t magic = 0;
-  std::memcpy(&magic, p, sizeof(magic));
-  p += sizeof(magic);
-  if (magic != kMagic) return Status::Corruption("bad embedding magic");
   uint64_t rows = 0;
-  std::memcpy(&rows, p, sizeof(rows));
-  p += sizeof(rows);
   int32_t dim = 0;
-  std::memcpy(&dim, p, sizeof(dim));
-  p += sizeof(dim);
+  if (!r.U32(&magic) || !r.U64(&rows) || !r.I32(&dim)) {
+    return Status::Corruption("embedding blob too short");
+  }
+  if (magic != kMagic) return Status::Corruption("bad embedding magic");
   if (dim < 0 || rows > (1ULL << 40)) return Status::Corruption("implausible embedding shape");
-  const std::size_t expect = header + static_cast<std::size_t>(rows) * dim * sizeof(float);
-  if (blob.size() != expect) return Status::Corruption("embedding blob size mismatch");
-  EmbeddingMatrix m(static_cast<std::size_t>(rows), dim);
-  std::memcpy(m.data_.data(), p, m.data_.size() * sizeof(float));
+  // The rows fill the rest of the blob. The check divides the bytes left
+  // by the row size: rows * dim * 4 would wrap to 0 for rows = 2^40 and
+  // dim = 2^22 and let a header-only blob size a petabyte matrix.
+  const std::size_t row_bytes = static_cast<std::size_t>(dim) * sizeof(float);
+  if (!CountIs(rows, row_bytes, r.remaining())) {
+    return Status::Corruption("embedding blob size mismatch");
+  }
+  EmbeddingMatrix m;
+  m.rows_ = static_cast<std::size_t>(rows);
+  m.dim_ = dim;
+  r.Array(r.remaining() / sizeof(float), &m.data_);
   return m;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/statusor.h"
@@ -42,7 +43,7 @@ class EmbeddingMatrix {
 
   /// Parses a blob produced by Serialize(). Returns Corruption on a
   /// malformed blob.
-  static StatusOr<EmbeddingMatrix> Deserialize(const std::string& blob);
+  static StatusOr<EmbeddingMatrix> Deserialize(std::string_view blob);
 
   /// File round-trip helpers used by the offline/online hand-off.
   Status SaveTo(const std::string& path) const;

@@ -28,7 +28,6 @@ uint16_t KvStoreServer::port() const { return server_->port(); }
 
 Status KvStoreServer::Handle(const net::Frame& request, std::string* body) {
   switch (request.method) {
-    case net::kPut:
     case net::kPutBatch:
       return HandlePut(request);
     case net::kReplAppend:
@@ -42,14 +41,14 @@ Status KvStoreServer::Handle(const net::Frame& request, std::string* body) {
       info.num_instances = 1;
       info.healthy_instances = 1;
       info.model_version = watermark();
-      *body = net::EncodeHealthInfo(info);
+      net::EncodeHealthInfoTo(body, info);
       return Status::OK();
     }
     case net::kStats: {
       net::GatewayStats stats;
       FillStats(&stats);
       stats.puts_applied = puts_applied_.load(std::memory_order_relaxed);
-      *body = net::EncodeGatewayStats(stats);
+      net::EncodeGatewayStatsTo(body, stats);
       return Status::OK();
     }
     default:
@@ -59,13 +58,9 @@ Status KvStoreServer::Handle(const net::Frame& request, std::string* body) {
 }
 
 Status KvStoreServer::HandlePut(const net::Frame& request) {
-  std::vector<kvstore::Cell> cells;
-  if (request.method == net::kPut) {
-    cells.resize(1);
-    TITANT_RETURN_IF_ERROR(net::DecodePutRequest(request.payload, &cells[0]));
-  } else {
-    TITANT_RETURN_IF_ERROR(net::DecodePutBatchRequest(request.payload, &cells));
-  }
+  // Per-reactor scratch; the decoder reuses its slots.
+  thread_local std::vector<kvstore::Cell> cells;
+  TITANT_RETURN_IF_ERROR(net::DecodePutBatchRequest(request.payload, &cells));
   const std::size_t n = cells.size();
   TITANT_RETURN_IF_ERROR(store_->PutBatch(cells));
   puts_applied_.fetch_add(n, std::memory_order_relaxed);
@@ -84,7 +79,7 @@ Status KvStoreServer::HandleReplAppend(const net::Frame& request, std::string* b
     // Full replay of records already applied (shipper retry after a lost
     // ack). Applying cells again would be harmless — they are keyed by
     // row/family/qualifier/version — but skipping is free.
-    *body = net::EncodeReplAck(mark);
+    net::EncodeReplAckTo(body, mark);
     return Status::OK();
   }
   if (first_seq > mark + 1) {
@@ -109,7 +104,7 @@ Status KvStoreServer::HandleReplAppend(const net::Frame& request, std::string* b
   }
   repl_records_applied_.fetch_add(applied_records, std::memory_order_relaxed);
   repl_cells_applied_.fetch_add(applied_cells, std::memory_order_relaxed);
-  *body = net::EncodeReplAck(last_seq);
+  net::EncodeReplAckTo(body, last_seq);
   return Status::OK();
 }
 
@@ -132,7 +127,7 @@ Status KvStoreServer::HandleReplCatchup(const net::Frame& request, std::string* 
     // whole snapshot is simply retried (applies are idempotent).
     watermark_.store(snapshot_watermark, std::memory_order_release);
   }
-  *body = net::EncodeReplAck(watermark_.load(std::memory_order_relaxed));
+  net::EncodeReplAckTo(body, watermark_.load(std::memory_order_relaxed));
   return Status::OK();
 }
 

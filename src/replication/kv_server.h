@@ -29,7 +29,7 @@ struct KvServerOptions {
 
 /// Counters for the node's replication plane (all monotonic since Start).
 struct KvServerStats {
-  uint64_t puts_applied = 0;          // Cells applied via kPut/kPutBatch.
+  uint64_t puts_applied = 0;          // Cells applied via kPutBatch.
   uint64_t repl_records_applied = 0;  // Commit records applied via kReplAppend.
   uint64_t repl_cells_applied = 0;    // Cells inside those records.
   uint64_t catchup_cells = 0;         // Cells applied via kReplCatchup.
@@ -43,7 +43,7 @@ struct KvServerStats {
 /// a primary serves client puts (and health/stats probes), a warm standby
 /// additionally accepts the replication stream:
 ///
-///   kPut / kPutBatch   apply cells (deadline-checked, like the gateway)
+///   kPutBatch          apply cells (deadline-checked, like the gateway)
 ///   kReplAppend        apply a contiguous run of primary commit records,
 ///                      reply with the new watermark
 ///   kReplCatchup       apply one snapshot chunk; adopt the snapshot's

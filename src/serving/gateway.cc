@@ -149,24 +149,8 @@ Status Gateway::Handle(const net::Frame& frame, std::string* body) {
       }
       break;
     }
-    case net::kPut: {
-      kvstore::Cell cell;
-      const Status decoded = net::DecodePutRequest(frame.payload, &cell);
-      if (!decoded.ok()) {
-        status = decoded;
-        break;
-      }
-      if (options_.ingestor == nullptr) {
-        status = Status::FailedPrecondition("gateway has no ingestor (streaming writes disabled)");
-        break;
-      }
-      thread_local std::vector<kvstore::Cell> one;
-      one.clear();
-      one.push_back(std::move(cell));
-      status = options_.ingestor->PutCells(one);
-      break;
-    }
     case net::kPutBatch: {
+      // Per-reactor scratch; the decoder reuses its slots.
       thread_local std::vector<kvstore::Cell> cells;
       const Status decoded = net::DecodePutBatchRequest(frame.payload, &cells);
       if (!decoded.ok()) {
@@ -198,11 +182,11 @@ Status Gateway::Handle(const net::Frame& frame, std::string* body) {
         info.healthy_instances += router_->instance_healthy(i) ? 1 : 0;
       }
       info.model_version = router_->model_version();
-      body->append(net::EncodeHealthInfo(info));
+      net::EncodeHealthInfoTo(body, info);
       break;
     }
     case net::kStats: {
-      body->append(net::EncodeGatewayStats(StatsSnapshot()));
+      net::EncodeGatewayStatsTo(body, StatsSnapshot());
       break;
     }
     default:
@@ -248,12 +232,6 @@ StatusOr<std::vector<StatusOr<Verdict>>> GatewayClient::ScoreBatch(
   return items;
 }
 
-Status GatewayClient::Put(const kvstore::Cell& cell, int timeout_ms) {
-  payload_scratch_.clear();
-  net::EncodePutRequestTo(&payload_scratch_, cell);
-  return client_.CallRetryingView(net::kPut, payload_scratch_, timeout_ms).status();
-}
-
 Status GatewayClient::PutBatch(const std::vector<kvstore::Cell>& cells, int timeout_ms) {
   payload_scratch_.clear();
   net::EncodePutBatchRequestTo(&payload_scratch_, cells);
@@ -261,7 +239,9 @@ Status GatewayClient::PutBatch(const std::vector<kvstore::Cell>& cells, int time
 }
 
 Status GatewayClient::LoadModel(const std::string& blob, uint64_t version, int timeout_ms) {
-  return client_.Call(net::kLoadModel, net::EncodeLoadModel(version, blob), timeout_ms).status();
+  std::string payload;
+  net::EncodeLoadModelTo(&payload, version, blob);
+  return client_.Call(net::kLoadModel, payload, timeout_ms).status();
 }
 
 StatusOr<net::HealthInfo> GatewayClient::Health(int timeout_ms) {

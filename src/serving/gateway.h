@@ -34,7 +34,7 @@ struct GatewayOptions {
   /// Streaming ingestion engine (not owned; must outlive the gateway).
   /// When set, every successfully scored transaction is submitted to it
   /// after the verdict is produced (closing the feature loop), and the
-  /// kPut/kPutBatch wire methods write through its PutCells. Null — the
+  /// kPutBatch wire method writes through its PutCells. Null — the
   /// default — keeps the gateway read-only: puts are refused with
   /// FailedPrecondition and scored events are not folded back.
   streaming::Ingestor* ingestor = nullptr;
@@ -126,12 +126,10 @@ class GatewayClient {
   StatusOr<std::vector<StatusOr<Verdict>>> ScoreBatch(
       const std::vector<TransferRequest>& requests, int timeout_ms = 0);
 
-  /// Writes one feature cell through the gateway (kPut). Idempotent
-  /// server-side (a cell is keyed by row/family/qualifier/version), so
-  /// transport failures are retried like Score.
-  Status Put(const kvstore::Cell& cell, int timeout_ms = 0);
-
-  /// Writes a batch of feature cells in one round trip (kPutBatch).
+  /// Writes a batch of feature cells in one round trip (kPutBatch; a
+  /// single put is a batch of one). Idempotent server-side (a cell is
+  /// keyed by row/family/qualifier/version), so transport failures are
+  /// retried like Score.
   Status PutBatch(const std::vector<kvstore::Cell>& cells, int timeout_ms = 0);
 
   /// Rolls a serialized model out to every instance behind the gateway.

@@ -74,7 +74,7 @@ struct IngestorStats {
 ///    lag or shed, but it can never stall or allocate on the zero-alloc
 ///    scoring hot path.
 ///
-///  - PutCells(): the synchronous wire write path (kPut/kPutBatch),
+///  - PutCells(): the synchronous wire write path (kPutBatch),
 ///    passed straight to the sharded store's PutBatch under the caller's
 ///    deadline/admission semantics.
 ///
@@ -110,7 +110,7 @@ class Ingestor {
   /// overflow sheds the oldest queued event instead.
   void Submit(const serving::TransferRequest& event);
 
-  /// Writes feature cells straight to the store (the kPut/kPutBatch
+  /// Writes feature cells straight to the store (the kPutBatch
   /// handler path). Synchronous: the caller's deadline and the server's
   /// admission control already bound it. Needs no dedup ring: a retried
   /// put re-writes the same (row, family, qualifier, version) cells, and

@@ -187,11 +187,10 @@ TEST_F(ChaosTest, OverloadShedsTheExcessDeterministically) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
-  const std::string payload = net::EncodeTransferRequest(ScorableRequest());
+  std::string payload;
+  net::EncodeTransferRequestTo(&payload, ScorableRequest());
   std::string bytes;
-  for (uint64_t id = 1; id <= 3; ++id) {
-    bytes += net::EncodeRequestFrame(net::kScore, id, payload);
-  }
+  for (uint64_t id = 1; id <= 3; ++id) net::EncodeRequestFrameTo(&bytes, net::kScore, id, payload);
   ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(bytes.size()));
 
@@ -243,10 +242,11 @@ TEST_F(ChaosTest, ExpiredQueuedRequestNeverReachesTheModel) {
 
   // A: no deadline, stalls 100ms in the handler. B: 40ms budget, expires
   // in the queue.
-  const std::string payload = net::EncodeTransferRequest(ScorableRequest());
-  const std::string bytes = net::EncodeRequestFrame(net::kScore, 1, payload) +
-                            net::EncodeRequestFrame(net::kScore, 2, payload,
-                                                    /*deadline_ms=*/40);
+  std::string payload;
+  net::EncodeTransferRequestTo(&payload, ScorableRequest());
+  std::string bytes;
+  net::EncodeRequestFrameTo(&bytes, net::kScore, 1, payload);
+  net::EncodeRequestFrameTo(&bytes, net::kScore, 2, payload, /*deadline_ms=*/40);
   ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(bytes.size()));
 

@@ -1,5 +1,5 @@
 // Unit and property tests for src/common: Status/StatusOr, strings, RNG,
-// alias sampling, histogram, thread pool and failpoints.
+// alias sampling, histogram, the byte codec, thread pool and failpoints.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "common/alias_table.h"
 #include "common/arena.h"
+#include "common/bytes.h"
 #include "common/failpoint.h"
 #include "common/histogram.h"
 #include "common/random.h"
@@ -489,6 +490,96 @@ TEST(HistogramTest, EmptyAndClear) {
   h.Clear();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.mean(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Byte codec.
+
+TEST(BytesTest, FieldsAreLittleEndianAndRoundTrip) {
+  std::string out = "x";  // The writer appends.
+  ByteWriter w(&out);
+  w.U8(0xab);
+  w.U16(0x0102);
+  w.U32(0x03040506);
+  w.U64(0x0708090a0b0c0d0eull);
+  w.I32(-2);
+  w.I64(-3);
+  w.F32(1.5f);
+  w.F64(-0.25);
+  w.Str("hi");
+  w.Bytes("raw");
+  const int32_t ints[] = {1, -1};
+  w.Array(ints, 2);
+  ASSERT_EQ(out.size(), 1u + 1 + 2 + 4 + 8 + 4 + 8 + 4 + 8 + 6 + 3 + 8);
+  EXPECT_EQ(out.substr(0, 8), std::string("x\xab\x02\x01\x06\x05\x04\x03", 8));
+
+  ByteReader r(std::string_view(out).substr(1));
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int32_t i32 = 0;
+  int64_t i64 = 0;
+  float f32 = 0;
+  double f64 = 0;
+  std::string_view str, raw;
+  std::vector<int32_t> array;
+  ASSERT_TRUE(r.U8(&u8) && r.U16(&u16) && r.U32(&u32) && r.U64(&u64) && r.I32(&i32) &&
+              r.I64(&i64) && r.F32(&f32) && r.F64(&f64) && r.Str(&str) && r.Bytes(3, &raw) &&
+              r.Array(2, &array));
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(u8, 0xab);
+  EXPECT_EQ(u16, 0x0102);
+  EXPECT_EQ(u32, 0x03040506u);
+  EXPECT_EQ(u64, 0x0708090a0b0c0d0eull);
+  EXPECT_EQ(i32, -2);
+  EXPECT_EQ(i64, -3);
+  EXPECT_EQ(f32, 1.5f);
+  EXPECT_EQ(f64, -0.25);
+  EXPECT_EQ(str, "hi");
+  EXPECT_EQ(raw, "raw");
+  EXPECT_EQ(array, (std::vector<int32_t>{1, -1}));
+}
+
+TEST(BytesTest, FailedReadsConsumeNothing) {
+  std::string out;
+  ByteWriter w(&out);
+  w.Str("abcdef");
+  // Every prefix of a length-prefixed string fails and leaves the reader
+  // where it was, so the caller can report the truncation and stop.
+  for (std::size_t cut = 0; cut < out.size(); ++cut) {
+    ByteReader r(std::string_view(out).substr(0, cut));
+    std::string_view s;
+    EXPECT_FALSE(r.Str(&s)) << cut;
+    EXPECT_EQ(r.remaining(), cut);
+  }
+  ByteReader r(std::string_view(out).substr(0, 3));
+  uint32_t u32 = 7;
+  std::string_view bytes;
+  std::vector<uint16_t> array = {9};
+  EXPECT_FALSE(r.U32(&u32));
+  EXPECT_EQ(u32, 7u);
+  EXPECT_FALSE(r.Bytes(4, &bytes));
+  EXPECT_FALSE(r.Array(2, &array));
+  EXPECT_EQ(array, std::vector<uint16_t>{9});  // Not resized by a count that does not fit.
+  EXPECT_EQ(r.remaining(), 3u);
+  EXPECT_EQ(r.Rest(), std::string_view(out).substr(0, 3));
+  EXPECT_TRUE(r.done());
+}
+
+TEST(BytesTest, CountCheckNeverWraps) {
+  // n * w wraps to 0 here; the division form still refuses it.
+  EXPECT_FALSE(CountFits(uint64_t{1} << 62, 4, 16));
+  EXPECT_FALSE(CountFits(uint64_t{1} << 40, uint64_t{1} << 24, 0));
+  EXPECT_TRUE(CountFits(4, 4, 16));
+  EXPECT_FALSE(CountFits(5, 4, 16));
+  EXPECT_TRUE(CountFits(UINT64_MAX, 0, 0));  // Zero-width items take no bytes.
+  std::vector<double> huge;
+  ByteReader r(std::string_view("12345678", 8));
+  EXPECT_FALSE(r.Array(UINT64_MAX, &huge));
+  EXPECT_TRUE(huge.empty());
+  EXPECT_TRUE(r.Fits(1, 8));
+  EXPECT_FALSE(r.Fits(2, 4) && r.Fits(1, 9));
 }
 
 TEST(ArenaTest, AllocateCopyAndAlignment) {

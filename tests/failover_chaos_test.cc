@@ -131,7 +131,8 @@ TEST(ReplWireTest, ReplCatchupRoundTripsAndAllowsEmptyFinalChunk) {
 }
 
 TEST(ReplWireTest, ReplAckRoundTripsAndRejectsWrongSize) {
-  const std::string ack = net::EncodeReplAck(123456789u);
+  std::string ack;
+  net::EncodeReplAckTo(&ack, 123456789u);
   uint64_t watermark = 0;
   ASSERT_TRUE(net::DecodeReplAck(ack, &watermark).ok());
   EXPECT_EQ(watermark, 123456789u);

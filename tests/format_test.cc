@@ -194,8 +194,12 @@ TEST(FormatTest, HealthLoadModelAndStats) {
   info.num_instances = 3;
   info.healthy_instances = 2;
   info.model_version = 99;
-  EXPECT_EQ(Hex(net::EncodeHealthInfo(info)), "03000000020000006300000000000000");
-  EXPECT_EQ(Hex(net::EncodeLoadModel(42, "model-blob")), "2a000000000000006d6f64656c2d626c6f62");
+  std::string health;
+  net::EncodeHealthInfoTo(&health, info);
+  EXPECT_EQ(Hex(health), "03000000020000006300000000000000");
+  std::string load_model;
+  net::EncodeLoadModelTo(&load_model, 42, "model-blob");
+  EXPECT_EQ(Hex(load_model), "2a000000000000006d6f64656c2d626c6f62");
 
   net::GatewayStats s;
   s.requests_served = 1;
@@ -234,7 +238,9 @@ TEST(FormatTest, HealthLoadModelAndStats) {
   s.kv_compaction_backlog = 34;
   s.kv_maintenance_bytes_written = 35;
   s.kv_stall_us = 36;
-  EXPECT_EQ(Digest(net::EncodeGatewayStats(s)), "288:51764e553e2e77d9");
+  std::string stats;
+  net::EncodeGatewayStatsTo(&stats, s);
+  EXPECT_EQ(Digest(stats), "288:51764e553e2e77d9");
 }
 
 // ---------------------------------------------------------------------------

@@ -88,26 +88,33 @@ TEST(CellTest, EncodeDecodeRoundTrip) {
   cell.key = CellKey{"rowkey", "bf", "snapshot", 20170410};
   cell.value = std::string("binary\0data", 11);
   cell.tombstone = true;
-  const std::string blob = EncodeCell(cell);
+  std::string blob;
+  EncodeCellTo(&blob, cell.key, cell.tombstone, cell.value);
+  ByteReader reader(blob);
   Cell parsed;
-  std::size_t offset = 0;
-  ASSERT_TRUE(DecodeCell(blob, &offset, &parsed));
-  EXPECT_EQ(offset, blob.size());
+  ASSERT_TRUE(DecodeCell(&reader, &parsed));
+  EXPECT_TRUE(reader.done());
   EXPECT_EQ(parsed.key, cell.key);
   EXPECT_EQ(parsed.value, cell.value);
   EXPECT_TRUE(parsed.tombstone);
 }
 
 TEST(CellTest, DecodeRejectsTruncation) {
-  Cell cell;
-  cell.key = CellKey{"r", "f", "q", 1};
-  cell.value = "v";
-  const std::string blob = EncodeCell(cell);
+  const CellKey key{"r", "f", "q", 1};
+  std::string blob;
+  EncodeCellTo(&blob, key, /*tombstone=*/false, "v");
   for (std::size_t cut = 0; cut < blob.size(); ++cut) {
     Cell out;
-    std::size_t offset = 0;
-    EXPECT_FALSE(DecodeCell(blob.substr(0, cut), &offset, &out)) << "cut=" << cut;
+    CellViewRec view;
+    ByteReader reader(std::string_view(blob).substr(0, cut));
+    EXPECT_FALSE(DecodeCell(&reader, &out)) << "cut=" << cut;
+    ByteReader view_reader(std::string_view(blob).substr(0, cut));
+    EXPECT_FALSE(DecodeCellView(&view_reader, &view)) << "cut=" << cut;
   }
+  // The smallest record is an all-empty cell.
+  std::string empty;
+  EncodeCellTo(&empty, CellKey{}, /*tombstone=*/false, "");
+  EXPECT_EQ(empty.size(), kCellMinBytes);
 }
 
 TEST(CellTest, KeyOrderingNewestVersionFirst) {

@@ -45,13 +45,42 @@ serving::TransferRequest SampleRequest() {
   return request;
 }
 
+/// The frame encoders append to a caller buffer; these return the bytes.
+std::string RequestFrame(uint16_t method, uint64_t request_id, std::string_view payload,
+                         uint32_t deadline_ms = 0) {
+  std::string out;
+  EncodeRequestFrameTo(&out, method, request_id, payload, deadline_ms);
+  return out;
+}
+
+std::string ResponseFrame(uint16_t method, uint64_t request_id, const Status& status,
+                          std::string_view body) {
+  std::string out;
+  EncodeResponseFrameTo(&out, method, request_id, status, body);
+  return out;
+}
+
+std::string ScoreBatchPayload(const std::vector<serving::TransferRequest>& requests) {
+  std::string out;
+  EncodeScoreBatchRequestTo(&out, requests);
+  return out;
+}
+
+std::string ScoreBatchResponse(const std::vector<StatusOr<serving::Verdict>>& items) {
+  std::string out;
+  EncodeScoreBatchResponseTo(&out, items.data(), items.size());
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Wire codec.
 
 TEST(WireTest, TransferRequestRoundTrip) {
   const serving::TransferRequest request = SampleRequest();
+  std::string payload;
+  EncodeTransferRequestTo(&payload, request);
   serving::TransferRequest decoded;
-  ASSERT_TRUE(DecodeTransferRequest(EncodeTransferRequest(request), &decoded).ok());
+  ASSERT_TRUE(DecodeTransferRequest(payload, &decoded).ok());
   EXPECT_EQ(decoded.txn_id, request.txn_id);
   EXPECT_EQ(decoded.from_user, request.from_user);
   EXPECT_EQ(decoded.to_user, request.to_user);
@@ -70,8 +99,10 @@ TEST(WireTest, VerdictRoundTrip) {
   verdict.degraded = true;
   verdict.latency_us = -1;  // Sign survives.
   verdict.model_version = 20170410;
+  std::string payload;
+  EncodeVerdictTo(&payload, verdict);
   serving::Verdict decoded;
-  ASSERT_TRUE(DecodeVerdict(EncodeVerdict(verdict), &decoded).ok());
+  ASSERT_TRUE(DecodeVerdict(payload, &decoded).ok());
   EXPECT_EQ(decoded.fraud_probability, verdict.fraud_probability);
   EXPECT_EQ(decoded.interrupt, verdict.interrupt);
   EXPECT_EQ(decoded.degraded, verdict.degraded);
@@ -83,7 +114,9 @@ TEST(WireTest, LoadModelRoundTrip) {
   const std::string blob(10000, '\x7f');
   uint64_t version = 0;
   std::string decoded_blob;
-  ASSERT_TRUE(DecodeLoadModel(EncodeLoadModel(42, blob), &version, &decoded_blob).ok());
+  std::string payload;
+  EncodeLoadModelTo(&payload, 42, blob);
+  ASSERT_TRUE(DecodeLoadModel(payload, &version, &decoded_blob).ok());
   EXPECT_EQ(version, 42u);
   EXPECT_EQ(decoded_blob, blob);
 }
@@ -93,8 +126,10 @@ TEST(WireTest, HealthAndStatsRoundTrip) {
   info.num_instances = 4;
   info.healthy_instances = 3;
   info.model_version = 99;
+  std::string payload;
+  EncodeHealthInfoTo(&payload, info);
   HealthInfo decoded_info;
-  ASSERT_TRUE(DecodeHealthInfo(EncodeHealthInfo(info), &decoded_info).ok());
+  ASSERT_TRUE(DecodeHealthInfo(payload, &decoded_info).ok());
   EXPECT_EQ(decoded_info.num_instances, 4u);
   EXPECT_EQ(decoded_info.healthy_instances, 3u);
   EXPECT_EQ(decoded_info.model_version, 99u);
@@ -109,8 +144,10 @@ TEST(WireTest, HealthAndStatsRoundTrip) {
   stats.degraded_verdicts = 5;
   stats.breaker_trips = 2;
   stats.open_instances = 1;
+  payload.clear();
+  EncodeGatewayStatsTo(&payload, stats);
   GatewayStats decoded_stats;
-  ASSERT_TRUE(DecodeGatewayStats(EncodeGatewayStats(stats), &decoded_stats).ok());
+  ASSERT_TRUE(DecodeGatewayStats(payload, &decoded_stats).ok());
   EXPECT_EQ(decoded_stats.requests_served, 1000u);
   EXPECT_EQ(decoded_stats.wire_p50_us, 120.5);
   EXPECT_EQ(decoded_stats.wire_p999_us, 4800.0);
@@ -127,10 +164,12 @@ TEST(WireTest, EveryMethodPayloadRejectsTruncation) {
   serving::Verdict verdict;
   HealthInfo info;
   GatewayStats stats;
-  const std::string score = EncodeTransferRequest(SampleRequest());
+  std::string score;
+  EncodeTransferRequestTo(&score, SampleRequest());
   EXPECT_TRUE(DecodeTransferRequest(score.substr(0, score.size() - 1), &request)
                   .IsInvalidArgument());
-  const std::string v = EncodeVerdict(verdict);
+  std::string v;
+  EncodeVerdictTo(&v, verdict);
   EXPECT_TRUE(DecodeVerdict(v.substr(0, v.size() - 1), &verdict).IsInvalidArgument());
   EXPECT_TRUE(DecodeHealthInfo("xy", &info).IsInvalidArgument());
   EXPECT_TRUE(DecodeGatewayStats("xy", &stats).IsInvalidArgument());
@@ -139,7 +178,7 @@ TEST(WireTest, EveryMethodPayloadRejectsTruncation) {
 }
 
 TEST(WireTest, RequestFrameRoundTrip) {
-  const std::string bytes = EncodeRequestFrame(kScore, 77, "payload-bytes");
+  const std::string bytes = RequestFrame(kScore, 77, "payload-bytes");
   FrameDecoder decoder;
   std::vector<Frame> frames;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size(), &frames).ok());
@@ -156,7 +195,7 @@ TEST(WireTest, RequestFrameRoundTrip) {
 }
 
 TEST(WireTest, RequestDeadlineRidesTheHeader) {
-  const std::string bytes = EncodeRequestFrame(kScore, 5, "x", /*deadline_ms=*/250);
+  const std::string bytes = RequestFrame(kScore, 5, "x", /*deadline_ms=*/250);
   FrameDecoder decoder;
   std::vector<Frame> frames;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size(), &frames).ok());
@@ -169,9 +208,9 @@ TEST(WireTest, RequestDeadlineRidesTheHeader) {
 }
 
 TEST(WireTest, ResponseFrameCarriesStatus) {
-  const std::string ok_bytes = EncodeResponseFrame(kScore, 5, Status::OK(), "verdict");
+  const std::string ok_bytes = ResponseFrame(kScore, 5, Status::OK(), "verdict");
   const std::string err_bytes =
-      EncodeResponseFrame(kScore, 6, Status::NotFound("no snapshot"), "ignored");
+      ResponseFrame(kScore, 6, Status::NotFound("no snapshot"), "ignored");
   FrameDecoder decoder;
   std::vector<Frame> frames;
   ASSERT_TRUE(decoder.Feed(ok_bytes.data(), ok_bytes.size(), &frames).ok());
@@ -190,8 +229,8 @@ TEST(WireTest, ResponseFrameCarriesStatus) {
 TEST(WireTest, TornFramesDeliveredByteAtATime) {
   // Two frames, delivered one byte at a time: nothing surfaces until each
   // final byte, then the frames come out intact and in order.
-  const std::string bytes = EncodeRequestFrame(kScore, 1, "first-payload") +
-                            EncodeRequestFrame(kHealth, 2, "");
+  const std::string bytes = RequestFrame(kScore, 1, "first-payload") +
+                            RequestFrame(kHealth, 2, "");
   FrameDecoder decoder;
   std::vector<Frame> frames;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -208,9 +247,9 @@ TEST(WireTest, TornFramesDeliveredByteAtATime) {
 TEST(WireTest, ManyFramesInOneFeed) {
   std::string bytes;
   for (uint64_t id = 0; id < 50; ++id) {
-    bytes += EncodeRequestFrame(kScore, id, std::string(id, 'x'));
+    bytes += RequestFrame(kScore, id, std::string(id, 'x'));
   }
-  bytes += EncodeRequestFrame(kScore, 999, "tail");
+  bytes += RequestFrame(kScore, 999, "tail");
   FrameDecoder decoder;
   std::vector<Frame> frames;
   // Feed all but the last byte, then the final byte.
@@ -223,7 +262,7 @@ TEST(WireTest, ManyFramesInOneFeed) {
 
 TEST(WireTest, OversizedFrameIsInvalidArgument) {
   FrameDecoder decoder(/*max_payload_bytes=*/100);
-  const std::string bytes = EncodeRequestFrame(kScore, 1, std::string(101, 'x'));
+  const std::string bytes = RequestFrame(kScore, 1, std::string(101, 'x'));
   std::vector<Frame> frames;
   const Status status = decoder.Feed(bytes.data(), bytes.size(), &frames);
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
@@ -239,7 +278,7 @@ TEST(WireTest, ScoreBatchRequestRoundTrip) {
     batch.push_back(request);
   }
   std::vector<serving::TransferRequest> decoded;
-  ASSERT_TRUE(DecodeScoreBatchRequest(EncodeScoreBatchRequest(batch), &decoded).ok());
+  ASSERT_TRUE(DecodeScoreBatchRequest(ScoreBatchPayload(batch), &decoded).ok());
   ASSERT_EQ(decoded.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(decoded[i].txn_id, batch[i].txn_id);
@@ -248,7 +287,7 @@ TEST(WireTest, ScoreBatchRequestRoundTrip) {
   }
   // An empty batch is a protocol misuse, rejected at decode.
   EXPECT_TRUE(
-      DecodeScoreBatchRequest(EncodeScoreBatchRequest({}), &decoded).IsInvalidArgument());
+      DecodeScoreBatchRequest(ScoreBatchPayload({}), &decoded).IsInvalidArgument());
 }
 
 TEST(WireTest, ScoreBatchResponseCarriesPerItemStatus) {
@@ -263,7 +302,7 @@ TEST(WireTest, ScoreBatchResponseCarriesPerItemStatus) {
   items.emplace_back(ok_verdict);
 
   std::vector<StatusOr<serving::Verdict>> decoded;
-  ASSERT_TRUE(DecodeScoreBatchResponse(EncodeScoreBatchResponse(items), &decoded).ok());
+  ASSERT_TRUE(DecodeScoreBatchResponse(ScoreBatchResponse(items), &decoded).ok());
   ASSERT_EQ(decoded.size(), 3u);
   ASSERT_TRUE(decoded[0].ok());
   EXPECT_EQ(decoded[0]->fraud_probability, 0.25);
@@ -277,7 +316,7 @@ TEST(WireTest, ScoreBatchResponseCarriesPerItemStatus) {
 
 TEST(WireTest, ScoreBatchDecodeRejectsCountPayloadDisagreement) {
   std::vector<serving::TransferRequest> two = {SampleRequest(), SampleRequest()};
-  std::string payload = EncodeScoreBatchRequest(two);
+  std::string payload = ScoreBatchPayload(two);
   std::vector<serving::TransferRequest> decoded;
 
   // Declared count raised to 3 while the payload still holds 2 records.
@@ -307,7 +346,7 @@ TEST(WireTest, ScoreBatchDecodeRejectsCountPayloadDisagreement) {
 
   // The response decoder applies the same count discipline.
   std::vector<StatusOr<serving::Verdict>> verdicts;
-  const std::string response = EncodeScoreBatchResponse({serving::Verdict{}});
+  const std::string response = ScoreBatchResponse({serving::Verdict{}});
   EXPECT_TRUE(DecodeScoreBatchResponse(std::string_view(response).substr(0, response.size() - 2),
                                        &verdicts)
                   .IsInvalidArgument());
@@ -317,7 +356,7 @@ TEST(WireTest, ScoreBatchDecodeRejectsCountPayloadDisagreement) {
 TEST(WireTest, TornAndOversizedBatchFrames) {
   // A v3 batch frame split at every byte boundary reassembles intact.
   std::vector<serving::TransferRequest> batch(3, SampleRequest());
-  const std::string bytes = EncodeRequestFrame(kScoreBatch, 42, EncodeScoreBatchRequest(batch));
+  const std::string bytes = RequestFrame(kScoreBatch, 42, ScoreBatchPayload(batch));
   FrameDecoder decoder;
   std::vector<Frame> frames;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
@@ -349,7 +388,7 @@ TEST(WireTest, BadMagicAndVersionAreInvalidArgument) {
   }
   {
     FrameDecoder decoder;
-    std::string bytes = EncodeRequestFrame(kScore, 1, "x");
+    std::string bytes = RequestFrame(kScore, 1, "x");
     bytes[4] = 9;  // Unsupported version.
     EXPECT_TRUE(decoder.Feed(bytes.data(), bytes.size(), &frames).IsInvalidArgument());
   }
@@ -544,7 +583,7 @@ TEST(ServerTest, SurvivesPeerThatDiesBeforeReadingTheReply) {
   // Pipeline three slow requests, then die with an RST (SO_LINGER 0) so the
   // server's replies hit a hard-closed socket.
   std::string bytes;
-  for (uint64_t id = 1; id <= 3; ++id) bytes += EncodeRequestFrame(kSlow, id, "doomed");
+  for (uint64_t id = 1; id <= 3; ++id) bytes += RequestFrame(kSlow, id, "doomed");
   ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(bytes.size()));
   while (slow_started.load() < 3) std::this_thread::yield();
@@ -807,7 +846,7 @@ TEST(ReactorTest, ShutdownAnswersSlowRequestsOnEveryReactor) {
   }
   // One blocked request per reactor, on its first connection.
   for (int c = 0; c < kReactors; ++c) {
-    const std::string first = EncodeRequestFrame(kBlock, 1, "first-" + std::to_string(c));
+    const std::string first = RequestFrame(kBlock, 1, "first-" + std::to_string(c));
     ASSERT_EQ(::send(fds[c], first.data(), first.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(first.size()));
   }
@@ -831,7 +870,7 @@ TEST(ReactorTest, ShutdownAnswersSlowRequestsOnEveryReactor) {
   // connections, alone on the idle second ones. The drain must read and
   // answer each.
   for (int c = 0; c < kConns; ++c) {
-    const std::string second = EncodeRequestFrame(kEcho, 2, "second-" + std::to_string(c));
+    const std::string second = RequestFrame(kEcho, 2, "second-" + std::to_string(c));
     ASSERT_EQ(::send(fds[c], second.data(), second.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(second.size()));
   }

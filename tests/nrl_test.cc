@@ -42,6 +42,56 @@ TEST(EmbeddingTest, RejectsCorruptBlobs) {
   blob[0] = 'X';
   EXPECT_FALSE(EmbeddingMatrix::Deserialize(blob).ok());
   EXPECT_FALSE(EmbeddingMatrix::Deserialize(m.Serialize() + "junk").ok());
+
+  // A header-only blob whose shape product wraps: rows = 2^40 passes the
+  // plausibility cap, and 2^40 * 2^22 * 4 is 0 mod 2^64. It must be
+  // refused, not sized into a matrix.
+  std::string wrapped = m.Serialize().substr(0, 4);  // The magic.
+  const uint64_t rows = uint64_t{1} << 40;
+  const int32_t dim = 1 << 22;
+  wrapped.append(reinterpret_cast<const char*>(&rows), sizeof(rows));
+  wrapped.append(reinterpret_cast<const char*>(&dim), sizeof(dim));
+  ASSERT_EQ(wrapped.size(), 16u);
+  const auto parsed = EmbeddingMatrix::Deserialize(wrapped);
+  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status().ToString();
+}
+
+EmbeddingMatrix SmallMatrix() {
+  EmbeddingMatrix m(3, 5);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (int c = 0; c < 5; ++c) m.Row(r)[c] = static_cast<float>(r) - 0.25f * static_cast<float>(c);
+  }
+  return m;
+}
+
+// Embedding files are loaded from a path the user gives, so the decoder
+// sees hostile bytes: every truncation fails as Corruption.
+TEST(EmbeddingTest, EveryTruncationIsCorruption) {
+  const std::string blob = SmallMatrix().Serialize();
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    const auto parsed = EmbeddingMatrix::Deserialize(std::string_view(blob).substr(0, cut));
+    EXPECT_TRUE(parsed.status().IsCorruption()) << "prefix of " << cut << " bytes";
+  }
+}
+
+// A flipped bit either fails as Corruption or yields a matrix whose data
+// matches its header; a flip inside the float data is a valid blob.
+TEST(EmbeddingTest, BitFlipsFailCleanlyOrDecodeConsistently) {
+  const std::string blob = SmallMatrix().Serialize();
+  Rng rng(20260417);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string flipped = blob;
+    const std::size_t bit = rng.Uniform(flipped.size() * 8);
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    const auto parsed = EmbeddingMatrix::Deserialize(flipped);
+    if (!parsed.ok()) {
+      EXPECT_TRUE(parsed.status().IsCorruption()) << "bit " << bit;
+      continue;
+    }
+    EXPECT_EQ(parsed->rows() * static_cast<std::size_t>(parsed->dim()) * sizeof(float) + 16,
+              flipped.size())
+        << "bit " << bit;
+  }
 }
 
 TEST(EmbeddingTest, FileRoundTrip) {

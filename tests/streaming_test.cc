@@ -1,5 +1,5 @@
 // Tests for the streaming ingestion subsystem: the v4 wire write path
-// (kPut/kPutBatch codecs under fuzz), the sliding-window Aggregator's
+// (the kPutBatch codec under fuzz), the sliding-window Aggregator's
 // bucket-boundary expiry, the EventLog's replay/rotation contract, the
 // Ingestor's backpressure + crash recovery, and the closed loop end to
 // end: scored traffic moves live counters, which move the next verdict.
@@ -19,6 +19,7 @@
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
 #include "ml/model.h"
+#include "net/client.h"
 #include "net/wire.h"
 #include "serving/feature_store.h"
 #include "serving/gateway.h"
@@ -32,7 +33,7 @@ namespace titant::streaming {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Wire codec: kPut / kPutBatch framing and hostile-input fuzz.
+// Wire codec: kPutBatch framing and hostile-input fuzz.
 // ---------------------------------------------------------------------------
 
 kvstore::Cell MakeCell(const std::string& row, uint64_t version, const std::string& value,
@@ -47,44 +48,71 @@ kvstore::Cell MakeCell(const std::string& row, uint64_t version, const std::stri
   return cell;
 }
 
-TEST(PutWireTest, PutRequestRoundTrips) {
-  const kvstore::Cell cell = MakeCell("u0000000042", 7, std::string("\x01\x02\x00\xff", 4), true);
-  const std::string payload = net::EncodePutRequest(cell);
-  kvstore::Cell decoded;
-  ASSERT_TRUE(net::DecodePutRequest(payload, &decoded).ok());
-  EXPECT_EQ(decoded.key.row, cell.key.row);
-  EXPECT_EQ(decoded.key.family, cell.key.family);
-  EXPECT_EQ(decoded.key.qualifier, cell.key.qualifier);
-  EXPECT_EQ(decoded.key.version, cell.key.version);
-  EXPECT_EQ(decoded.value, cell.value);
-  EXPECT_EQ(decoded.tombstone, cell.tombstone);
+std::string PutBatchPayload(const std::vector<kvstore::Cell>& cells) {
+  std::string payload;
+  net::EncodePutBatchRequestTo(&payload, cells);
+  return payload;
 }
 
-TEST(PutWireTest, PutRequestRejectsEveryTruncation) {
-  const std::string payload = net::EncodePutRequest(MakeCell("u0000000001", 3, "value-bytes"));
-  kvstore::Cell decoded;
+// A single put is a kPutBatch of one cell.
+TEST(PutWireTest, OneCellPutBatchRoundTrips) {
+  const kvstore::Cell cell = MakeCell("u0000000042", 7, std::string("\x01\x02\x00\xff", 4), true);
+  const std::string payload = PutBatchPayload({cell});
+  std::vector<kvstore::Cell> decoded;
+  ASSERT_TRUE(net::DecodePutBatchRequest(payload, &decoded).ok());
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].key.row, cell.key.row);
+  EXPECT_EQ(decoded[0].key.family, cell.key.family);
+  EXPECT_EQ(decoded[0].key.qualifier, cell.key.qualifier);
+  EXPECT_EQ(decoded[0].key.version, cell.key.version);
+  EXPECT_EQ(decoded[0].value, cell.value);
+  EXPECT_EQ(decoded[0].tombstone, cell.tombstone);
+}
+
+TEST(PutWireTest, OneCellPutBatchRejectsEveryTruncation) {
+  const std::string payload = PutBatchPayload({MakeCell("u0000000001", 3, "value-bytes")});
+  std::vector<kvstore::Cell> decoded;
   for (std::size_t len = 0; len < payload.size(); ++len) {
-    EXPECT_FALSE(net::DecodePutRequest(std::string_view(payload).substr(0, len), &decoded).ok())
+    EXPECT_FALSE(
+        net::DecodePutBatchRequest(std::string_view(payload).substr(0, len), &decoded).ok())
         << "truncated prefix of " << len << " bytes decoded";
   }
-  EXPECT_TRUE(net::DecodePutRequest(payload, &decoded).ok());
+  EXPECT_TRUE(net::DecodePutBatchRequest(payload, &decoded).ok());
 }
 
-TEST(PutWireTest, PutRequestRejectsTrailingJunkAndEmptyKeys) {
-  std::string payload = net::EncodePutRequest(MakeCell("u0000000001", 3, "v"));
-  kvstore::Cell decoded;
-  EXPECT_FALSE(net::DecodePutRequest(payload + "x", &decoded).ok());
-  EXPECT_FALSE(net::DecodePutRequest(net::EncodePutRequest(MakeCell("", 1, "v")), &decoded).ok());
+TEST(PutWireTest, OneCellPutBatchRejectsTrailingJunkAndEmptyKeys) {
+  const std::string payload = PutBatchPayload({MakeCell("u0000000001", 3, "v")});
+  std::vector<kvstore::Cell> decoded;
+  EXPECT_FALSE(net::DecodePutBatchRequest(payload + "x", &decoded).ok());
+  EXPECT_FALSE(net::DecodePutBatchRequest(PutBatchPayload({MakeCell("", 1, "v")}), &decoded).ok());
   kvstore::Cell no_family = MakeCell("row", 1, "v");
   no_family.key.family.clear();
-  EXPECT_FALSE(net::DecodePutRequest(net::EncodePutRequest(no_family), &decoded).ok());
+  EXPECT_FALSE(net::DecodePutBatchRequest(PutBatchPayload({no_family}), &decoded).ok());
+}
+
+TEST(PutWireTest, PutBatchDecodesIntoReusedSlots) {
+  // The gateway decodes every kPutBatch into one per-reactor vector: the
+  // slots it already holds are overwritten in place, so the values' heap
+  // buffers are reused instead of reallocated.
+  std::vector<kvstore::Cell> decoded;
+  ASSERT_TRUE(net::DecodePutBatchRequest(
+                  PutBatchPayload({MakeCell("u0000000001", 1, std::string(64, 'a'))}), &decoded)
+                  .ok());
+  const char* buffer = decoded[0].value.data();
+  ASSERT_TRUE(net::DecodePutBatchRequest(
+                  PutBatchPayload({MakeCell("u0000000002", 2, std::string(48, 'b'))}), &decoded)
+                  .ok());
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].key.row, "u0000000002");
+  EXPECT_EQ(decoded[0].value, std::string(48, 'b'));
+  EXPECT_EQ(decoded[0].value.data(), buffer);
 }
 
 TEST(PutWireTest, PutBatchRoundTripsAndRejectsEveryTruncation) {
   std::vector<kvstore::Cell> cells = {MakeCell("u0000000001", 1, "aaaa"),
                                       MakeCell("u0000000002", 2, "", true),
                                       MakeCell("u0000000003", 3, std::string(64, 'z'))};
-  const std::string payload = net::EncodePutBatchRequest(cells);
+  const std::string payload = PutBatchPayload(cells);
   std::vector<kvstore::Cell> decoded;
   ASSERT_TRUE(net::DecodePutBatchRequest(payload, &decoded).ok());
   ASSERT_EQ(decoded.size(), cells.size());
@@ -117,7 +145,7 @@ TEST(PutWireTest, PutBatchRejectsHostileCountsBeforeAllocating) {
   std::string over(4, '\0');
   const uint32_t too_many = net::kMaxBatchItems + 1;
   std::memcpy(over.data(), &too_many, 4);
-  over.append(static_cast<std::size_t>(too_many) * net::kPutCellMinBytes, '\0');
+  over.append(static_cast<std::size_t>(too_many) * kvstore::kCellMinBytes, '\0');
   EXPECT_EQ(net::DecodePutBatchRequest(over, &decoded).code(), StatusCode::kInvalidArgument);
 
   // An empty batch is a protocol error, same as kScoreBatch.
@@ -151,7 +179,9 @@ TEST(PutWireTest, GatewayStatsRoundTripsStreamingFields) {
   stats.counter_cells_published = 40;
   stats.aggregator_users = 7;
   net::GatewayStats decoded;
-  ASSERT_TRUE(net::DecodeGatewayStats(net::EncodeGatewayStats(stats), &decoded).ok());
+  std::string payload;
+  net::EncodeGatewayStatsTo(&payload, stats);
+  ASSERT_TRUE(net::DecodeGatewayStats(payload, &decoded).ok());
   EXPECT_EQ(decoded.puts_applied, 5u);
   EXPECT_EQ(decoded.ingest_enqueued, 100u);
   EXPECT_EQ(decoded.ingest_shed, 3u);
@@ -836,7 +866,7 @@ TEST_F(StreamingGatewayTest, WirePutsLandInTheStore) {
   serving::GatewayClient client("127.0.0.1", gateway_->port());
 
   const float one[1] = {7.0f};
-  ASSERT_TRUE(client.Put(MakeCell("u0000000777", 3, serving::EncodeFloats(one, 1))).ok());
+  ASSERT_TRUE(client.PutBatch({MakeCell("u0000000777", 3, serving::EncodeFloats(one, 1))}).ok());
   std::vector<kvstore::Cell> batch = {MakeCell("u0000000778", 1, "aa"),
                                       MakeCell("u0000000779", 2, "bb")};
   ASSERT_TRUE(client.PutBatch(batch).ok());
@@ -852,8 +882,20 @@ TEST_F(StreamingGatewayTest, WirePutsLandInTheStore) {
 TEST_F(StreamingGatewayTest, PutsRefusedWithoutAnIngestor) {
   StartGateway(VelocityModelBlob(), /*with_ingestor=*/false);
   serving::GatewayClient client("127.0.0.1", gateway_->port());
-  const auto status = client.Put(MakeCell("u0000000001", 1, "v"));
+  const auto status = client.PutBatch({MakeCell("u0000000001", 1, "v")});
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status.ToString();
+}
+
+TEST_F(StreamingGatewayTest, RetiredSingleCellPutMethodIsUnimplemented) {
+  // Method 6 carried one cell before a put became a one-cell kPutBatch;
+  // it stays reserved and gets every unknown method's answer.
+  StartGateway(VelocityModelBlob(), /*with_ingestor=*/true);
+  net::Client client("127.0.0.1", gateway_->port());
+  std::string payload;
+  net::EncodePutBatchRequestTo(&payload, {MakeCell("u0000000001", 1, "v")});
+  const auto reply = client.Call(/*method=*/6, std::string_view(payload).substr(4), 2000);
+  EXPECT_EQ(reply.status().code(), StatusCode::kUnimplemented) << reply.status().ToString();
+  EXPECT_FALSE(store_->Get("u0000000001", "rt", "win").ok());
 }
 
 TEST_F(StreamingGatewayTest, ScoredTrafficMovesTheNextVerdict) {

@@ -325,8 +325,10 @@ TEST(ZeroAllocTest, GatewayWireRoundTripAllocatesNothing) {
   request.amount = 99.5;
   request.second_of_day = 43200;
   request.trans_city = 2;
-  const std::string frame = net::EncodeRequestFrame(
-      net::kScore, 1, net::EncodeTransferRequest(request), /*deadline_ms=*/1000);
+  std::string payload;
+  net::EncodeTransferRequestTo(&payload, request);
+  std::string frame;
+  net::EncodeRequestFrameTo(&frame, net::kScore, 1, payload, /*deadline_ms=*/1000);
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);

@@ -42,7 +42,7 @@
 //   titant_cli kvserve <dir> [port] [--standby host:port] [--shards N]
 //              [--cache-mb N] [--maintenance]
 //       Runs one kvstore node: a durable sharded AliHBase at <dir> behind
-//       the wire protocol's store subset (kPut/kPutBatch/kReplAppend/
+//       the wire protocol's store subset (kPutBatch/kReplAppend/
 //       kReplCatchup/kHealth/kStats). With --standby the node acts as a
 //       replication primary, WAL-shipping every commit to the standby's
 //       kvserve endpoint (a restarted old primary points --standby at the
@@ -50,7 +50,8 @@
 //       Serves until SIGINT/SIGTERM.
 //
 //   titant_cli kvput <host> <port> <row> <family> <qualifier> <value> [version]
-//       Writes one cell to a running kvserve node (or gateway) over kPut.
+//       Writes one cell to a running kvserve node (or gateway) as a
+//       kPutBatch of one cell.
 //
 //   titant_cli kvstats <host> <port>
 //       Prints a node's replication counters (watermark, lag, catch-up)
@@ -325,7 +326,7 @@ int CmdServe(int argc, char** argv) {
   }
 
   // Close the loop: every scored transfer feeds the sliding-window
-  // velocity counters, and kPut/kPutBatch frames write through to the
+  // velocity counters, and kPutBatch frames write through to the
   // feature table.
   auto ingestor =
       OrDie(titant::streaming::Ingestor::Open(store.get(), titant::streaming::IngestorOptions()));
@@ -621,14 +622,15 @@ int CmdKvServe(int argc, char** argv) {
 
 int CmdKvPut(int argc, char** argv) {
   if (argc < 8) return Usage();
-  titant::kvstore::Cell cell;
+  std::vector<titant::kvstore::Cell> cells(1);
+  titant::kvstore::Cell& cell = cells[0];
   cell.key.row = argv[4];
   cell.key.family = argv[5];
   cell.key.qualifier = argv[6];
   cell.value = argv[7];
   cell.key.version = argc > 8 ? static_cast<uint64_t>(std::atoll(argv[8])) : 1;
   titant::serving::GatewayClient client(argv[2], static_cast<uint16_t>(std::atoi(argv[3])));
-  OrDie(client.Put(cell, /*timeout_ms=*/2000));
+  OrDie(client.PutBatch(cells, /*timeout_ms=*/2000));
   std::printf("put %s/%s:%s @v%llu (%zu bytes)\n", cell.key.row.c_str(),
               cell.key.family.c_str(), cell.key.qualifier.c_str(),
               static_cast<unsigned long long>(cell.key.version), cell.value.size());
