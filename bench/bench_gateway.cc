@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
   }
 
   titant::serving::GatewayOptions gateway_options;
-  if (workers > 0) gateway_options.worker_threads = static_cast<std::size_t>(workers);
+  if (workers > 0) gateway_options.server.worker_threads = static_cast<std::size_t>(workers);
   std::unique_ptr<titant::streaming::Ingestor> ingestor;
   if (ingest) {
     ingestor = CheckOk(titant::streaming::Ingestor::Open(fixture.serving_store(),
@@ -413,8 +413,8 @@ int main(int argc, char** argv) {
           cells[static_cast<std::size_t>(c)].key.family = titant::streaming::kFamilyRealtime;
           cells[static_cast<std::size_t>(c)].key.qualifier = titant::streaming::kQualWindow;
           cells[static_cast<std::size_t>(c)].key.version = version;
-          cells[static_cast<std::size_t>(c)].value = titant::serving::EncodeFloats(
-              counters, titant::streaming::kCounterFloats);
+          titant::serving::EncodeFloatsTo(&cells[static_cast<std::size_t>(c)].value, counters,
+                                          titant::streaming::kCounterFloats);
         }
         user = 10'000'000 + static_cast<uint32_t>(t) * 1'000'000 +
                (user + kCellsPerFrame) % 100'000;

@@ -36,28 +36,6 @@ Status CheckSorted(const std::vector<Cell>& cells) {
   return Status::OK();
 }
 
-/// Writes `file` to `path` atomically (tmp + rename). A non-null limiter
-/// paces the write in chunks so a background compaction's disk bandwidth
-/// is bounded while foreground traffic shares the device.
-Status WriteFileAtomic(const std::string& path, const std::string& file, RateLimiter* limiter) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot create " + tmp);
-    constexpr std::size_t kChunk = 256 * 1024;
-    for (std::size_t off = 0; off < file.size(); off += kChunk) {
-      const std::size_t n = std::min(kChunk, file.size() - off);
-      if (limiter != nullptr) limiter->Acquire(n);
-      out.write(file.data() + off, static_cast<std::streamsize>(n));
-    }
-    if (!out) return Status::IOError("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename " + tmp + " -> " + path);
-  }
-  return Status::OK();
-}
-
 /// Reads exactly `n` bytes at `offset` of `fd` into `out`; false on an
 /// I/O error or a short file.
 bool ReadFull(int fd, char* out, std::size_t n, uint64_t offset) {
@@ -78,6 +56,25 @@ bool ReadFull(int fd, char* out, std::size_t n, uint64_t offset) {
 constexpr std::size_t kFooterSize = 6 * sizeof(uint64_t) + 4 * sizeof(uint32_t);
 
 }  // namespace
+
+Status WriteFileAtomic(const std::string& path, std::string_view file, RateLimiter* limiter) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IOError("cannot create " + tmp);
+    constexpr std::size_t kChunk = 256 * 1024;
+    for (std::size_t off = 0; off < file.size(); off += kChunk) {
+      const std::size_t n = std::min(kChunk, file.size() - off);
+      if (limiter != nullptr) limiter->Acquire(n);
+      out.write(file.data() + off, static_cast<std::streamsize>(n));
+    }
+    if (!out) return Status::IOError("short write to " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::IOError("cannot rename " + tmp + " -> " + path);
+  }
+  return Status::OK();
+}
 
 Status SSTable::Write(const std::string& path, const std::vector<Cell>& cells,
                       RateLimiter* limiter, uint64_t* bytes_written) {

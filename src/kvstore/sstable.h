@@ -16,6 +16,14 @@ namespace titant::kvstore {
 
 class RateLimiter;  // maintenance.h — byte/sec throttle for background writes.
 
+/// Writes `file` to `path` atomically: a crash leaves either the old file
+/// or the new one, never a torn one. The bytes go to `path + ".tmp"`
+/// first and are renamed over `path`. A non-null `limiter` paces the
+/// write in chunks, so a background compaction's disk bandwidth is bounded
+/// while foreground traffic shares the device.
+Status WriteFileAtomic(const std::string& path, std::string_view file,
+                       RateLimiter* limiter = nullptr);
+
 /// Immutable sorted run of cells on disk (the HFile analogue).
 ///
 /// Format v3 (written by Write): cell records grouped into ~4 KiB blocks

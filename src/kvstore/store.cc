@@ -29,16 +29,6 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   return out;
 }
 
-Status WriteFileString(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot create " + path);
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size() && std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok) return Status::IOError("cannot write " + path);
-  return Status::OK();
-}
-
 /// Collects "<id>.sst" files directly inside `dir`, sorted by id
 /// (oldest first).
 StatusOr<std::vector<std::pair<uint64_t, std::string>>> ListSSTables(const std::string& dir) {
@@ -118,8 +108,10 @@ StatusOr<std::unique_ptr<AliHBase>> AliHBase::Open(StoreOptions options) {
     // rows are routed by hash-mod-count, so the manifest written on first
     // open wins over the requested count forever after — a reopen with a
     // different count must not silently mis-route existing rows. The
-    // manifest is written before any shard state so a crash at any later
-    // point reopens under the same count.
+    // manifest is written before any shard state, and atomically (tmp +
+    // rename, like an SSTable), so a crash at any point reopens under
+    // the same count: a crash before the rename leaves no manifest and a
+    // stray SHARDS.tmp, and the next open writes the manifest afresh.
     const std::string manifest = store->options_.dir + "/SHARDS";
     if (fs::exists(manifest)) {
       TITANT_ASSIGN_OR_RETURN(std::string text, ReadFileToString(manifest));
@@ -127,14 +119,14 @@ StatusOr<std::unique_ptr<AliHBase>> AliHBase::Open(StoreOptions options) {
       for (const char c : text) {
         if (!std::isspace(static_cast<unsigned char>(c))) digits.push_back(c);
       }
-      TITANT_ASSIGN_OR_RETURN(int64_t recorded, ParseInt64(digits));
-      if (recorded < 1 || recorded > (1 << 16)) {
+      const StatusOr<int64_t> recorded = ParseInt64(digits);
+      if (!recorded.ok() || *recorded < 1 || *recorded > (1 << 16)) {
         return Status::Corruption("invalid shard count in " + manifest);
       }
-      store->options_.num_shards = static_cast<int>(recorded);
+      store->options_.num_shards = static_cast<int>(*recorded);
     } else {
       TITANT_RETURN_IF_ERROR(
-          WriteFileString(manifest, std::to_string(store->options_.num_shards) + "\n"));
+          WriteFileAtomic(manifest, std::to_string(store->options_.num_shards) + "\n"));
     }
   }
 

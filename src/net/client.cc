@@ -34,6 +34,11 @@ Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
 
+/// Connection-establishment deadline.
+constexpr int kConnectTimeoutMs = 2000;
+/// Seed of the retry jitter (deterministic, like every RNG here).
+constexpr uint64_t kJitterSeed = 0x6a17'7e85'eed0'0001ULL;
+
 int64_t DeadlineFrom(int timeout_ms) {
   return MonotonicMicros() + static_cast<int64_t>(timeout_ms) * 1000;
 }
@@ -52,8 +57,7 @@ Client::Client(std::string host, uint16_t port, ClientOptions options)
     : host_(std::move(host)),
       port_(port),
       options_(options),
-      jitter_rng_(options.retry.jitter_seed),
-      decoder_(options.max_payload_bytes) {}
+      jitter_rng_(kJitterSeed) {}
 
 Client::~Client() { Close(); }
 
@@ -82,7 +86,7 @@ Status Client::Connect() {
       return status;
     }
     const Status ready =
-        PollFd(POLLOUT, DeadlineFrom(options_.connect_timeout_ms), "connect");
+        PollFd(POLLOUT, DeadlineFrom(kConnectTimeoutMs), "connect");
     if (!ready.ok()) {
       Close();
       return ready.code() == StatusCode::kTimeout
@@ -144,8 +148,7 @@ StatusOr<std::string_view> Client::CallRetryingView(uint16_t method, std::string
                              static_cast<uint64_t>(backoff_ms / 2 + 1))),
         RemainingMs(deadline_us));
     if (pause_ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
-    backoff_ms = std::min(static_cast<int>(backoff_ms * policy.multiplier),
-                          std::max(1, policy.max_backoff_ms));
+    backoff_ms = std::min(backoff_ms * 2, std::max(1, policy.max_backoff_ms));
   }
   return result;
 }

@@ -19,23 +19,16 @@ namespace titant::net {
 struct RetryPolicy {
   /// Total attempts (1 = no retry).
   int max_attempts = 3;
-  /// First backoff pause; doubled (times `multiplier`) per attempt.
+  /// First backoff pause; doubled per attempt.
   int initial_backoff_ms = 2;
   /// Backoff cap.
   int max_backoff_ms = 64;
-  double multiplier = 2.0;
-  /// Seed for the jitter PRNG (deterministic, like every RNG here).
-  uint64_t jitter_seed = 0x6a17'7e85'eed0'0001ULL;
 };
 
 /// Client configuration.
 struct ClientOptions {
-  /// Connection-establishment deadline.
-  int connect_timeout_ms = 2000;
   /// Default per-call deadline (override per Call).
   int call_timeout_ms = 2000;
-  /// Per-frame payload cap enforced on responses.
-  std::size_t max_payload_bytes = kMaxPayloadBytes;
   /// Retry schedule used by CallRetrying (Call stays single-attempt).
   RetryPolicy retry;
 };

@@ -20,6 +20,9 @@ namespace titant::net {
 
 namespace {
 
+/// listen(2) backlog.
+constexpr int kListenBacklog = 128;
+
 Status Errno(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
 }
@@ -68,7 +71,7 @@ class Server::Reactor {
 
  private:
   struct Connection {
-    Connection(int fd_in, std::size_t max_payload) : fd(fd_in), decoder(max_payload) {}
+    explicit Connection(int fd_in) : fd(fd_in) {}
     bool flushed() const { return outbox_offset == outbox.size(); }
 
     int fd;
@@ -107,7 +110,7 @@ class Server::Reactor {
 };
 
 void Server::Reactor::AddConnection(int fd) {
-  auto conn = std::make_shared<Connection>(fd, server_->options_.max_payload_bytes);
+  auto conn = std::make_shared<Connection>(fd);
   const Status added =
       loop_.Add(fd, EPOLLIN, [this, conn](uint32_t events) { ConnectionReady(conn, events); });
   if (!added.ok()) {
@@ -328,7 +331,7 @@ Status Server::Start() {
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     return fail(Errno("bind " + options_.host + ":" + std::to_string(options_.port)));
   }
-  if (::listen(listen_fd_, options_.backlog) != 0) return fail(Errno("listen"));
+  if (::listen(listen_fd_, kListenBacklog) != 0) return fail(Errno("listen"));
   sockaddr_in bound{};
   socklen_t bound_len = sizeof(bound);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len) != 0) {

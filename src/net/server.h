@@ -28,14 +28,10 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// Port to bind; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
-  /// listen(2) backlog.
-  int backlog = 128;
   /// Reactors: event loops, each on its own thread, that own the
   /// connections handed to them round-robin at accept and run every
   /// request of those connections to completion. 0 counts as 1.
   std::size_t worker_threads = DefaultWorkerThreads();
-  /// Per-frame payload cap enforced by the decoder.
-  std::size_t max_payload_bytes = kMaxPayloadBytes;
   /// Admission control: request frames admitted and not yet answered,
   /// counted across every reactor. A reactor admits or sheds each frame
   /// of a read burst before any of them runs; a frame beyond this many,

@@ -135,10 +135,10 @@ Status FrameDecoder::Decode(const char* data, std::size_t size, NextFrame next_f
     if (type > static_cast<uint8_t>(FrameType::kResponse)) {
       return Status::InvalidArgument("unknown frame type " + std::to_string(type));
     }
-    if (payload_size > max_payload_bytes_) {
+    if (payload_size > kMaxPayloadBytes) {
       return Status::InvalidArgument("frame payload of " + std::to_string(payload_size) +
-                                     " bytes exceeds the " +
-                                     std::to_string(max_payload_bytes_) + "-byte cap");
+                                     " bytes exceeds the " + std::to_string(kMaxPayloadBytes) +
+                                     "-byte cap");
     }
     if (buffer_.size() - consumed < kHeaderBytes + payload_size) break;  // Torn: wait.
 

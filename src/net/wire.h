@@ -155,13 +155,11 @@ Status DecodeResponsePayload(const Frame& frame, std::string_view* body);
 
 /// Incremental frame decoder: feed raw socket bytes in any fragmentation,
 /// complete frames are appended to `out`. A non-OK return (bad magic,
-/// unsupported version, payload over the cap) is unrecoverable — the
-/// connection must be closed.
+/// unsupported version, payload over kMaxPayloadBytes) is unrecoverable —
+/// the connection must be closed. The cap is checked at the header, before
+/// any of the payload is buffered.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(std::size_t max_payload_bytes = kMaxPayloadBytes)
-      : max_payload_bytes_(max_payload_bytes) {}
-
   /// Appends each completed frame to `out`, stamped with the decode time.
   Status Feed(const char* data, std::size_t size, std::vector<Frame>* out);
 
@@ -184,7 +182,6 @@ class FrameDecoder {
   template <typename NextFrame>
   Status Decode(const char* data, std::size_t size, NextFrame next_frame);
 
-  std::size_t max_payload_bytes_;
   std::string buffer_;
 };
 

@@ -5,9 +5,8 @@
 
 namespace titant::replication {
 
-FailoverStore::FailoverStore(kvstore::KvTable* primary, kvstore::KvTable* standby,
-                             FailoverStoreOptions options)
-    : primary_(primary), standby_(standby), options_(options) {}
+FailoverStore::FailoverStore(kvstore::KvTable* primary, kvstore::KvTable* standby)
+    : primary_(primary), standby_(standby) {}
 
 bool FailoverStore::AnyInfraFailure(const StatusOr<std::string_view>* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -17,34 +16,21 @@ bool FailoverStore::AnyInfraFailure(const StatusOr<std::string_view>* out, std::
   return false;
 }
 
-void FailoverStore::FlipToStandby() const {
-  if (!on_standby_.exchange(true, std::memory_order_acq_rel)) {
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-    consecutive_failures_.store(0, std::memory_order_relaxed);
-    reads_since_probe_.store(0, std::memory_order_relaxed);
-  }
-}
-
-void FailoverStore::FlipToPrimary() const {
-  if (on_standby_.exchange(false, std::memory_order_acq_rel)) {
-    failbacks_.fetch_add(1, std::memory_order_relaxed);
-    consecutive_failures_.store(0, std::memory_order_relaxed);
-  }
+void FailoverStore::PrimaryAnswered() const {
+  if (breaker_.Close()) failbacks_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void FailoverStore::MultiGetView(const kvstore::ColumnProbeView* probes, std::size_t n,
                                  kvstore::ReadPin* pin, StatusOr<std::string_view>* out,
                                  uint64_t snapshot) const {
-  if (!on_standby_.load(std::memory_order_acquire)) {
+  if (!breaker_.open()) {
     primary_->MultiGetView(probes, n, pin, out, snapshot);
     if (!AnyInfraFailure(out, n)) {
-      consecutive_failures_.store(0, std::memory_order_relaxed);
+      PrimaryAnswered();
       return;
     }
-    const uint32_t failures =
-        consecutive_failures_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (failures < static_cast<uint32_t>(options_.failure_threshold)) return;
-    FlipToStandby();
+    breaker_.Fail();
+    if (!breaker_.open()) return;
     // Fall through: re-fetch the batch that tripped the breaker from the
     // standby, so this caller gets stale-but-real features instead of a
     // degraded miss at the moment of the flip.
@@ -53,18 +39,14 @@ void FailoverStore::MultiGetView(const kvstore::ColumnProbeView* probes, std::si
     primary_->MultiGetView(probes, n, pin, out, snapshot);
     if (!AnyInfraFailure(out, n)) return;
     // The primary flapped between probe and fetch: flip straight back.
-    FlipToStandby();
+    breaker_.Trip();
   }
   standby_->MultiGetView(probes, n, pin, out, snapshot);
 }
 
 bool FailoverStore::MaybeProbePrimary(const kvstore::ColumnProbeView* probes, std::size_t n,
                                       uint64_t snapshot) const {
-  if (n == 0 || options_.probe_interval <= 0) return false;
-  const uint64_t interval = static_cast<uint64_t>(options_.probe_interval);
-  if (reads_since_probe_.fetch_add(1, std::memory_order_relaxed) % interval != interval - 1) {
-    return false;
-  }
+  if (n == 0 || !breaker_.ProbeDue()) return false;
   std::unique_lock<std::mutex> lock(probe_mu_, std::try_to_lock);
   if (!lock.owns_lock()) return false;  // Another thread is mid-probe.
   probes_.fetch_add(1, std::memory_order_relaxed);
@@ -72,21 +54,19 @@ bool FailoverStore::MaybeProbePrimary(const kvstore::ColumnProbeView* probes, st
   probe_out_.assign(n, StatusOr<std::string_view>(std::string_view()));
   primary_->MultiGetView(probes, n, &probe_pin_, probe_out_.data(), snapshot);
   if (AnyInfraFailure(probe_out_.data(), n)) return false;
-  FlipToPrimary();
+  PrimaryAnswered();
   return true;
 }
 
 Status FailoverStore::PutBatch(const std::vector<kvstore::Cell>& cells) {
-  if (!on_standby_.load(std::memory_order_acquire)) {
+  if (!breaker_.open()) {
     const Status status = primary_->PutBatch(cells);
     if (status.ok() || (!status.IsRetryable() && !status.IsIOError())) {
-      consecutive_failures_.store(0, std::memory_order_relaxed);
+      PrimaryAnswered();
       return status;
     }
-    const uint32_t failures =
-        consecutive_failures_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (failures < static_cast<uint32_t>(options_.failure_threshold)) return status;
-    FlipToStandby();
+    breaker_.Fail();
+    if (!breaker_.open()) return status;
     // Fall through: apply the tripping batch on the standby so the write
     // (a counter publish, typically) survives the flip. The standby's
     // copy outranks whatever the dead primary held — the ingestor's
@@ -95,21 +75,21 @@ Status FailoverStore::PutBatch(const std::vector<kvstore::Cell>& cells) {
   return standby_->PutBatch(cells);
 }
 
-void FailoverStore::ForceFailover() { FlipToStandby(); }
+void FailoverStore::ForceFailover() { breaker_.Trip(); }
 
-void FailoverStore::ForceFailback() { FlipToPrimary(); }
+void FailoverStore::ForceFailback() { PrimaryAnswered(); }
 
 FailoverStoreStats FailoverStore::stats() const {
   FailoverStoreStats stats;
-  stats.on_standby = on_standby_.load(std::memory_order_acquire);
-  stats.failovers = failovers_.load(std::memory_order_relaxed);
+  stats.on_standby = breaker_.open();
+  stats.failovers = breaker_.trips();
   stats.failbacks = failbacks_.load(std::memory_order_relaxed);
   stats.probes = probes_.load(std::memory_order_relaxed);
   return stats;
 }
 
 void FailoverStore::FillStats(net::GatewayStats* stats) const {
-  stats->repl_failovers = failovers_.load(std::memory_order_relaxed);
+  stats->repl_failovers = breaker_.trips();
 }
 
 }  // namespace titant::replication

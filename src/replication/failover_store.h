@@ -6,22 +6,12 @@
 #include <mutex>
 #include <vector>
 
+#include "common/circuit_breaker.h"
 #include "common/statusor.h"
 #include "kvstore/store.h"
 #include "net/wire.h"
 
 namespace titant::replication {
-
-/// Health-checked failover configuration, mirroring the router breaker's
-/// count-based design (deterministic under test — no clocks).
-struct FailoverStoreOptions {
-  /// Consecutive infra-failed store calls that flip reads (and the
-  /// ingestor's counter publishes) to the standby.
-  int failure_threshold = 5;
-  /// While failed over, every Nth read re-probes the primary (half-open);
-  /// a clean probe fails back. <= 0 disables automatic failback.
-  int probe_interval = 16;
-};
 
 struct FailoverStoreStats {
   bool on_standby = false;
@@ -36,21 +26,22 @@ struct FailoverStoreStats {
 /// deployment). ModelServer, the router, and the streaming Ingestor hold
 /// this instead of a concrete store and never learn which node answered.
 ///
-/// Fail over: a breaker counts consecutive calls with an infra-failed
-/// outcome (any probe Unavailable/Timeout/ResourceExhausted/IOError — the
-/// node-down class, per the net error-mapping contract; NotFound is a
-/// miss, not a failure). At the threshold, reads and writes flip to the
-/// standby, and the batch that tripped the breaker is re-fetched there —
-/// the caller gets stale-but-real features, not a degraded miss. While
-/// failed over, degraded_reads() is true: the scorer sets the
-/// degraded-verdict bit (§4.4 fail-open: a possibly-stale counter beats
-/// a refused score), because standby staleness is bounded by the
-/// shipper's unacked lag, not zero.
+/// Fail over: the primary's CircuitBreaker (the router's type) counts
+/// consecutive calls with an infra-failed outcome (any probe
+/// Unavailable/Timeout/ResourceExhausted/IOError — the node-down class,
+/// per the net error-mapping contract; NotFound is a miss, not a
+/// failure). At 5 in a row, reads and writes flip to the standby, and
+/// the batch that tripped the breaker is re-fetched there — the caller
+/// gets stale-but-real features, not a degraded miss. While failed over,
+/// degraded_reads() is true: the scorer sets the degraded-verdict bit
+/// (§4.4 fail-open: a possibly-stale counter beats a refused score),
+/// because standby staleness is bounded by the shipper's unacked lag,
+/// not zero.
 ///
-/// Fail back: every probe_interval-th read while failed over re-issues
-/// the batch against the primary from a private scratch pin (one thread
-/// at a time; others skip past a held try-lock). A clean probe flips
-/// back. Writes that landed on the standby during the outage are NOT
+/// Fail back: every 16th read while failed over re-issues the batch
+/// against the primary from a private scratch pin (one thread at a time;
+/// others skip past a held try-lock). A clean answer from the primary
+/// flips back. Writes that landed on the standby during the outage are NOT
 /// replayed to the recovered primary by this tier — convergence comes
 /// from the layer above (the ingestor republishes live counters with
 /// outranking versions within one publish interval, and the restarted
@@ -58,8 +49,7 @@ struct FailoverStoreStats {
 /// probed back into service).
 class FailoverStore : public kvstore::KvTable {
  public:
-  FailoverStore(kvstore::KvTable* primary, kvstore::KvTable* standby,
-                FailoverStoreOptions options = FailoverStoreOptions());
+  FailoverStore(kvstore::KvTable* primary, kvstore::KvTable* standby);
 
   void MultiGetView(const kvstore::ColumnProbeView* probes, std::size_t n,
                     kvstore::ReadPin* pin, StatusOr<std::string_view>* out,
@@ -69,11 +59,9 @@ class FailoverStore : public kvstore::KvTable {
 
   /// True while serving from the standby: reads may trail the primary by
   /// the shipping lag, so verdicts must carry the degraded bit.
-  bool degraded_reads() const override {
-    return on_standby_.load(std::memory_order_acquire);
-  }
+  bool degraded_reads() const override { return breaker_.open(); }
 
-  bool on_standby() const { return on_standby_.load(std::memory_order_acquire); }
+  bool on_standby() const { return breaker_.open(); }
 
   /// Operator overrides (failover drills, planned maintenance).
   void ForceFailover();
@@ -91,10 +79,11 @@ class FailoverStore : public kvstore::KvTable {
   /// to fall back to default features.
   static bool AnyInfraFailure(const StatusOr<std::string_view>* out, std::size_t n);
 
-  void FlipToStandby() const;
-  void FlipToPrimary() const;
+  /// A clean primary answer: closes the breaker, counting a failback
+  /// when that moved traffic off the standby.
+  void PrimaryAnswered() const;
 
-  /// Half-open probe: on the Nth failed-over read, one thread re-issues
+  /// Half-open probe: on every 16th failed-over read, one thread re-issues
   /// the batch against the primary into private scratch. Returns true
   /// when the probe succeeded and the store failed back.
   bool MaybeProbePrimary(const kvstore::ColumnProbeView* probes, std::size_t n,
@@ -102,12 +91,9 @@ class FailoverStore : public kvstore::KvTable {
 
   kvstore::KvTable* primary_;
   kvstore::KvTable* standby_;
-  FailoverStoreOptions options_;
 
-  mutable std::atomic<bool> on_standby_{false};
-  mutable std::atomic<uint32_t> consecutive_failures_{0};
-  mutable std::atomic<uint64_t> reads_since_probe_{0};
-  mutable std::atomic<uint64_t> failovers_{0};
+  /// Open while serving from the standby; its trips are the failovers.
+  mutable CircuitBreaker breaker_;
   mutable std::atomic<uint64_t> failbacks_{0};
   mutable std::atomic<uint64_t> probes_{0};
 

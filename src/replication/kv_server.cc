@@ -6,17 +6,11 @@
 
 namespace titant::replication {
 
-KvStoreServer::KvStoreServer(kvstore::AliHBase* store, KvServerOptions options)
-    : store_(store), options_(std::move(options)) {
-  net::ServerOptions server_options;
-  server_options.host = options_.host;
-  server_options.port = options_.port;
-  server_options.worker_threads = options_.worker_threads;
-  server_options.max_in_flight = options_.max_in_flight;
-  server_ = std::make_unique<net::Server>(
-      std::move(server_options),
-      [this](const net::Frame& request, std::string* body) { return Handle(request, body); });
-}
+KvStoreServer::KvStoreServer(kvstore::AliHBase* store, net::ServerOptions options)
+    : store_(store),
+      server_(std::make_unique<net::Server>(
+          std::move(options),
+          [this](const net::Frame& request, std::string* body) { return Handle(request, body); })) {}
 
 KvStoreServer::~KvStoreServer() { (void)Shutdown(); }
 

@@ -13,20 +13,6 @@
 
 namespace titant::replication {
 
-/// Configuration of one kvstore node's wire endpoint.
-struct KvServerOptions {
-  std::string host = "127.0.0.1";
-  /// 0 picks an ephemeral port (read it back via port()).
-  uint16_t port = 0;
-  std::size_t worker_threads = net::DefaultWorkerThreads();
-  /// Admission control forwarded to net::Server (0 disables). Overload on
-  /// the replication plane sheds with ResourceExhausted — retryable — while
-  /// a sequence gap answers FailedPrecondition — not retryable — so a
-  /// shipper can tell "send it again" from "resending won't help, snapshot
-  /// me instead".
-  std::size_t max_in_flight = 0;
-};
-
 /// Counters for the node's replication plane (all monotonic since Start).
 struct KvServerStats {
   uint64_t puts_applied = 0;          // Cells applied via kPutBatch.
@@ -58,9 +44,14 @@ struct KvServerStats {
 /// FailedPrecondition so the shipper falls back to snapshot catch-up
 /// instead of blindly re-sending. Replication applies are serialized by
 /// one mutex — the stream is a log, ordering is the point.
+///
+/// Overload on the replication plane (net::ServerOptions::max_in_flight)
+/// sheds with ResourceExhausted — retryable — while a sequence gap
+/// answers FailedPrecondition — not retryable — so a shipper can tell
+/// "send it again" from "resending won't help, snapshot me instead".
 class KvStoreServer {
  public:
-  KvStoreServer(kvstore::AliHBase* store, KvServerOptions options = KvServerOptions());
+  KvStoreServer(kvstore::AliHBase* store, net::ServerOptions options = net::ServerOptions());
   ~KvStoreServer();
 
   KvStoreServer(const KvStoreServer&) = delete;
@@ -88,7 +79,6 @@ class KvStoreServer {
   Status HandleReplCatchup(const net::Frame& request, std::string* body);
 
   kvstore::AliHBase* store_;
-  KvServerOptions options_;
   std::unique_ptr<net::Server> server_;
 
   /// Serializes replication applies (append and catch-up) so records land

@@ -9,6 +9,17 @@
 
 namespace titant::replication {
 
+namespace {
+
+/// Commit records coalesced into one kReplAppend frame.
+constexpr std::size_t kBatchMaxRecords = 256;
+/// Per-call budget for ship and catch-up RPCs.
+constexpr int kCallTimeoutMs = 2000;
+/// Pause between rounds while the standby is unreachable.
+constexpr int kRetryPauseMs = 20;
+
+}  // namespace
+
 Shipper::Shipper(kvstore::AliHBase* primary, ShipperOptions options)
     : primary_(primary), options_(std::move(options)) {}
 
@@ -42,7 +53,7 @@ void Shipper::Enqueue(uint64_t seq, const kvstore::Cell* const* cells, std::size
   std::lock_guard<std::mutex> lock(mu_);
   if (stop_) return;
   shipped_seq_.store(seq, std::memory_order_relaxed);
-  if (queue_.size() >= options_.queue_max_records) {
+  if (queue_.size() >= kQueueMaxRecords) {
     // The standby fell further behind than the queue bound. Replaying
     // record by record is hopeless; drop the backlog LOUDLY and schedule
     // a snapshot instead — committed writes are never silently unshipped.
@@ -55,9 +66,7 @@ void Shipper::Enqueue(uint64_t seq, const kvstore::Cell* const* cells, std::size
 }
 
 void Shipper::Loop() {
-  net::ClientOptions client_options;
-  client_options.call_timeout_ms = options_.call_timeout_ms;
-  net::Client client(options_.standby_host, options_.standby_port, client_options);
+  net::Client client(options_.standby_host, options_.standby_port);
   while (true) {
     bool do_catchup = false;
     {
@@ -78,7 +87,7 @@ void Shipper::Loop() {
         ship_errors_.fetch_add(1, std::memory_order_relaxed);
         // Standby down or slow: pause (interruptibly) before retrying so
         // a dead peer costs a bounded reconnect rate, not a spin.
-        work_cv_.wait_for(lock, std::chrono::milliseconds(options_.retry_pause_ms),
+        work_cv_.wait_for(lock, std::chrono::milliseconds(kRetryPauseMs),
                           [this] { return stop_; });
       }
     }
@@ -98,7 +107,7 @@ bool Shipper::ShipBatch(net::Client& client) {
     if (queue_.empty() || needs_catchup_) return true;
     first_seq = queue_.front().seq;
     for (const Pending& pending : queue_) {
-      if (count >= options_.batch_max_records || count >= net::kMaxBatchItems) break;
+      if (count >= kBatchMaxRecords || count >= net::kMaxBatchItems) break;
       records_blob.append(pending.record);
       ++count;
     }
@@ -108,7 +117,7 @@ bool Shipper::ShipBatch(net::Client& client) {
   // Safe to retry: the standby skips records at or below its watermark,
   // so a re-send after a lost ack is absorbed, not double-applied.
   StatusOr<std::string> result =
-      client.CallRetrying(net::kReplAppend, payload, options_.call_timeout_ms);
+      client.CallRetrying(net::kReplAppend, payload, kCallTimeoutMs);
   if (!result.ok()) {
     if (result.status().code() == StatusCode::kFailedPrecondition) {
       // Sequence gap: the standby restarted (or joined) and is missing
@@ -145,7 +154,7 @@ bool Shipper::RunCatchup(net::Client& client) {
     payload.clear();
     net::EncodeReplCatchupTo(&payload, watermark, done, cells.data() + offset, n);
     StatusOr<std::string> result =
-        client.CallRetrying(net::kReplCatchup, payload, options_.call_timeout_ms);
+        client.CallRetrying(net::kReplCatchup, payload, kCallTimeoutMs);
     // Any failure restarts the whole snapshot next round: the standby
     // adopts the watermark only on the final chunk, and cell applies are
     // idempotent, so a half-delivered catch-up costs retries, not

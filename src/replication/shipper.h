@@ -16,21 +16,10 @@
 
 namespace titant::replication {
 
-/// WAL-shipping configuration.
+/// WAL-shipping configuration: the standby's KvStoreServer endpoint.
 struct ShipperOptions {
-  /// The standby's KvStoreServer endpoint.
   std::string standby_host = "127.0.0.1";
   uint16_t standby_port = 0;
-  /// Commit records coalesced into one kReplAppend frame.
-  std::size_t batch_max_records = 256;
-  /// Queue bound in records. Overflow clears the queue and schedules a
-  /// snapshot catch-up — replication falls behind loudly, it never
-  /// silently drops a committed write.
-  std::size_t queue_max_records = 64 * 1024;
-  /// Per-call budget for ship and catch-up RPCs.
-  int call_timeout_ms = 2000;
-  /// Pause between rounds while the standby is unreachable.
-  int retry_pause_ms = 20;
 };
 
 struct ShipperStats {
@@ -64,6 +53,11 @@ struct ShipperStats {
 /// promoted node's shipper catches it up — failback is "the arrow flips".
 class Shipper {
  public:
+  /// Queue bound in records. Overflow clears the queue and schedules a
+  /// snapshot catch-up — replication falls behind loudly, it never
+  /// silently drops a committed write.
+  static constexpr std::size_t kQueueMaxRecords = 64 * 1024;
+
   /// Builds the shipper, attaches the commit sink, starts the ship
   /// thread. If the store already has commits (commit_seq() > 0) the
   /// first act is a snapshot catch-up, so a standby attached late still

@@ -1,8 +1,6 @@
 #include "serving/feature_store.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <mutex>
 
 #include "streaming/aggregator.h"
@@ -15,50 +13,6 @@ kvstore::StoreOptions FeatureTableOptions() {
                              streaming::kFamilyRealtime};
   options.num_shards = kFeatureTableShards;
   return options;
-}
-
-// Both key formatters are hand-rolled rather than snprintf'd: they run
-// three-plus times per scored row on the batched read path, where format
-// parsing is a measurable slice of the per-probe cost.
-
-std::string_view UserRowKeyTo(char* buf, txn::UserId user) {
-  std::memset(buf, '0', kUserRowKeyLen);
-  buf[0] = 'u';  // "u%010u"
-  for (std::size_t pos = kUserRowKeyLen - 1; user != 0; --pos, user /= 10) {
-    buf[pos] = static_cast<char>('0' + user % 10);
-  }
-  return std::string_view(buf, kUserRowKeyLen);
-}
-
-std::string_view CityRowKeyTo(char* buf, uint16_t city) {
-  std::memset(buf, '0', kCityRowKeyLen);
-  buf[0] = 'c';  // "c%05u"
-  for (std::size_t pos = kCityRowKeyLen - 1; city != 0; --pos, city /= 10) {
-    buf[pos] = static_cast<char>('0' + city % 10);
-  }
-  return std::string_view(buf, kCityRowKeyLen);
-}
-
-std::string UserRowKey(txn::UserId user) {
-  char buf[kUserRowKeyLen];
-  return std::string(UserRowKeyTo(buf, user));
-}
-
-std::string CityRowKey(uint16_t city) {
-  char buf[kCityRowKeyLen];
-  return std::string(CityRowKeyTo(buf, city));
-}
-
-std::string EncodeFloats(const float* values, std::size_t count) {
-  return std::string(reinterpret_cast<const char*>(values), count * sizeof(float));
-}
-
-Status DecodeFloats(std::string_view blob, std::size_t expected, float* out) {
-  if (blob.size() != expected * sizeof(float)) {
-    return Status::Corruption("float blob size mismatch");
-  }
-  std::memcpy(out, blob.data(), blob.size());
-  return Status::OK();
 }
 
 namespace {
@@ -118,8 +72,7 @@ Status UploadUserRange(kvstore::AliHBase* store, const core::FeatureExtractor& e
       cell.key.family = kFamilyBasic;
       cell.key.qualifier = kQualSnapshot;
       cell.key.version = version;
-      cell.value.assign(reinterpret_cast<const char*>(&snapshots[i * kSnapFloats]),
-                        kSnapFloats * sizeof(float));
+      EncodeFloatsTo(&cell.value, &snapshots[i * kSnapFloats], kSnapFloats);
       cell.tombstone = false;
     }
     for (std::size_t i = 0; i < count; ++i) {
@@ -130,7 +83,7 @@ Status UploadUserRange(kvstore::AliHBase* store, const core::FeatureExtractor& e
       cell.key.family = kFamilyBasic;
       cell.key.qualifier = kQualAux;
       cell.key.version = version;
-      cell.value.assign(reinterpret_cast<const char*>(&auxes[i * 2]), 2 * sizeof(float));
+      EncodeFloatsTo(&cell.value, &auxes[i * 2], 2);
       cell.tombstone = false;
     }
     for (std::size_t i = 0; i < count; ++i) {
@@ -141,8 +94,7 @@ Status UploadUserRange(kvstore::AliHBase* store, const core::FeatureExtractor& e
       cell.key.family = kFamilyEmbedding;
       cell.key.qualifier = kQualVector;
       cell.key.version = version;
-      cell.value.assign(reinterpret_cast<const char*>(embeddings.Row(user)),
-                        dim * sizeof(float));
+      EncodeFloatsTo(&cell.value, embeddings.Row(user), dim);
       cell.tombstone = false;
     }
     TITANT_RETURN_IF_ERROR(store->PutBatch(batch));

@@ -11,6 +11,7 @@
 #include "core/feature_extractor.h"
 #include "kvstore/store.h"
 #include "nrl/embedding.h"
+#include "serving/feature_cells.h"
 #include "txn/types.h"
 
 namespace titant::serving {
@@ -39,31 +40,6 @@ inline constexpr int kFeatureTableShards = 8;
 /// three families above, kFeatureTableShards lock stripes); callers fill
 /// in `dir`/`durable`.
 kvstore::StoreOptions FeatureTableOptions();
-
-/// Row-key widths of the two key formats below (without NUL; the To-
-/// variants write exactly this many bytes).
-inline constexpr std::size_t kUserRowKeyLen = 11;  // "u%010u"
-inline constexpr std::size_t kCityRowKeyLen = 6;   // "c%05u"
-
-/// Row key of a user (zero-padded so lexicographic order == numeric order,
-/// the HBase convention for integer row keys).
-std::string UserRowKey(txn::UserId user);
-
-/// Row key of a city in the "city" statistics rows.
-std::string CityRowKey(uint16_t city);
-
-/// Allocation-free variants for the serving hot path: format the key into
-/// the caller's buffer (kUserRowKeyLen / kCityRowKeyLen bytes) and return
-/// the view over it. The buffer must outlive every use of the view — the
-/// score scratch sizes its key block once per batch before taking views.
-std::string_view UserRowKeyTo(char* buf, txn::UserId user);
-std::string_view CityRowKeyTo(char* buf, uint16_t city);
-
-/// Encodes/decodes a float vector as a binary cell value. Decode accepts a
-/// view so the zero-allocation read path can decode straight out of a
-/// kvstore ReadPin arena.
-std::string EncodeFloats(const float* values, std::size_t count);
-Status DecodeFloats(std::string_view blob, std::size_t expected, float* out);
 
 /// The daily upload (offline -> online hand-off, Fig. 3): writes every
 /// user's feature snapshot, node embedding, and the city statistics to

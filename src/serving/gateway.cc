@@ -56,13 +56,8 @@ Gateway::~Gateway() {
 
 Status Gateway::Start() {
   if (server_ != nullptr) return Status::FailedPrecondition("gateway already started");
-  net::ServerOptions server_options;
-  server_options.host = options_.host;
-  server_options.port = options_.port;
-  server_options.worker_threads = options_.worker_threads;
-  server_options.max_in_flight = options_.max_in_flight;
   auto server = std::make_unique<net::Server>(
-      std::move(server_options),
+      options_.server,
       [this](const net::Frame& frame, std::string* body) { return Handle(frame, body); });
   TITANT_RETURN_IF_ERROR(server->Start());
   server_ = std::move(server);

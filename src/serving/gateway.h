@@ -19,18 +19,10 @@ namespace titant::serving {
 
 /// Gateway configuration.
 struct GatewayOptions {
-  /// Bind address for the TCP listener.
-  std::string host = "127.0.0.1";
-  /// Port; 0 picks an ephemeral port (read back via port()).
-  uint16_t port = 0;
-  /// Reactors (net::ServerOptions::worker_threads): event loops that each
-  /// score their own connections' requests to completion. Defaults to one
-  /// per hardware thread (never zero).
-  std::size_t worker_threads = net::DefaultWorkerThreads();
-  /// Admission control (net::ServerOptions::max_in_flight): requests
-  /// beyond this many admitted and unanswered are shed with
-  /// ResourceExhausted instead of waiting their turn. 0 disables.
-  std::size_t max_in_flight = 0;
+  /// The TCP listener: bind address, port (0 picks an ephemeral one, read
+  /// back via port()), reactors that each score their own connections'
+  /// requests to completion, and admission control.
+  net::ServerOptions server;
   /// Streaming ingestion engine (not owned; must outlive the gateway).
   /// When set, every successfully scored transaction is submitted to it
   /// after the verdict is produced (closing the feature loop), and the

@@ -1,12 +1,12 @@
 #include "serving/model_server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/stopwatch.h"
+#include "net/wire.h"
 #include "streaming/aggregator.h"
 
 namespace titant::serving {
@@ -14,14 +14,6 @@ namespace titant::serving {
 namespace {
 
 using core::SlotOf;
-
-/// Same steady-clock domain as net::MonotonicMicros (serving must not
-/// depend on src/net, so the two-liner is duplicated rather than linked).
-int64_t NowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Infrastructure-class failure: the store could not answer, as opposed to
 /// answering "no such row". Only these degrade; data errors propagate.
@@ -32,15 +24,17 @@ bool InfraFailure(const Status& status) {
 }  // namespace
 
 ModelServer::ModelServer(kvstore::KvTable* store, ModelServerOptions options)
-    : store_(store), options_(options) {}
+    : store_(store),
+      options_(options),
+      embedding_dim_(static_cast<std::size_t>(std::max(0, options.embedding_dim))) {}
 
 Status ModelServer::LoadModel(const std::string& blob, uint64_t version) {
   // Chaos hook: one instance of a fleet rollout fails (disk full, torn
   // upload) — the router must hold the stale instance out of rotation.
   TITANT_FAILPOINT("serving.load_model");
   TITANT_ASSIGN_OR_RETURN(std::unique_ptr<ml::Model> model, ml::DeserializeModel(blob));
-  const int expected = core::FeatureExtractor::kNumBasicFeatures +
-                       (options_.use_embeddings ? options_.embedding_dim : 0);
+  const int expected =
+      core::FeatureExtractor::kNumBasicFeatures + static_cast<int>(embedding_dim_);
   if (model->num_features() != expected) {
     return Status::InvalidArgument(
         "model width " + std::to_string(model->num_features()) + " does not match serving layout " +
@@ -87,8 +81,7 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
   ScoreScratch& s = *scratch;
 
   constexpr int kBasic = core::FeatureExtractor::kNumBasicFeatures;
-  const std::size_t width = static_cast<std::size_t>(
-      kBasic + (options_.use_embeddings ? options_.embedding_dim : 0));
+  const std::size_t width = kBasic + embedding_dim_;
   // One contiguous row-major block: zero-filled so degraded rows fall back
   // to the cold defaults, and laid out exactly as ml::Model::ScoreBatch
   // consumes it. assign() over warm capacity does not allocate.
@@ -98,19 +91,21 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
   // once up front: an already-overrun batch skips the store entirely and
   // every row degrades (an answer inside the latency budget beats a failed
   // transaction — same rule as the single path, amortized).
-  const bool out_of_budget = deadline_us > 0 && NowMicros() > deadline_us;
+  const bool out_of_budget = deadline_us > 0 && net::MonotonicMicros() > deadline_us;
 
   // One MultiGetView round trip for every row's probes: transferor
-  // snapshot, transferor aux, city stats, and (optionally) transferee
-  // embedding. Inside that one call the store groups the probes by shard
-  // and takes each shard's read lock once, so concurrent ScoreSpans on
-  // other threads only contend where their rows actually collide.
+  // snapshot, transferor aux, city stats, transferee embedding (unless
+  // the model is basic-only) and transferor live counters. Inside that
+  // one call the store groups the probes by shard and takes each shard's
+  // read lock once, so concurrent ScoreSpans on other threads only
+  // contend where their rows actually collide.
   // The probe keys are formatted into the scratch key block (sized up
   // front — the probe views point into it, so it must never reallocate
   // underneath them), and the fetched values live in the scratch pin's
   // arena until the next ScoreSpan call resets it.
-  const std::size_t per_row =
-      3 + (options_.use_embeddings ? 1 : 0) + (options_.use_live_counters ? 1 : 0);
+  const bool use_embeddings = embedding_dim_ > 0;
+  const std::size_t per_row = use_embeddings ? 5 : 4;
+  const std::size_t rt_off = per_row - 1;  // Live counters come last.
   constexpr std::size_t kKeysPerRow = 2 * kUserRowKeyLen + kCityRowKeyLen;
   if (!out_of_budget) {
     s.keys.resize(n * kKeysPerRow);
@@ -124,16 +119,14 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
       s.probes.push_back({from, kFamilyBasic, kQualSnapshot});
       s.probes.push_back({from, kFamilyBasic, kQualAux});
       s.probes.push_back({city, kFamilyCity, kQualStats});
-      if (options_.use_embeddings) {
+      if (use_embeddings) {
         const std::string_view to =
             UserRowKeyTo(key_base + kUserRowKeyLen + kCityRowKeyLen, request.to_user);
         s.probes.push_back({to, kFamilyEmbedding, kQualVector});
       }
-      if (options_.use_live_counters) {
-        // Streaming live counters for the transferor (same row key as
-        // the snapshot probes, so no extra key formatting).
-        s.probes.push_back({from, streaming::kFamilyRealtime, streaming::kQualWindow});
-      }
+      // Streaming live counters for the transferor (same row key as the
+      // snapshot probes, so no extra key formatting).
+      s.probes.push_back({from, streaming::kFamilyRealtime, streaming::kQualWindow});
     }
     s.pin.Reset();
     s.fetched.assign(n * per_row, StatusOr<std::string_view>(std::string_view()));
@@ -207,11 +200,10 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
     }
 
     // 3. Transferee's user node embedding (zero vector when degraded).
-    if (options_.use_embeddings && !out_of_budget && !degraded[i]) {
+    if (use_embeddings && !out_of_budget && !degraded[i]) {
       const StatusOr<std::string_view>& emb_blob = fetched[i * per_row + 3];
       if (emb_blob.ok()) {
-        const Status decoded = DecodeFloats(
-            *emb_blob, static_cast<std::size_t>(options_.embedding_dim), f + kBasic);
+        const Status decoded = DecodeFloats(*emb_blob, embedding_dim_, f + kBasic);
         if (!decoded.ok()) {
           item_error[i] = decoded;
           continue;
@@ -231,8 +223,7 @@ Status ModelServer::ScoreSpan(const TransferRequest* requests, std::size_t n,
     // family, an outage, or a short blob all just keep the cold
     // defaults. Live counters sharpen a verdict; they never degrade or
     // fail one, and stores predating the "rt" family keep serving.
-    if (options_.use_live_counters && !out_of_budget && !degraded[i] && item_error[i].ok()) {
-      const std::size_t rt_off = options_.use_embeddings ? 4 : 3;
+    if (!out_of_budget && !degraded[i] && item_error[i].ok()) {
       const StatusOr<std::string_view>& rt_blob = fetched[i * per_row + rt_off];
       float counters[streaming::kCounterFloats];
       if (rt_blob.ok() &&

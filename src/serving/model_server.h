@@ -52,25 +52,24 @@ struct ModelServerOptions {
   /// Transactions scoring at or above this probability are interrupted
   /// and the transferor is notified.
   double interrupt_threshold = 0.9;
-  /// Embedding width expected in the feature store.
+  /// Width of the transferee embedding the model consumes after the 52
+  /// basic features (a Basic+DW-style model); 0 serves a basic-only model
+  /// and skips the embedding probe.
   int embedding_dim = 32;
-  /// Whether the loaded model consumes the embedding columns
-  /// (Basic+DW-style model) or only the 52 basic features.
-  bool use_embeddings = true;
-  /// Probe the streaming live-counter cell ("rt"/"win", written by the
-  /// ingestion worker) and overwrite the same-day velocity slots
-  /// (cnt_today, log_amt_today and log_secs_since_prev) with
-  /// sliding-window values fresh to seconds instead of the T+1 cold
-  /// defaults. Strictly best-effort: a missing cell, a store that never
-  /// declared the family, or a fetch fault all silently keep the defaults
-  /// — live counters can improve a verdict but never degrade or fail one.
-  bool use_live_counters = true;
 };
 
 /// Online real-time predictor (§4.4). Loads versioned model files produced
 /// by offline training, fetches the caller's feature snapshot and the
 /// transferee's embedding from Ali-HBase, assembles the same feature
 /// layout the model was trained on, and scores in microseconds.
+///
+/// Every row also probes the streaming live-counter cell ("rt"/"win",
+/// written by the ingestion worker) and overwrites the same-day velocity
+/// slots (cnt_today, log_amt_today and log_secs_since_prev) with
+/// sliding-window values fresh to seconds instead of the T+1 cold
+/// defaults. Strictly best-effort: a missing cell, a store that never
+/// declared the family, or a fetch fault all silently keep the defaults
+/// — live counters can improve a verdict but never degrade or fail one.
 ///
 /// Thread-safe: concurrent Score calls share the store's read path; model
 /// swaps (LoadModel) are exclusive.
@@ -134,6 +133,7 @@ class ModelServer {
  private:
   kvstore::KvTable* store_;
   ModelServerOptions options_;
+  std::size_t embedding_dim_;  // options_.embedding_dim, 0 when not positive.
   mutable std::mutex mu_;
   std::unique_ptr<ml::Model> model_;
   uint64_t model_version_ = 0;

@@ -5,26 +5,18 @@
 namespace titant::serving {
 
 ModelServerRouter::ModelServerRouter(kvstore::KvTable* store, ModelServerOptions options,
-                                     int num_instances, RouterOptions router_options)
-    : router_options_(router_options),
-      healthy_(static_cast<std::size_t>(std::max(1, num_instances))),
+                                     int num_instances)
+    : healthy_(static_cast<std::size_t>(std::max(1, num_instances))),
       rollout_held_(static_cast<std::size_t>(std::max(1, num_instances))),
-      breaker_open_(static_cast<std::size_t>(std::max(1, num_instances))),
-      consecutive_failures_(static_cast<std::size_t>(std::max(1, num_instances))),
-      breaker_skipped_(static_cast<std::size_t>(std::max(1, num_instances))),
+      breakers_(static_cast<std::size_t>(std::max(1, num_instances))),
       served_(static_cast<std::size_t>(std::max(1, num_instances))) {
   TITANT_CHECK(num_instances > 0);
-  TITANT_CHECK(router_options_.breaker_failure_threshold > 0);
-  TITANT_CHECK(router_options_.breaker_probe_interval > 0);
   instances_.reserve(static_cast<std::size_t>(num_instances));
   for (int i = 0; i < num_instances; ++i) {
     instances_.push_back(std::make_unique<ModelServer>(store, options));
     const std::size_t s = static_cast<std::size_t>(i);
     healthy_[s].store(true);
     rollout_held_[s].store(false);
-    breaker_open_[s].store(false);
-    consecutive_failures_[s].store(0);
-    breaker_skipped_[s].store(0);
     served_[s].store(0);
   }
 }
@@ -84,22 +76,17 @@ Status ModelServerRouter::ScoreSpan(const TransferRequest* requests, std::size_t
   for (std::size_t attempt = 0; attempt < fleet; ++attempt) {
     const std::size_t i = static_cast<std::size_t>((start + attempt) % fleet);
     if (!healthy_[i].load() || rollout_held_[i].load()) continue;
-    if (breaker_open_[i].load()) {
-      // Half-open probing: most traffic keeps failing over, but every Nth
-      // request that lands here goes through to test recovery.
-      const uint64_t skipped = breaker_skipped_[i].fetch_add(1) + 1;
-      if (skipped % static_cast<uint64_t>(router_options_.breaker_probe_interval) != 0) {
-        continue;
-      }
-    }
+    CircuitBreaker& breaker = breakers_[i];
+    // Half-open probing: most traffic keeps failing over, but every 16th
+    // request that lands on an open breaker goes through to test recovery.
+    if (breaker.open() && !breaker.ProbeDue()) continue;
     const Status status = instances_[i]->ScoreSpan(requests, n, deadline_us, out, scratch);
     const bool instance_failure = !status.ok() && StatusCodeIsInstanceFailure(status.code());
     if (!instance_failure) {
       // The instance answered authoritatively (including request-level
       // errors like an unknown user, which travel per item): it is alive,
       // so close the breaker.
-      consecutive_failures_[i].store(0);
-      if (breaker_open_[i].exchange(false)) {
+      if (breaker.Close()) {
         TITANT_INFO << "instance " << i << " breaker closed after successful probe";
       }
       if (!status.ok()) return status;
@@ -111,14 +98,11 @@ Status ModelServerRouter::ScoreSpan(const TransferRequest* requests, std::size_t
       return Status::OK();
     }
     // Instance-level outage: fail over the whole batch, and trip the
-    // breaker once the failure streak crosses the threshold.
+    // breaker once the failure streak reaches the threshold.
     last_unavailable = status;
-    const uint32_t streak = consecutive_failures_[i].fetch_add(1) + 1;
-    if (streak >= static_cast<uint32_t>(router_options_.breaker_failure_threshold) &&
-        !breaker_open_[i].exchange(true)) {
-      breaker_skipped_[i].store(0);
-      breaker_trips_.fetch_add(1);
-      TITANT_WARN << "instance " << i << " breaker opened after " << streak
+    if (breaker.Fail()) {
+      TITANT_WARN << "instance " << i << " breaker opened after "
+                  << CircuitBreaker::kTripFailures
                   << " consecutive failures: " << status.ToString();
     }
   }
@@ -134,9 +118,7 @@ Status ModelServerRouter::SetInstanceHealthy(int instance, bool healthy) {
   healthy_[i].store(healthy);
   if (healthy) {  // Ops revival wipes automatic state: fresh start.
     rollout_held_[i].store(false);
-    breaker_open_[i].store(false);
-    consecutive_failures_[i].store(0);
-    breaker_skipped_[i].store(0);
+    breakers_[i].Close();
   }
   return Status::OK();
 }
@@ -147,6 +129,12 @@ int ModelServerRouter::open_instances() const {
     if (!instance_healthy(i)) ++open;
   }
   return open;
+}
+
+uint64_t ModelServerRouter::breaker_trips() const {
+  uint64_t trips = 0;
+  for (const CircuitBreaker& breaker : breakers_) trips += breaker.trips();
+  return trips;
 }
 
 uint64_t ModelServerRouter::degraded_total() const {

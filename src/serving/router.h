@@ -5,27 +5,20 @@
 #include <memory>
 #include <vector>
 
+#include "common/circuit_breaker.h"
 #include "serving/model_server.h"
 
 namespace titant::serving {
-
-/// Fleet-level resilience knobs for ModelServerRouter.
-struct RouterOptions {
-  /// Consecutive instance-level failures (Unavailable / Timeout /
-  /// ResourceExhausted / Internal) that trip that instance's circuit
-  /// breaker open.
-  int breaker_failure_threshold = 5;
-  /// While a breaker is open, every Nth request that would have been
-  /// routed to the instance is let through as a half-open probe; a
-  /// successful probe closes the breaker. Count-based rather than
-  /// wall-clock so failure tests are deterministic.
-  int breaker_probe_interval = 16;
-};
 
 /// Fronts a fleet of Model Server instances (§4.4: "MS are distributed to
 /// satisfy low latency and high service load"): round-robin dispatch,
 /// health-based failover, per-instance circuit breakers, broadcast model
 /// rollouts with stale-instance hold-down, aggregated latency.
+///
+/// Each instance's breaker counts instance-level failures (Unavailable /
+/// Timeout / ResourceExhausted / Internal) and follows CircuitBreaker's
+/// fixed policy: 5 in a row trip it, every 16th request routed to it
+/// while open goes through as a probe, and an answer closes it.
 ///
 /// Thread-safe: Score may be called concurrently; health toggles and model
 /// rollouts serialize against each other but not against reads (instances
@@ -34,8 +27,7 @@ class ModelServerRouter {
  public:
   /// Spins up `num_instances` servers sharing `store` (which must outlive
   /// the router).
-  ModelServerRouter(kvstore::KvTable* store, ModelServerOptions options, int num_instances,
-                    RouterOptions router_options = RouterOptions());
+  ModelServerRouter(kvstore::KvTable* store, ModelServerOptions options, int num_instances);
 
   int num_instances() const { return static_cast<int>(instances_.size()); }
 
@@ -78,18 +70,18 @@ class ModelServerRouter {
   /// down by a failed rollout AND its circuit breaker is not open.
   bool instance_healthy(int instance) const {
     const std::size_t i = static_cast<std::size_t>(instance);
-    return healthy_[i].load() && !rollout_held_[i].load() && !breaker_open_[i].load();
+    return healthy_[i].load() && !rollout_held_[i].load() && !breakers_[i].open();
   }
 
   /// Breaker / rollout introspection (ops + tests).
   bool breaker_open(int instance) const {
-    return breaker_open_[static_cast<std::size_t>(instance)].load();
+    return breakers_[static_cast<std::size_t>(instance)].open();
   }
   bool rollout_held(int instance) const {
     return rollout_held_[static_cast<std::size_t>(instance)].load();
   }
   /// Times any breaker transitioned closed -> open since construction.
-  uint64_t breaker_trips() const { return breaker_trips_.load(); }
+  uint64_t breaker_trips() const;
   /// Instances currently out of rotation (ops down, held, or open).
   int open_instances() const;
 
@@ -110,14 +102,10 @@ class ModelServerRouter {
 
  private:
   std::vector<std::unique_ptr<ModelServer>> instances_;
-  RouterOptions router_options_;
   std::vector<std::atomic<bool>> healthy_;        // Ops-controlled up/down.
   std::vector<std::atomic<bool>> rollout_held_;   // Stale model: failed rollout.
-  std::vector<std::atomic<bool>> breaker_open_;   // Circuit breaker state.
-  std::vector<std::atomic<uint32_t>> consecutive_failures_;
-  std::vector<std::atomic<uint64_t>> breaker_skipped_;  // Probe cadence counter.
+  std::vector<CircuitBreaker> breakers_;
   std::vector<std::atomic<uint64_t>> served_;
-  std::atomic<uint64_t> breaker_trips_{0};
   std::atomic<uint64_t> cursor_{0};
 };
 

@@ -4,30 +4,9 @@
 #include <chrono>
 
 #include "common/failpoint.h"
+#include "serving/feature_cells.h"
 
 namespace titant::streaming {
-
-namespace {
-
-/// Mirrors serving::UserRowKeyTo ("u%010u") — the feature table's row-key
-/// convention. Duplicated rather than linked: serving depends on
-/// streaming, so streaming cannot link back for an 11-byte formatter.
-std::string UserRowKey(txn::UserId user) {
-  std::string key(11, '0');
-  key[0] = 'u';
-  for (std::size_t pos = key.size() - 1; user != 0; --pos, user /= 10) {
-    key[pos] = static_cast<char>('0' + user % 10);
-  }
-  return key;
-}
-
-/// Raw little-endian float32 blob — the same value format as
-/// serving::EncodeFloats, which DecodeFloats on the read path expects.
-std::string EncodeCounterValue(const float* values, std::size_t count) {
-  return std::string(reinterpret_cast<const char*>(values), count * sizeof(float));
-}
-
-}  // namespace
 
 Ingestor::Ingestor(kvstore::KvTable* store, IngestorOptions options)
     : store_(store), options_(std::move(options)) {
@@ -258,20 +237,25 @@ void Ingestor::PublishCounters(std::vector<txn::UserId>& users, int64_t now_s) {
   if (store_ == nullptr || users.empty()) return;
   std::sort(users.begin(), users.end());
   users.erase(std::unique(users.begin(), users.end()), users.end());
-  cell_scratch_.clear();
+  // Cells are rewritten in place, so a slot reused from an earlier
+  // publish keeps its strings' capacity.
+  std::size_t count = 0;
+  char row[serving::kUserRowKeyLen];
   for (const txn::UserId user : users) {
     LiveCounters counters;
     if (!aggregator_.Query(user, now_s, &counters)) continue;
     float encoded[kCounterFloats];
     Aggregator::EncodeCounters(counters, encoded);
-    kvstore::Cell cell;
-    cell.key.row = UserRowKey(user);
+    if (count == cell_scratch_.size()) cell_scratch_.emplace_back();
+    kvstore::Cell& cell = cell_scratch_[count++];
+    cell.key.row.assign(serving::UserRowKeyTo(row, user));
     cell.key.family = kFamilyRealtime;
     cell.key.qualifier = kQualWindow;
     cell.key.version = publish_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    cell.value = EncodeCounterValue(encoded, kCounterFloats);
-    cell_scratch_.push_back(std::move(cell));
+    serving::EncodeFloatsTo(&cell.value, encoded, kCounterFloats);
+    cell.tombstone = false;
   }
+  cell_scratch_.resize(count);
   if (cell_scratch_.empty()) return;
   // A failed publish is not a lost event: the windows stay authoritative
   // in the aggregator and the users' next event republishes them.

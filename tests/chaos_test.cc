@@ -173,7 +173,7 @@ TEST_F(ChaosTest, ScoresStayAvailableUnderFaultSchedule) {
 // ResourceExhausted while the first two (slowed by the failpoint) finish.
 TEST_F(ChaosTest, OverloadShedsTheExcessDeterministically) {
   GatewayOptions options;
-  options.max_in_flight = 2;
+  options.server.max_in_flight = 2;
   StartGateway(std::move(options));
   // Latency-only failpoint: every Score stalls 50ms, pinning the first
   // two requests in flight while the third arrives.
@@ -228,7 +228,7 @@ TEST_F(ChaosTest, OverloadShedsTheExcessDeterministically) {
 // without ever reaching the model.
 TEST_F(ChaosTest, ExpiredQueuedRequestNeverReachesTheModel) {
   GatewayOptions options;
-  options.worker_threads = 1;  // One lane: request B queues behind A.
+  options.server.worker_threads = 1;  // One lane: request B queues behind A.
   StartGateway(std::move(options));
   ASSERT_TRUE(Failpoints::ArmFromSpec("serving.score,delay:100").ok());
 

@@ -14,6 +14,7 @@
 #include "common/alias_table.h"
 #include "common/arena.h"
 #include "common/bytes.h"
+#include "common/circuit_breaker.h"
 #include "common/failpoint.h"
 #include "common/histogram.h"
 #include "common/random.h"
@@ -490,6 +491,58 @@ TEST(HistogramTest, EmptyAndClear) {
   h.Clear();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.mean(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Circuit breaker.
+
+TEST(CircuitBreakerTest, TripsProbesClosesAndResets) {
+  CircuitBreaker breaker;
+  // Four failures in a row leave it closed; the fifth trips it.
+  for (uint32_t i = 1; i < CircuitBreaker::kTripFailures; ++i) {
+    EXPECT_FALSE(breaker.Fail()) << "failure " << i;
+    EXPECT_FALSE(breaker.open());
+  }
+  EXPECT_TRUE(breaker.Fail());
+  EXPECT_TRUE(breaker.open());
+  EXPECT_EQ(breaker.trips(), 1u);
+  // Failing while open extends the streak but is not another trip.
+  EXPECT_FALSE(breaker.Fail());
+  EXPECT_EQ(breaker.trips(), 1u);
+
+  // While open, every 16th call is a probe and the rest are turned away.
+  for (int round = 0; round < 3; ++round) {
+    for (uint64_t call = 1; call < CircuitBreaker::kProbeInterval; ++call) {
+      EXPECT_FALSE(breaker.ProbeDue()) << "round " << round << " call " << call;
+    }
+    EXPECT_TRUE(breaker.ProbeDue()) << "round " << round;
+  }
+
+  // A clean answer closes it, once.
+  EXPECT_TRUE(breaker.Close());
+  EXPECT_FALSE(breaker.open());
+  EXPECT_FALSE(breaker.Close());
+
+  // Closing also clears a streak short of the threshold: after a reset,
+  // it again takes five fresh failures to trip.
+  for (uint32_t i = 1; i < CircuitBreaker::kTripFailures; ++i) breaker.Fail();
+  breaker.Close();
+  for (uint32_t i = 1; i < CircuitBreaker::kTripFailures; ++i) EXPECT_FALSE(breaker.Fail());
+  EXPECT_TRUE(breaker.Fail());
+  EXPECT_EQ(breaker.trips(), 2u);
+
+  // A trip restarts the probe cadence; an operator trip of an open
+  // breaker changes nothing.
+  for (uint64_t call = 1; call < CircuitBreaker::kProbeInterval; ++call) {
+    EXPECT_FALSE(breaker.ProbeDue());
+  }
+  EXPECT_TRUE(breaker.ProbeDue());
+  EXPECT_FALSE(breaker.Trip());
+  EXPECT_EQ(breaker.trips(), 2u);
+  EXPECT_TRUE(breaker.Close());
+  EXPECT_TRUE(breaker.Trip());
+  EXPECT_TRUE(breaker.open());
+  EXPECT_EQ(breaker.trips(), 3u);
 }
 
 // ---------------------------------------------------------------------------

@@ -279,16 +279,12 @@ class FailoverChaosTest : public ::testing::Test {
     // WAL shipping primary -> standby.
     ShipperOptions ship_options;
     ship_options.standby_port = standby_server_->port();
-    ship_options.retry_pause_ms = 5;
     shipper_ = Shipper::Attach(primary_.get(), ship_options);
     ASSERT_NE(shipper_, nullptr);
 
-    // Small deterministic thresholds: two strikes flip, every 4th
-    // failed-over read probes the primary.
-    FailoverStoreOptions failover_options;
-    failover_options.failure_threshold = 2;
-    failover_options.probe_interval = 4;
-    failover_ = std::make_unique<FailoverStore>(primary_.get(), standby_.get(), failover_options);
+    // The breaker's fixed, count-based policy: five strikes flip, every
+    // 16th failed-over read probes the primary.
+    failover_ = std::make_unique<FailoverStore>(primary_.get(), standby_.get());
   }
 
   void TearDown() override {
@@ -417,6 +413,37 @@ TEST_F(FailoverChaosTest, ShipperReplicatesCommitsToTheStandbyWatermark) {
   }
 }
 
+TEST_F(FailoverChaosTest, QueueOverflowFallsBackToSnapshotCatchup) {
+  // The standby is unreachable: every ship round fails to connect, so no
+  // record leaves the queue.
+  ASSERT_TRUE(Failpoints::ArmFromSpec("net.client.connect,error:Unavailable").ok());
+  const std::size_t commits = Shipper::kQueueMaxRecords + 1;
+  for (std::size_t i = 0; i < commits; ++i) {
+    ASSERT_TRUE(
+        primary_->PutBatch({MakeCell(serving::UserRowKey(static_cast<txn::UserId>(i)), 1, "v")})
+            .ok());
+  }
+  // The commit past the bound dropped the backlog and scheduled a
+  // snapshot catch-up instead.
+  EXPECT_EQ(shipper_->stats().overflows, 1u);
+
+  // The standby comes back: the catch-up carries every commit, including
+  // the ones the cleared queue held.
+  Failpoints::DisarmAll();
+  ASSERT_TRUE(shipper_->Drain(30'000));
+  EXPECT_EQ(standby_server_->watermark(), primary_->commit_seq());
+  const auto primary_cells = primary_->Scan("", "");
+  const auto standby_cells = standby_->Scan("", "");
+  ASSERT_TRUE(primary_cells.ok()) << primary_cells.status().ToString();
+  ASSERT_TRUE(standby_cells.ok()) << standby_cells.status().ToString();
+  ASSERT_EQ(primary_cells->size(), commits);
+  ASSERT_EQ(standby_cells->size(), commits);
+  for (std::size_t i = 0; i < commits; ++i) {
+    ASSERT_EQ((*standby_cells)[i].key, (*primary_cells)[i].key) << i;
+    ASSERT_EQ((*standby_cells)[i].value, (*primary_cells)[i].value) << i;
+  }
+}
+
 TEST_F(FailoverChaosTest, PrimaryKilledMidBatchNeverFailsAScore) {
   SeedAndReplicateFeatures();
   StartRouter();
@@ -454,7 +481,7 @@ TEST_F(FailoverChaosTest, PrimaryKilledMidBatchNeverFailsAScore) {
   // Heal the primary; half-open probes fail the store back.
   Failpoints::DisarmAll();
   StatusOr<serving::Verdict> after = Status::Internal("unscored");
-  for (int i = 0; i < 16 && failover_->on_standby(); ++i) {
+  for (int i = 0; i < 64 && failover_->on_standby(); ++i) {
     after = router_->Score(Transfer(t0 + 2000 + i));
     ASSERT_TRUE(after.ok());
   }
@@ -506,23 +533,25 @@ TEST_F(FailoverChaosTest, IngestPublishesFlipToTheStandbyMidStream) {
   ReadCounters(standby_.get(), counters);
   EXPECT_FLOAT_EQ(counters[0], 1.0f);
 
-  // Kill the primary's write path mid-ingest. The next publish strikes
-  // out (threshold 2: one failed publish, then the flip), after which
+  // Kill the primary's write path mid-ingest. The next publishes strike
+  // out (threshold 5: four failed publishes, then the flip), after which
   // counter publishes land directly on the standby.
   ASSERT_TRUE(Failpoints::ArmFromSpec("kvstore.primary.put,error:Unavailable").ok());
-  ingestor_->Submit(Event(1, 3, 10.0, t0 + 60));
-  ingestor_->Drain();  // Publish fails: strike one. Counters keep counting.
-  ingestor_->Submit(Event(1, 4, 10.0, t0 + 120));
-  ingestor_->Drain();  // Strike two flips; this publish lands on the standby.
-  EXPECT_TRUE(failover_->on_standby());
+  for (int strike = 1; strike <= 5; ++strike) {
+    ingestor_->Submit(Event(1, static_cast<txn::UserId>(2 + strike), 10.0, t0 + 60 * strike));
+    // Strikes one to four fail (counters keep counting); strike five
+    // flips, and its publish lands on the standby.
+    ingestor_->Drain();
+    EXPECT_EQ(failover_->on_standby(), strike == 5) << "strike " << strike;
+  }
   EXPECT_EQ(failover_->stats().failovers, 1u);
   Failpoints::DisarmAll();
 
   // Publishes are cumulative snapshots, so nothing was lost to the dead
-  // primary: the standby's cell carries all three events.
+  // primary: the standby's cell carries all six events.
   ReadCounters(standby_.get(), counters);
-  EXPECT_FLOAT_EQ(counters[0], 3.0f);  // 1h count.
-  EXPECT_FLOAT_EQ(counters[2], 3.0f);  // 1h distinct payees.
+  EXPECT_FLOAT_EQ(counters[0], 6.0f);  // 1h count.
+  EXPECT_FLOAT_EQ(counters[2], 6.0f);  // 1h distinct payees.
 }
 
 TEST_F(FailoverChaosTest, TakeoverRepublishOutranksReplicatedStaleCells) {
@@ -587,7 +616,6 @@ TEST_F(FailoverChaosTest, RestartedPrimaryRejoinsViaSnapshotCatchup) {
   ASSERT_TRUE(rejoin_server.Start().ok());
   ShipperOptions ship_options;
   ship_options.standby_port = rejoin_server.port();
-  ship_options.retry_pause_ms = 5;
   auto failback_shipper = Shipper::Attach(standby_.get(), ship_options);
   ASSERT_NE(failback_shipper, nullptr);
   ASSERT_TRUE(failback_shipper->Drain(5000));

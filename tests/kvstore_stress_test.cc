@@ -308,7 +308,9 @@ TEST(KvStoreStressTest, ConcurrentPutBatchesFromManyThreadsAllLand) {
           batch.clear();
         }
       }
-      if (!batch.empty()) ASSERT_TRUE(store->PutBatch(batch).ok());
+      if (!batch.empty()) {
+        ASSERT_TRUE(store->PutBatch(batch).ok());
+      }
     });
   }
   for (std::thread& w : writers) w.join();

@@ -1019,6 +1019,44 @@ TEST(ShardedStoreTest, ShardCountIsPinnedByTheDirectory) {
   EXPECT_EQ(*(*reopened)->Get("alice", "bf", "q"), "A");
 }
 
+TEST(ShardedStoreTest, EmptyShardManifestIsCorruptionNamingTheFile) {
+  // What an in-place manifest write left behind when the process died
+  // between creating the file and writing it.
+  const std::string dir = TempDir("sharded_manifest_empty");
+  fs::create_directories(dir);
+  { std::ofstream(dir + "/SHARDS", std::ios::binary); }
+  StoreOptions options = MemOptions();
+  options.durable = true;
+  options.dir = dir;
+  const auto store = AliHBase::Open(options);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kCorruption) << store.status().ToString();
+  EXPECT_NE(store.status().message().find(dir + "/SHARDS"), std::string::npos)
+      << store.status().ToString();
+}
+
+TEST(ShardedStoreTest, StrayManifestTempFileIsReplacedOnOpen) {
+  // A crash before the manifest's rename leaves only SHARDS.tmp: the
+  // directory holds no recorded count, so the requested one is written.
+  const std::string dir = TempDir("sharded_manifest_tmp");
+  fs::create_directories(dir);
+  { std::ofstream(dir + "/SHARDS.tmp", std::ios::binary) << "1"; }
+  StoreOptions options = MemOptions();
+  options.durable = true;
+  options.dir = dir;
+  options.num_shards = 4;
+  {
+    auto store = AliHBase::Open(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->num_shards(), 4u);
+  }
+  std::ifstream manifest(dir + "/SHARDS");
+  std::string recorded;
+  manifest >> recorded;
+  EXPECT_EQ(recorded, "4");
+  EXPECT_FALSE(fs::exists(dir + "/SHARDS.tmp"));
+}
+
 TEST(ShardedStoreTest, FlushAndCompactWorkPerShard) {
   const std::string dir = TempDir("sharded_compact");
   StoreOptions options = MemOptions();

@@ -157,7 +157,9 @@ TEST(TableTest, HostileBlobsAreRejected) {
     for (std::size_t cut = 0; cut < blob->size(); ++cut) {
       const auto parsed = Table::Deserialize(blob->substr(0, cut));
       EXPECT_FALSE(parsed.ok()) << "accepted prefix of length " << cut;
-      if (!parsed.ok()) EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+      if (!parsed.ok()) {
+        EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
+      }
     }
     // Trailing garbage is also corruption, not ignored padding.
     EXPECT_FALSE(Table::Deserialize(*blob + "x").ok());

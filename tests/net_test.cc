@@ -53,6 +53,15 @@ std::string RequestFrame(uint16_t method, uint64_t request_id, std::string_view 
   return out;
 }
 
+/// The header of a request frame that declares one byte over
+/// kMaxPayloadBytes (the length is the header's last four bytes).
+std::string OversizedHeader(uint16_t method) {
+  std::string header = RequestFrame(method, 1, "");
+  const uint32_t declared = static_cast<uint32_t>(kMaxPayloadBytes + 1);
+  std::memcpy(&header[kHeaderBytes - sizeof(declared)], &declared, sizeof(declared));
+  return header;
+}
+
 std::string ResponseFrame(uint16_t method, uint64_t request_id, const Status& status,
                           std::string_view body) {
   std::string out;
@@ -261,8 +270,10 @@ TEST(WireTest, ManyFramesInOneFeed) {
 }
 
 TEST(WireTest, OversizedFrameIsInvalidArgument) {
-  FrameDecoder decoder(/*max_payload_bytes=*/100);
-  const std::string bytes = RequestFrame(kScore, 1, std::string(101, 'x'));
+  // The header alone is enough: the decoder refuses a declared payload
+  // over the cap before it buffers a byte of it.
+  FrameDecoder decoder;
+  const std::string bytes = OversizedHeader(kScore);
   std::vector<Frame> frames;
   const Status status = decoder.Feed(bytes.data(), bytes.size(), &frames);
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
@@ -371,11 +382,12 @@ TEST(WireTest, TornAndOversizedBatchFrames) {
   ASSERT_TRUE(DecodeScoreBatchRequest(frames[0].payload, &decoded).ok());
   EXPECT_EQ(decoded.size(), 3u);
 
-  // A batch frame over the decoder's payload budget is rejected at the
-  // header, before the payload is buffered.
-  FrameDecoder small(/*max_payload_bytes=*/64);
+  // A batch frame over the payload cap is rejected at the header, before
+  // the payload is buffered.
+  FrameDecoder capped;
+  const std::string oversized = OversizedHeader(kScoreBatch);
   std::vector<Frame> none;
-  EXPECT_TRUE(small.Feed(bytes.data(), bytes.size(), &none).IsInvalidArgument());
+  EXPECT_TRUE(capped.Feed(oversized.data(), oversized.size(), &none).IsInvalidArgument());
   EXPECT_TRUE(none.empty());
 }
 

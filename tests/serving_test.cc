@@ -51,7 +51,12 @@ void ReferenceRow(const TransferRequest& request, const StatusOr<std::string_vie
                   bool out_of_budget, float* f) {
   constexpr double kTwoPi = 6.283185307179586;
   constexpr int kBasic = 52;
-  const ModelServerOptions options_;
+  // ModelServerOptions' fields at the time, at their defaults.
+  const struct {
+    int embedding_dim = 32;
+    bool use_embeddings = true;
+    bool use_live_counters = true;
+  } options_;
   const auto InfraFailure = [](const Status& status) {
     return status.IsRetryable() || status.code() == StatusCode::kIOError;
   };
@@ -440,16 +445,14 @@ TEST_F(ModelServerTest, RouterSurvivesConcurrentTrafficAndHealthFlaps) {
 // TSan (the build-tsan lane) checks the interleavings; the assertions
 // check the serving invariants hold through them.
 TEST_F(ModelServerTest, ConcurrentTrafficSurvivesBreakerTripsAndRecoveries) {
-  RouterOptions router_options;
-  router_options.breaker_failure_threshold = 2;
-  router_options.breaker_probe_interval = 4;
-  ModelServerRouter router(store_, ModelServerOptions(), 3, router_options);
+  ModelServerRouter router(store_, ModelServerOptions(), 3);
   ASSERT_TRUE(router.LoadModel(ml::SerializeModel(*model_), 42).ok());
   const auto& sample = world_->log.records[window_->test_records.front()];
 
-  // One in five scores fails as an instance-level outage: streaks form,
-  // breakers trip, probes recover them — all under concurrent load.
-  Failpoints::ArmFromSpec("serving.score,error:Unavailable,p:0.2,seed:7");
+  // Half the scores fail as an instance-level outage, often enough that
+  // streaks of 5 form: breakers trip, probes recover them — all under
+  // concurrent load.
+  Failpoints::ArmFromSpec("serving.score,error:Unavailable,p:0.5,seed:7");
 
   std::atomic<int> hard_errors{0};
   std::atomic<int> served{0};
@@ -477,6 +480,7 @@ TEST_F(ModelServerTest, ConcurrentTrafficSurvivesBreakerTripsAndRecoveries) {
 
   EXPECT_EQ(hard_errors.load(), 0);
   EXPECT_GT(served.load(), 400);
+  EXPECT_GT(router.breaker_trips(), 0u);
 
   // With injections off, probes re-close any breaker left open.
   for (int i = 0; i < 500 && router.open_instances() > 0; ++i) {
@@ -488,38 +492,38 @@ TEST_F(ModelServerTest, ConcurrentTrafficSurvivesBreakerTripsAndRecoveries) {
 
 TEST_F(ModelServerTest, BreakerTripsOnFailureStreakAndRecoversViaProbes) {
   Failpoints::DisarmAll();
-  RouterOptions router_options;
-  router_options.breaker_failure_threshold = 2;
-  router_options.breaker_probe_interval = 3;
-  ModelServerRouter router(store_, ModelServerOptions(), 2, router_options);
+  ModelServerRouter router(store_, ModelServerOptions(), 2);
   ASSERT_TRUE(router.LoadModel(ml::SerializeModel(*model_), 1).ok());
   const auto& sample = world_->log.records[window_->test_records.front()];
 
-  // Inject a bounded outage: the first 8 instance-level Scores fail.
+  // Inject a bounded outage: the first 14 instance-level Scores fail —
+  // 5 per instance to trip its breaker, then its first 2 probes.
   FailpointSpec spec;
   spec.code = StatusCode::kUnavailable;
-  spec.max_hits = 8;
+  spec.max_hits = 14;
   Failpoints::Arm("serving.score", spec);
 
   // Each router call burns through both instances; after the streak hits
-  // the threshold both breakers are open and calls fail fast (no probes
-  // consumed yet, so no further failpoint hits are needed to stay open).
+  // the threshold (5) both breakers are open and calls fail fast (no
+  // probes consumed yet, so no further failpoint hits are needed to stay
+  // open).
   int failures = 0;
-  for (int i = 0; i < 4 && Failpoints::hits("serving.score") < 4; ++i) {
+  for (int i = 0; i < 10 && Failpoints::hits("serving.score") < 10; ++i) {
     failures += router.Score(RequestOf(sample)).ok() ? 0 : 1;
   }
-  EXPECT_EQ(failures, 2);
+  EXPECT_EQ(failures, 5);
   EXPECT_TRUE(router.breaker_open(0));
   EXPECT_TRUE(router.breaker_open(1));
   EXPECT_FALSE(router.instance_healthy(0));
   EXPECT_EQ(router.breaker_trips(), 2u);
   EXPECT_EQ(router.open_instances(), 2);
 
-  // Keep calling: skipped requests fail fast until probe slots come up;
-  // probes burn the remaining injected failures, and once the outage
-  // schedule is exhausted a probe succeeds and closes each breaker.
+  // Keep calling: skipped requests fail fast until probe slots (every
+  // 16th) come up; probes burn the remaining injected failures, and once
+  // the outage schedule is exhausted a probe succeeds and closes each
+  // breaker.
   int recovered_at = -1;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 200; ++i) {
     const auto verdict = router.Score(RequestOf(sample));
     if (verdict.ok() && !router.breaker_open(0) && !router.breaker_open(1)) {
       recovered_at = i;

@@ -103,7 +103,7 @@ std::string TinyModelBlob() {
 TEST(ZeroAllocTest, ScoreSpanSteadyStateAllocatesNothing) {
   std::unique_ptr<kvstore::AliHBase> store = SeededStore();
   ModelServerOptions options;
-  options.use_embeddings = false;  // 52-wide layout; no emb rows needed.
+  options.embedding_dim = 0;  // 52-wide layout; no emb rows needed.
   ModelServer server(store.get(), options);
   ASSERT_TRUE(server.LoadModel(TinyModelBlob(), 1).ok());
 
@@ -185,7 +185,7 @@ TEST(ZeroAllocTest, ScoreSpanAllMissesAllocatesNothing) {
   // surfaces per-row NotFound without touching the heap either.
   std::unique_ptr<kvstore::AliHBase> store = SeededStore();
   ModelServerOptions options;
-  options.use_embeddings = false;
+  options.embedding_dim = 0;
   ModelServer server(store.get(), options);
   ASSERT_TRUE(server.LoadModel(TinyModelBlob(), 1).ok());
 
@@ -275,7 +275,7 @@ TEST(ZeroAllocTest, CacheHitSSTableReadsAllocateNothing) {
 TEST(ZeroAllocTest, SingleRequestSteadyStateAllocatesNothing) {
   std::unique_ptr<kvstore::AliHBase> store = SeededStore();
   ModelServerOptions options;
-  options.use_embeddings = false;
+  options.embedding_dim = 0;
   ModelServer server(store.get(), options);
   ASSERT_TRUE(server.LoadModel(TinyModelBlob(), 1).ok());
 
@@ -310,11 +310,11 @@ TEST(ZeroAllocTest, GatewayWireRoundTripAllocatesNothing) {
   // frame, a fixed reply buffer), so the count is process-wide.
   std::unique_ptr<kvstore::AliHBase> store = SeededStore();
   ModelServerOptions options;
-  options.use_embeddings = false;
+  options.embedding_dim = 0;
   ModelServerRouter router(store.get(), options, /*num_instances=*/2);
   ASSERT_TRUE(router.LoadModel(TinyModelBlob(), 1).ok());
   GatewayOptions gateway_options;
-  gateway_options.worker_threads = 2;
+  gateway_options.server.worker_threads = 2;
   Gateway gateway(&router, gateway_options);
   ASSERT_TRUE(gateway.Start().ok());
 

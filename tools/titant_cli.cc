@@ -332,7 +332,7 @@ int CmdServe(int argc, char** argv) {
       OrDie(titant::streaming::Ingestor::Open(store.get(), titant::streaming::IngestorOptions()));
 
   titant::serving::GatewayOptions gw_options;
-  gw_options.port = port;
+  gw_options.server.port = port;
   gw_options.ingestor = ingestor.get();
   titant::serving::Gateway gateway(&router, gw_options);
   gateway.metrics().Register("kvstore", titant::serving::KvStatsProvider(store.get()));
@@ -563,7 +563,7 @@ int CmdKvServe(int argc, char** argv) {
     std::printf("failpoint armed: %s\n", name.c_str());
   }
 
-  titant::replication::KvServerOptions server_options;
+  titant::net::ServerOptions server_options;
   server_options.port = port;
   titant::replication::KvStoreServer server(store.get(), server_options);
   OrDie(server.Start());
